@@ -70,25 +70,32 @@ class MultipoolParams:
 
 
 class PoolingMatrix:
-    """A binary incidence structure held in two mutually dual views.
+    """A binary incidence structure held as two dual index arrays.
 
-    ``pools`` lists, per pool, the sorted item indices it contains;
-    ``item_membership`` lists, per item, the sorted pool indices that
-    contain it.  Instances are immutable after construction and safe to
-    share across threads.
+    Row i of ``pool_index`` lists the items of pool i in increasing
+    order, and row j of ``member_index`` lists the pools containing item
+    j in increasing order.  Both are int32 and exactly as wide as their
+    longest row; shorter rows, which only ragged external designs have,
+    are padded at the end with one past the largest valid index (n in
+    ``pool_index``, t in ``member_index``), so a gather reads the padding
+    from an appended zero row.  ``pools`` and ``item_membership`` are the
+    same lists as tuples of tuples, derived on first use.  Instances are
+    immutable after construction and safe to share across threads.
     """
 
     def __init__(
         self,
         n: int,
-        pools: tuple[tuple[int, ...], ...],
-        item_membership: tuple[tuple[int, ...], ...],
+        pool_index: np.ndarray,
+        member_index: np.ndarray,
         labels: tuple[PoolLabel, ...] | None,
     ):
+        pool_index.flags.writeable = False
+        member_index.flags.writeable = False
         self.n = n
-        self.t = len(pools)
-        self.pools = pools
-        self.item_membership = item_membership
+        self.t = pool_index.shape[0]
+        self.pool_index = pool_index
+        self.member_index = member_index
         self.labels = labels
 
     @classmethod
@@ -102,23 +109,22 @@ class PoolingMatrix:
             raise DomainError(f"item count must be positive, got {n}")
         if len(pools) < 1:
             raise DomainError("a design needs at least one pool")
-        canonical: list[tuple[int, ...]] = []
+        canonical: list[list[int]] = []
         for i, pool in enumerate(pools):
             items = sorted(int(j) for j in pool)
             if items and (items[0] < 0 or items[-1] >= n):
                 raise DomainError(f"pool {i} contains an item index outside [0, {n})")
             if any(a == b for a, b in zip(items, items[1:])):
                 raise DomainError(f"pool {i} lists an item more than once")
-            canonical.append(tuple(items))
-        membership: list[list[int]] = [[] for _ in range(n)]
-        for i, pool in enumerate(canonical):
-            for j in pool:
-                membership[j].append(i)
+            canonical.append(items)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != len(canonical):
                 raise DomainError("labels must match the number of pools")
-        return cls(n, tuple(canonical), tuple(tuple(row) for row in membership), labels)
+        pool_index = np.full((len(canonical), max(map(len, canonical))), n, dtype=np.int32)
+        for i, items in enumerate(canonical):
+            pool_index[i, : len(items)] = items
+        return cls(n, pool_index, _member_index(pool_index, n), labels)
 
     @classmethod
     def from_dense(cls, array: np.ndarray) -> "PoolingMatrix":
@@ -128,31 +134,35 @@ class PoolingMatrix:
         pools = [tuple(np.flatnonzero(row).tolist()) for row in arr]
         return cls.from_pools(arr.shape[1], pools)
 
-    @property
+    @cached_property
     def pool_size(self) -> int | None:
         """Common pool size, or None when pools differ in size."""
-        sizes = {len(pool) for pool in self.pools}
-        return sizes.pop() if len(sizes) == 1 else None
+        return _common_length(self.pool_index, self.n)
 
-    @property
+    @cached_property
     def multiplicity(self) -> int | None:
         """Common number of pools per item, or None when items differ."""
-        counts = {len(row) for row in self.item_membership}
-        return counts.pop() if len(counts) == 1 else None
+        return _common_length(self.member_index, self.t)
 
-    @cached_property
+    @property
     def pools_array(self) -> np.ndarray | None:
-        """Pools as a (t, q) int array when the pool size is constant."""
-        if self.pool_size is None:
-            return None
-        return np.asarray(self.pools, dtype=np.int32)
+        """Pools as a (t, q) int32 array when the pool size is constant."""
+        return None if self.pool_size is None else self.pool_index
+
+    @property
+    def membership_array(self) -> np.ndarray | None:
+        """Membership as an (n, m) int32 array when multiplicity is constant."""
+        return None if self.multiplicity is None else self.member_index
 
     @cached_property
-    def membership_array(self) -> np.ndarray | None:
-        """Membership as an (n, m) int array when multiplicity is constant."""
-        if self.multiplicity is None:
-            return None
-        return np.asarray(self.item_membership, dtype=np.int32)
+    def pools(self) -> tuple[tuple[int, ...], ...]:
+        """Per pool, the sorted item indices it contains."""
+        return _rows(self.pool_index, self.n)
+
+    @cached_property
+    def item_membership(self) -> tuple[tuple[int, ...], ...]:
+        """Per item, the sorted indices of the pools containing it."""
+        return _rows(self.member_index, self.t)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.t, self.n), dtype=np.uint8)
@@ -163,10 +173,45 @@ class PoolingMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PoolingMatrix):
             return NotImplemented
-        return self.n == other.n and self.pools == other.pools and self.labels == other.labels
+        return (
+            self.n == other.n
+            and np.array_equal(self.pool_index, other.pool_index)
+            and self.labels == other.labels
+        )
 
     def __repr__(self) -> str:
         return f"PoolingMatrix(n={self.n}, t={self.t})"
+
+
+def _member_index(pool_index: np.ndarray, n: int) -> np.ndarray:
+    """The dual of a padded pool index: row j lists the pools holding
+    item j in increasing order, padded with t."""
+    t, width = pool_index.shape
+    items = pool_index.ravel()
+    owners = np.repeat(np.arange(t, dtype=np.int32), width)
+    real = items < n
+    items, owners = items[real], owners[real]
+    # Owners run in increasing order, and a stable sort by item keeps it.
+    order = np.argsort(items, kind="stable")
+    items, owners = items[order], owners[order]
+    counts = np.bincount(items, minlength=n)
+    index = np.full((n, counts.max()), t, dtype=np.int32)
+    rank = np.arange(items.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    index[items, rank] = owners
+    return index
+
+
+def _common_length(index: np.ndarray, pad: int) -> int | None:
+    """Common row length of a padded index, or None when rows differ.
+    Padding sits at the end of a row, and any row that has some is
+    shorter than the longest one."""
+    if index.shape[1] and (index[:, -1] == pad).any():
+        return None
+    return index.shape[1]
+
+
+def _rows(index: np.ndarray, pad: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(v for v in row if v != pad) for row in index.tolist())
 
 
 def build_multipool(params: MultipoolParams) -> PoolingMatrix:
@@ -179,22 +224,19 @@ def build_multipool(params: MultipoolParams) -> PoolingMatrix:
     """
     field = gf.field_for_order(params.q)
     q, m = params.q, params.m
-    pools: list[tuple[int, ...]] = []
-    labels: list[PoolLabel] = []
-    for slope in range(min(m, q)):
-        for intercept in range(q):
-            # q*x + (slope*x + intercept) is increasing in x, so the pool
-            # comes out sorted without an explicit sort.
-            items = tuple(
-                q * x + field.add(field.mul(slope, x), intercept) for x in range(q)
-            )
-            pools.append(items)
-            labels.append(PoolLabel(slope, intercept))
+    x = np.arange(q)
+    slopes = np.arange(min(m, q))
+    # Pool (s, b) holds the items q*x + (s*x + b), one (slope, intercept,
+    # x) broadcast.  The index is increasing in x, so every row comes out
+    # sorted without an explicit sort.
+    lines = q * x + field.add_table[field.mul_table[slopes[:, None, None], x], x[:, None]]
+    blocks = [lines.reshape(-1, q)]
+    labels = [PoolLabel(int(slope), intercept) for slope in slopes for intercept in range(q)]
     if m == q + 1:
-        for intercept in range(q):
-            pools.append(tuple(range(q * intercept, q * intercept + q)))
-            labels.append(PoolLabel(INFINITY, intercept))
-    return PoolingMatrix.from_pools(params.n, pools, labels=labels)
+        blocks.append(q * x[:, None] + x)
+        labels += [PoolLabel(INFINITY, intercept) for intercept in range(q)]
+    pool_index = np.concatenate(blocks).astype(np.int32)
+    return PoolingMatrix(params.n, pool_index, _member_index(pool_index, params.n), tuple(labels))
 
 
 def max_pools_bound(q: int, n: int) -> int:
@@ -262,8 +304,8 @@ def validate_multipool(matrix: PoolingMatrix, q: int, m: int) -> ValidationRepor
     no two items share more than one pool."""
     if q < 1 or m < 1:
         raise DomainError("q and m must be positive")
-    row_sums = tuple(len(pool) for pool in matrix.pools)
-    col_sums = tuple(len(row) for row in matrix.item_membership)
+    row_sums = tuple((matrix.pool_index < matrix.n).sum(axis=1).tolist())
+    col_sums = tuple((matrix.member_index < matrix.t).sum(axis=1).tolist())
     violations: list[tuple[str, tuple[int, ...]]] = []
     for i, size in enumerate(row_sums):
         if size != q:

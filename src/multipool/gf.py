@@ -34,6 +34,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError, UnsupportedFieldError
 
 
@@ -173,6 +175,11 @@ class Field:
     Extension fields precompute full addition and multiplication tables
     (at most 64 x 64 entries), so per-operation cost is a lookup.  Prime
     fields skip the tables and use modular integer arithmetic directly.
+
+    ``add_table`` and ``mul_table`` hold the same operations as read-only
+    (q, q) numpy arrays indexed ``[x, y]``, for whole-array arithmetic
+    such as ``add_table[mul_table[s, x], b]``; indexing does no range
+    check beyond numpy's own.
     """
 
     def __init__(self, order: PrimePower, modulus: tuple[int, ...] | None = None):
@@ -196,9 +203,15 @@ class Field:
         if self.a == 1:
             self._add_table = None
             self._mul_table = None
+            elements = np.arange(self.q)
+            add = np.add.outer(elements, elements) % self.p
+            mul = np.multiply.outer(elements, elements) % self.p
         else:
             self._add_table = self._build_table(self._poly_add)
             self._mul_table = self._build_table(self._poly_product)
+            add, mul = np.array(self._add_table), np.array(self._mul_table)
+        self.add_table = _frozen(add)
+        self.mul_table = _frozen(mul)
 
     def _poly_add(self, x: int, y: int) -> int:
         cx = index_to_coeffs(x, self.p, self.a)
@@ -268,6 +281,12 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(GF({self.q}))"
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table = table.astype(np.intp)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)

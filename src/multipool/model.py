@@ -5,6 +5,11 @@ loads through a pooling matrix, corrupt the pool results with false
 positives and false negatives, and decode item statuses by thresholding
 positive-pool counts.
 
+States and results may be stacked, one trial per row.  Pool loads and
+positive-pool counts share one trial-minor gather kernel: the trials are
+copied to the innermost axis, so each index entry moves a contiguous run
+of one byte per trial instead of a single byte.
+
 Randomness is drawn from numpy Generators seeded through
 :class:`SeedSpec`, which derives an independent stream from a master
 seed and a stream id.  Equal (master_seed, stream_id) pairs reproduce
@@ -111,25 +116,51 @@ def sample_infections(n: int, rho: float, seed: "SeedSpec | np.random.Generator"
     return InfectionState(x=x, rho=rho)
 
 
+def _index_sums(values: np.ndarray, index: np.ndarray, what: str) -> np.ndarray:
+    """``out[..., i] = values[..., index[i]].sum(-1)`` for 0/1 ``values``.
+
+    The rows of ``values`` become the columns of a (width + 1, rows) copy
+    whose last row is zero; an index entry equal to the width is padding
+    and reads that row.  Sums accumulate one index column at a time, in
+    uint8 when no index row has 256 entries, which bounds every sum, and
+    in int32 otherwise.
+    """
+    width = values.shape[-1]
+    flat = values.reshape(-1, width)
+    if flat.dtype != bool and ((flat != 0) & (flat != 1)).any():
+        raise DomainError(f"{what} must be 0 or 1")
+    dtype = np.uint8 if index.shape[1] < 256 else np.int32
+    columns = np.zeros((width + 1, flat.shape[0]), dtype=dtype)
+    columns[:width] = flat.T
+    sums = np.zeros((index.shape[0], flat.shape[0]), dtype=dtype)
+    for k in range(index.shape[1]):
+        sums += columns.take(index[:, k], axis=0)
+    return sums.T.reshape(values.shape[:-1] + (index.shape[0],))
+
+
 def pool_loads(matrix: PoolingMatrix, state: "InfectionState | np.ndarray") -> np.ndarray:
-    """Number of infected items per pool; accepts (..., n) stacked states."""
+    """Number of infected items per pool; accepts (..., n) stacked 0/1 states.
+
+    Computed trial-minor; uint8 when every pool has fewer than 256 items,
+    int32 otherwise.
+    """
     x = state.x if isinstance(state, InfectionState) else np.asarray(state)
     if x.shape[-1] != matrix.n:
         raise DomainError(f"state has {x.shape[-1]} items, matrix expects {matrix.n}")
-    pools = matrix.pools_array
-    if pools is not None:
-        return x[..., pools].sum(axis=-1, dtype=np.int32)
-    columns = [x[..., list(pool)].sum(axis=-1, dtype=np.int32) for pool in matrix.pools]
-    return np.stack(columns, axis=-1)
+    return _index_sums(x, matrix.pool_index, "infection states")
 
 
 def negative_probabilities(loads: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """P(pool tests negative | load k) = (1 - p_fp) * p_fn ** k."""
+    """P(pool tests negative | load k) = (1 - p_fp) * p_fn ** k, read
+    from a table over k = 0..max load."""
     loads = np.asarray(loads)
-    if loads.size and loads.min() < 0:
+    if loads.dtype.kind not in "iu":
+        raise DomainError("pool loads must be integers")
+    if loads.min(initial=0) < 0:
         raise DomainError("pool loads must be non-negative")
     # numpy evaluates 0.0 ** 0 as 1.0, which is the convention wanted here.
-    return (1.0 - noise.p_fp) * np.power(noise.p_fn, loads)
+    table = (1.0 - noise.p_fp) * np.power(noise.p_fn, np.arange(loads.max(initial=0) + 1))
+    return table[loads]
 
 
 def sample_pool_results(
@@ -142,15 +173,16 @@ def sample_pool_results(
 
 
 def positive_pool_counts(matrix: PoolingMatrix, y: np.ndarray) -> np.ndarray:
-    """Per item, how many of its pools tested positive; accepts (..., t)."""
+    """Per item, how many of its pools tested positive; accepts (..., t)
+    stacked 0/1 results.
+
+    Computed trial-minor; uint8 when every item sits in fewer than 256
+    pools, int32 otherwise.
+    """
     y = np.asarray(y)
     if y.shape[-1] != matrix.t:
         raise DomainError(f"results cover {y.shape[-1]} pools, matrix has {matrix.t}")
-    membership = matrix.membership_array
-    if membership is not None:
-        return y[..., membership].sum(axis=-1, dtype=np.int32)
-    columns = [y[..., list(row)].sum(axis=-1, dtype=np.int32) for row in matrix.item_membership]
-    return np.stack(columns, axis=-1)
+    return _index_sums(y, matrix.member_index, "pool results")
 
 
 def decode_ncomp(

@@ -33,8 +33,14 @@ _BLOCK_MIN = 32
 
 
 def _block_size(n: int, m: int, q: int) -> int:
-    """Trials per block, sized so gather buffers stay modest and block
-    moment sums of T**4 cannot overflow int64."""
+    """Trials per block.
+
+    Block b draws its randomness from the stream (master_seed, b), so
+    this partition fixes every random draw of an experiment: the formula
+    must stay as it is for reports to stay the same.  Its bound also
+    keeps the per-block moment sums of T**4 below the int64 limit for
+    built designs.
+    """
     per_trial = max(1, n * (m + q))
     return max(_BLOCK_MIN, min(_BLOCK_MAX, _BLOCK_TARGET_ELEMENTS // per_trial))
 
@@ -281,9 +287,9 @@ def _run_block(
     master_seed: int,
     block_index: int,
     count: int,
+    m: int,
 ) -> _Totals:
     n = matrix.n
-    m = matrix.multiplicity
     rng = SeedSpec(master_seed, block_index).rng()
     x = rng.random((count, n)) < scenario.rho
     loads = pool_loads(matrix, x)
@@ -323,6 +329,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats
     if threads < 1:
         raise DomainError(f"thread count must be positive, got {threads}")
     matrix = config.matrix()
+    m = matrix.multiplicity
     scenario = config.scenario
     block = _block_size(matrix.n, scenario.m, scenario.q)
     blocks = [
@@ -332,7 +339,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats
 
     def work(entry: tuple[int, int]) -> _Totals:
         index, count = entry
-        return _run_block(matrix, scenario, config.master_seed, index, count)
+        return _run_block(matrix, scenario, config.master_seed, index, count, m)
 
     totals = _Totals()
     if threads == 1 or len(blocks) == 1:

@@ -129,3 +129,12 @@ FANO_POOLS = (
 def fano_matrix() -> PoolingMatrix:
     """The 7-point, 7-line plane: pool size 3, multiplicity 3, n = 7."""
     return PoolingMatrix.from_pools(7, FANO_POOLS)
+
+
+def dense_gather_sums(values: np.ndarray, rows) -> np.ndarray:
+    """Reference for the package's gather kernel: ``out[..., i]`` is the
+    sum of ``values[..., rows[i]]``, one fancy-index gather per row, in
+    int64 so no sum can wrap."""
+    values = np.asarray(values)
+    columns = [values[..., list(row)].sum(axis=-1, dtype=np.int64) for row in rows]
+    return np.stack(columns, axis=-1)

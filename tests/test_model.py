@@ -22,6 +22,8 @@ from multipool.model import (
     tally,
 )
 
+from helpers import dense_gather_sums
+
 
 def test_noise_model_validation():
     assert NOISELESS.noiseless
@@ -202,3 +204,84 @@ def test_decoder_is_monotone_in_nc_and_results(seed, params):
         raised[negatives[rng.integers(negatives.size)]] = 1
         for nc in range(m + 1):
             assert np.all(decode_ncomp(matrix, y, nc).z <= decode_ncomp(matrix, raised, nc).z)
+
+
+# --- gather kernels against the dense reference -----------------------------
+
+
+@st.composite
+def _designs(draw):
+    """A built line design, or a ragged external one whose pools may be
+    empty and whose items may sit in no pool."""
+    if draw(st.booleans()):
+        q, m = draw(st.sampled_from([(2, 1), (3, 2), (4, 5), (5, 3)]))
+        return build_multipool(MultipoolParams(q, m))
+    n = draw(st.integers(1, 12))
+    pools = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=8))
+    return PoolingMatrix.from_pools(n, pools)
+
+
+def _states(draw, width: int) -> np.ndarray:
+    dtype = draw(st.sampled_from([bool, np.uint8, np.int64]))
+    shape = draw(st.sampled_from([(width,), (0, width), (3, width), (2, 3, width)]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return (np.random.default_rng(seed).random(shape) < 0.4).astype(dtype)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_gather_kernels_match_the_dense_reference(data):
+    matrix = data.draw(_designs())
+    x = _states(data.draw, matrix.n)
+    loads = pool_loads(matrix, x)
+    assert loads.shape == x.shape[:-1] + (matrix.t,)
+    assert np.array_equal(loads, dense_gather_sums(x, matrix.pools))
+    y = _states(data.draw, matrix.t)
+    counts = positive_pool_counts(matrix, y)
+    assert counts.shape == y.shape[:-1] + (matrix.n,)
+    assert np.array_equal(counts, dense_gather_sums(y, matrix.item_membership))
+
+
+def test_ragged_design_with_an_empty_pool_and_an_uncovered_item():
+    matrix = PoolingMatrix.from_pools(5, [(0, 1, 2), (), (2, 3)])
+    assert matrix.pool_size is None and matrix.pools_array is None
+    assert matrix.multiplicity is None and matrix.membership_array is None
+    assert matrix.pools == ((0, 1, 2), (), (2, 3))
+    assert matrix.item_membership == ((0,), (0,), (0, 2), (2,), ())
+    x = np.ones((2, 5), dtype=np.uint8)
+    assert pool_loads(matrix, x).tolist() == [[3, 0, 2]] * 2
+    y = np.array([1, 1, 1], dtype=np.uint8)
+    assert positive_pool_counts(matrix, y).tolist() == [1, 1, 2, 1, 0]
+    assert np.array_equal(positive_pool_counts(matrix, y), dense_gather_sums(y, matrix.item_membership))
+
+
+def test_sums_of_256_or_more_do_not_wrap():
+    wide = PoolingMatrix.from_pools(300, [range(300), (0,)])
+    loads = pool_loads(wide, np.ones((4, 300), dtype=bool))
+    assert loads.tolist() == [[300, 1]] * 4
+    # One item in 300 pools.
+    deep = PoolingMatrix.from_pools(1, [(0,)] * 300)
+    assert positive_pool_counts(deep, np.ones(300, dtype=np.uint8)).tolist() == [300]
+
+
+def test_gathers_reject_non_binary_entries():
+    matrix = build_multipool(MultipoolParams(2, 2))
+    with pytest.raises(DomainError):
+        pool_loads(matrix, np.array([0, 2, 0, 1]))
+    with pytest.raises(DomainError):
+        positive_pool_counts(matrix, np.array([0.5, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32])
+def test_negative_probabilities_equal_np_power_bit_for_bit(dtype):
+    q = 64
+    loads = np.arange(q + 1, dtype=dtype)
+    stacked = np.random.default_rng(0).permutation(np.tile(loads, 3)).reshape(3, q + 1)
+    for p_fp in (0.0, 0.02, 0.5, 1.0):
+        for p_fn in (0.0, 0.02, 0.5, 1.0):
+            noise = NoiseModel(p_fp, p_fn)
+            for k in (loads, stacked):
+                expected = (1.0 - p_fp) * np.power(p_fn, k, dtype=np.float64)
+                got = negative_probabilities(k, noise)
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()

@@ -1,13 +1,15 @@
 """Simulation engine: determinism, exact identities, agreement gates."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from multipool.analytics import ScenarioParams
-from multipool.design import MultipoolParams, build_multipool
+from multipool.design import MultipoolParams, PoolingMatrix, build_multipool
 from multipool.errors import DomainError
-from multipool.model import NOISELESS, NoiseModel
+from multipool.model import NOISELESS, NoiseModel, pool_loads, positive_pool_counts
 from multipool.montecarlo import ComparisonReport, ExperimentConfig, compare, run_experiment
 
 from helpers import fano_matrix
@@ -151,3 +153,56 @@ def test_partial_final_block_keeps_exact_trial_count():
     stats = run_experiment(_config(4, 3, rho=0.1, trials=33))
     assert stats.trials == 33
     assert stats.mean_positives.observations == 33
+
+
+# sha256 of json.dumps(compare(config).to_document(), indent=2), captured
+# from the dense-gather pipeline that preceded the trial-minor kernels.
+# Every random draw and integer tally is unchanged since, so the reports
+# must match byte for byte.
+_GOLDEN_REPORTS = {
+    ("dense", 1): "01748f4216e79bef2f6bb88b3bf2267c68aacd5eecca64b033479900e83941fe",
+    ("dense", 2 ** 64 - 59): "9ef042a0a7520c16a94adac3c958668f4557a99860373397ef9030c5bba16b71",
+    ("sparse", 1): "7bf4ae0f553ae777889724b450ccc7dbd663d49ade53c05ab8114227c572464a",
+    ("sparse", 2 ** 64 - 59): "a4090e577a1f2d745a0d5a284efce5dd149f7a20274553ccff888c9bbd967cbc",
+}
+_GOLDEN_CONFIGS = {
+    "dense": dict(q=16, m=4, nc=1, rho=0.1, noise=NOISY, trials=6552),
+    "sparse": dict(q=64, m=8, nc=0, rho=0.01, noise=NOISELESS, trials=448),
+}
+
+
+def _sha256(document) -> str:
+    return hashlib.sha256(json.dumps(document, indent=2).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,seed", sorted(_GOLDEN_REPORTS))
+def test_reports_match_the_dense_gather_pipeline(name, seed):
+    report = compare(_config(**_GOLDEN_CONFIGS[name], seed=seed))
+    assert _sha256(report.to_document()) == _GOLDEN_REPORTS[(name, seed)]
+
+
+def test_external_design_report_matches_the_dense_gather_pipeline():
+    # The (8, 3) lines with items relabelled and pools reordered, so the
+    # design only reaches the engine through from_pools.
+    perm = np.random.default_rng(11).permutation(64)
+    built = build_multipool(MultipoolParams(8, 3))
+    pools = [sorted(int(perm[j]) for j in pool) for pool in reversed(built.pools)]
+    external = PoolingMatrix.from_pools(64, pools)
+    config = _config(8, 3, rho=0.08, nc=1, noise=NoiseModel(0.05, 0.05), trials=3000, seed=5,
+                     design=external)
+    assert _sha256(compare(config).to_document()) == (
+        "e11a4d14368fad80d88e366d350a7079e919034a63dd752daba58980b4126e44"
+    )
+
+
+def test_ragged_design_kernels_match_the_dense_gather_pipeline():
+    # Pools of sizes 0..9 over 50 items; item 49 sits in no pool.
+    rng = np.random.default_rng(3)
+    ragged = PoolingMatrix.from_pools(50, [rng.choice(49, size=k, replace=False) for k in range(10)])
+    x = rng.random((64, 50)) < 0.3
+    y = rng.random((64, 10)) < 0.5
+    document = {
+        "loads": pool_loads(ragged, x).tolist(),
+        "counts": positive_pool_counts(ragged, y).tolist(),
+    }
+    assert _sha256(document) == "ca99501d7752fb9ef662dbf643281af091d6949221c656de14530bc4303f2a2f"
