@@ -5,7 +5,7 @@ coefficients of the residue polynomial in base p: the element
 ``c_0 + c_1 x + ... + c_{a-1} x^{a-1}`` has index
 ``c_0 + c_1 p + ... + c_{a-1} p^{a-1}``, i.e. the polynomial evaluated at
 p over the integers.  For prime fields (a = 1) the index is the residue
-itself and arithmetic is plain modular arithmetic.
+itself and the modulus is x, so arithmetic is plain modular arithmetic.
 
 Extension fields reduce products modulo a fixed irreducible polynomial.
 The moduli are Conway polynomials, one per supported prime power:
@@ -172,14 +172,13 @@ def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
 class Field:
     """GF(p^a) for a supported order, operating on integer indices.
 
-    Extension fields precompute full addition and multiplication tables
-    (at most 64 x 64 entries), so per-operation cost is a lookup.  Prime
-    fields skip the tables and use modular integer arithmetic directly.
-
-    ``add_table`` and ``mul_table`` hold the same operations as read-only
-    (q, q) numpy arrays indexed ``[x, y]``, for whole-array arithmetic
-    such as ``add_table[mul_table[s, x], b]``; indexing does no range
-    check beyond numpy's own.
+    Every field precomputes its full addition and multiplication tables
+    (at most 64 x 64 entries), so per-operation cost is a lookup; a prime
+    field is the case a = 1 with modulus x.  ``add_table`` and
+    ``mul_table`` are those tables as read-only (q, q) numpy arrays
+    indexed ``[x, y]``, for whole-array arithmetic such as
+    ``add_table[mul_table[s, x], b]``; indexing them does no range check
+    beyond numpy's own, while the scalar methods check their arguments.
     """
 
     def __init__(self, order: PrimePower, modulus: tuple[int, ...] | None = None):
@@ -200,33 +199,24 @@ class Field:
         if any(not 0 <= c < self.p for c in modulus[:-1]):
             raise DomainError(f"modulus coefficients must lie in [0, {self.p})")
         self.modulus = modulus
-        if self.a == 1:
-            self._add_table = None
-            self._mul_table = None
-            elements = np.arange(self.q)
-            add = np.add.outer(elements, elements) % self.p
-            mul = np.multiply.outer(elements, elements) % self.p
-        else:
-            self._add_table = self._build_table(self._poly_add)
-            self._mul_table = self._build_table(self._poly_product)
-            add, mul = np.array(self._add_table), np.array(self._mul_table)
+        p, a = self.p, self.a
+        # Base-p digit vectors of every element, little endian: (q, a).
+        digits = np.array([index_to_coeffs(x, p, a) for x in range(self.q)], dtype=np.intp)
+        weights = p ** np.arange(a)
+        x, y = digits[:, None, :], digits[None, :, :]
+        add = ((x + y) % p) @ weights
+        # Full polynomial product over the integers, then reduce each
+        # coefficient of degree k >= a with x^a = -(modulus without x^a);
+        # every step is linear, so one mod p at the end is enough.
+        product = np.zeros((self.q, self.q, 2 * a - 1), dtype=np.intp)
+        for i in range(a):
+            product[:, :, i : i + a] += x[:, :, i : i + 1] * y
+        low = np.array(modulus[:-1], dtype=np.intp)
+        for k in range(2 * a - 2, a - 1, -1):
+            product[:, :, k - a : k] -= product[:, :, k : k + 1] * low
+        mul = (product[:, :, :a] % p) @ weights
         self.add_table = _frozen(add)
         self.mul_table = _frozen(mul)
-
-    def _poly_add(self, x: int, y: int) -> int:
-        cx = index_to_coeffs(x, self.p, self.a)
-        cy = index_to_coeffs(y, self.p, self.a)
-        return coeffs_to_index(tuple((u + v) % self.p for u, v in zip(cx, cy)), self.p)
-
-    def _poly_product(self, x: int, y: int) -> int:
-        cx = index_to_coeffs(x, self.p, self.a)
-        cy = index_to_coeffs(y, self.p, self.a)
-        prod = poly_mul_mod(cx, cy, self.modulus, self.p)
-        padded = tuple(prod) + (0,) * (self.a - len(prod))
-        return coeffs_to_index(padded, self.p)
-
-    def _build_table(self, op) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(op(x, y) for y in range(self.q)) for x in range(self.q))
 
     def _check(self, x: int) -> int:
         if not 0 <= x < self.q:
@@ -234,37 +224,21 @@ class Field:
         return x
 
     def add(self, x: int, y: int) -> int:
-        self._check(x)
-        self._check(y)
-        if self._add_table is None:
-            return (x + y) % self.p
-        return self._add_table[x][y]
+        return int(self.add_table[self._check(x), self._check(y)])
 
     def mul(self, x: int, y: int) -> int:
-        self._check(x)
-        self._check(y)
-        if self._mul_table is None:
-            return (x * y) % self.p
-        return self._mul_table[x][y]
+        return int(self.mul_table[self._check(x), self._check(y)])
 
     def neg(self, x: int) -> int:
-        self._check(x)
-        if self._add_table is None:
-            return (-x) % self.p
-        row = self._add_table[x]
-        return row.index(0)
+        return int(np.flatnonzero(self.add_table[self._check(x)] == 0)[0])
 
     def inv(self, x: int) -> int:
-        self._check(x)
-        if x == 0:
+        if self._check(x) == 0:
             raise DomainError("0 has no multiplicative inverse")
-        if self._mul_table is None:
-            return pow(x, self.p - 2, self.p)
-        row = self._mul_table[x]
-        try:
-            return row.index(1)
-        except ValueError:
-            raise DomainError(f"{x} has no multiplicative inverse under this modulus") from None
+        ones = np.flatnonzero(self.mul_table[x] == 1)
+        if ones.size == 0:
+            raise DomainError(f"{x} has no multiplicative inverse under this modulus")
+        return int(ones[0])
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         self._check(x)

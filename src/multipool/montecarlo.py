@@ -2,9 +2,14 @@
 estimates against the closed forms.
 
 Trials are processed in fixed-size blocks.  Block b draws all of its
-randomness from the stream (master_seed, b), and every accumulation is
-an exact integer sum, so results are bit-identical no matter how many
-threads process the blocks or in which order they finish.
+randomness from the stream (master_seed, b) and returns an exact tally:
+for each pooled ratio the integer sums of its per-trial events and
+bases, their squares and their product, and for each per-trial count
+(flagged, false positives, false negatives) a histogram of how many
+trials had each value.  Blocks merge by integer addition and every
+estimate is a function of the merged integers, so results are
+bit-identical no matter how many threads process the blocks, in which
+order they finish, or how the trials split into blocks.
 
 Conditional proportions (sensitivity and friends) pool item-level events
 across trials.  Items within a trial share pools and are therefore
@@ -16,12 +21,13 @@ estimator; the larger of the two is what comparisons gate on.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from . import analytics
 from .analytics import AnalyticReport, ScenarioParams, analytic_report
 from .design import MultipoolParams, PoolingMatrix, build_multipool
 from .errors import DomainError
@@ -37,9 +43,7 @@ def _block_size(n: int, m: int, q: int) -> int:
 
     Block b draws its randomness from the stream (master_seed, b), so
     this partition fixes every random draw of an experiment: the formula
-    must stay as it is for reports to stay the same.  Its bound also
-    keeps the per-block moment sums of T**4 below the int64 limit for
-    built designs.
+    must stay as it is for reports to stay the same.
     """
     per_trial = max(1, n * (m + q))
     return max(_BLOCK_MIN, min(_BLOCK_MAX, _BLOCK_TARGET_ELEMENTS // per_trial))
@@ -68,153 +72,94 @@ class Estimate:
         return self.value is not None
 
 
-class _RatioAcc:
-    """Exact integer sums for a pooled ratio  sum(a_i) / sum(b_i)."""
+def _ratio_sums(events: np.ndarray, base: np.ndarray) -> Counter:
+    """Exact integer sums for a pooled ratio  sum(a_i) / sum(b_i).
 
-    __slots__ = ("events", "base", "events_sq", "cross", "base_sq", "trials")
-
-    def __init__(self):
-        self.events = 0
-        self.base = 0
-        self.events_sq = 0
-        self.cross = 0
-        self.base_sq = 0
-        self.trials = 0
-
-    def add(self, events: np.ndarray, base: np.ndarray):
-        events = events.astype(np.int64, copy=False)
-        base = base.astype(np.int64, copy=False)
-        self.events += int(events.sum())
-        self.base += int(base.sum())
-        self.events_sq += int((events * events).sum())
-        self.cross += int((events * base).sum())
-        self.base_sq += int((base * base).sum())
-        self.trials += int(events.shape[0])
-
-    def merge(self, other: "_RatioAcc"):
-        self.events += other.events
-        self.base += other.base
-        self.events_sq += other.events_sq
-        self.cross += other.cross
-        self.base_sq += other.base_sq
-        self.trials += other.trials
-
-    def estimate(self) -> Estimate:
-        if self.base == 0:
-            return Estimate(value=None, se=None, observations=0)
-        p = self.events / self.base
-        se_binomial = math.sqrt(max(0.0, p * (1.0 - p)) / self.base)
-        # Linearized (cluster-robust) variance of the ratio, trials as clusters:
-        # sum((a_i - p * b_i)^2) expanded from exact cross moments.
-        residual_sq = self.events_sq - 2.0 * p * self.cross + p * p * self.base_sq
-        if self.trials > 1:
-            residual_sq *= self.trials / (self.trials - 1)
-        se_clustered = math.sqrt(max(0.0, residual_sq)) / self.base
-        se = max(se_binomial, se_clustered)
-        if se_clustered > 0.0:
-            effective = self.base * (se_binomial / se_clustered) ** 2
-        else:
-            effective = float(self.base)
-        return Estimate(
-            value=p,
-            se=se,
-            observations=self.base,
-            se_binomial=se_binomial,
-            se_clustered=se_clustered,
-            effective_observations=effective,
-        )
-
-
-class _MomentAcc:
-    """Exact integer power sums of one per-trial count."""
-
-    __slots__ = ("count", "s1", "s2", "s3", "s4")
-
-    def __init__(self):
-        self.count = 0
-        self.s1 = 0
-        self.s2 = 0
-        self.s3 = 0
-        self.s4 = 0
-
-    def add(self, values: np.ndarray):
-        v = values.astype(np.int64, copy=False)
-        v2 = v * v
-        self.count += int(v.shape[0])
-        self.s1 += int(v.sum())
-        self.s2 += int(v2.sum())
-        self.s3 += int((v2 * v).sum())
-        self.s4 += int((v2 * v2).sum())
-
-    def merge(self, other: "_MomentAcc"):
-        self.count += other.count
-        self.s1 += other.s1
-        self.s2 += other.s2
-        self.s3 += other.s3
-        self.s4 += other.s4
-
-    def _central_moments(self) -> tuple[float, float, float]:
-        n = self.count
-        mean = self.s1 / n
-        m2 = self.s2 / n - mean * mean
-        m4 = (
-            self.s4 / n
-            - 4.0 * mean * (self.s3 / n)
-            + 6.0 * mean * mean * (self.s2 / n)
-            - 3.0 * mean ** 4
-        )
-        return mean, max(0.0, m2), max(0.0, m4)
-
-    def mean_estimate(self) -> Estimate:
-        n = self.count
-        mean, m2, _ = self._central_moments()
-        sample_var = m2 * n / (n - 1) if n > 1 else 0.0
-        se = math.sqrt(sample_var / n) if n > 0 else None
-        return Estimate(value=mean, se=se, observations=n)
-
-    def variance_estimate(self) -> Estimate:
-        n = self.count
-        if n < 2:
-            return Estimate(value=None, se=None, observations=n)
-        mean, m2, m4 = self._central_moments()
-        sample_var = m2 * n / (n - 1)
-        # Sampling variance of the sample variance via the plug-in fourth
-        # central moment.
-        se_sq = (m4 - sample_var * sample_var * (n - 3) / (n - 1)) / n
-        return Estimate(value=sample_var, se=math.sqrt(max(0.0, se_sq)), observations=n)
-
-
-class _Totals:
-    __slots__ = (
-        "sens",
-        "spec",
-        "type_one",
-        "type_two",
-        "positives",
-        "false_positives",
-        "false_negatives",
-        "max_false_negatives",
+    Every term is at most n**2 per trial, so one block's int64 sums are
+    exact; blocks merge as Python ints.
+    """
+    return Counter(
+        events=int(events.sum()),
+        base=int(base.sum()),
+        events_sq=int((events * events).sum()),
+        cross=int((events * base).sum()),
+        base_sq=int((base * base).sum()),
+        trials=int(events.shape[0]),
     )
 
-    def __init__(self):
-        self.sens = _RatioAcc()
-        self.spec = _RatioAcc()
-        self.type_one = _RatioAcc()
-        self.type_two = _RatioAcc()
-        self.positives = _MomentAcc()
-        self.false_positives = _MomentAcc()
-        self.false_negatives = _MomentAcc()
-        self.max_false_negatives = 0
 
-    def merge(self, other: "_Totals"):
-        self.sens.merge(other.sens)
-        self.spec.merge(other.spec)
-        self.type_one.merge(other.type_one)
-        self.type_two.merge(other.type_two)
-        self.positives.merge(other.positives)
-        self.false_positives.merge(other.false_positives)
-        self.false_negatives.merge(other.false_negatives)
-        self.max_false_negatives = max(self.max_false_negatives, other.max_false_negatives)
+def _histogram(values: np.ndarray) -> Counter:
+    """How many trials had each value of one per-trial count."""
+    keys, counts = np.unique(values, return_counts=True)
+    return Counter(dict(zip(keys.tolist(), counts.tolist())))
+
+
+def _merge(tallies: Iterable[dict[str, Counter]]) -> dict[str, Counter]:
+    """Sum block tallies; every entry is an exact integer."""
+    total: dict[str, Counter] = defaultdict(Counter)
+    for tally in tallies:
+        for name, counts in tally.items():
+            total[name].update(counts)
+    return total
+
+
+def _ratio_estimate(sums: Counter) -> Estimate:
+    events, base, trials = sums["events"], sums["base"], sums["trials"]
+    if base == 0:
+        return Estimate(value=None, se=None, observations=0)
+    p = events / base
+    se_binomial = math.sqrt(max(0.0, p * (1.0 - p)) / base)
+    # Linearized (cluster-robust) variance of the ratio, trials as clusters:
+    # sum((a_i - p * b_i)^2) expanded from exact cross moments.
+    residual_sq = sums["events_sq"] - 2.0 * p * sums["cross"] + p * p * sums["base_sq"]
+    if trials > 1:
+        residual_sq *= trials / (trials - 1)
+    se_clustered = math.sqrt(max(0.0, residual_sq)) / base
+    se = max(se_binomial, se_clustered)
+    if se_clustered > 0.0:
+        effective = base * (se_binomial / se_clustered) ** 2
+    else:
+        effective = float(base)
+    return Estimate(
+        value=p,
+        se=se,
+        observations=base,
+        se_binomial=se_binomial,
+        se_clustered=se_clustered,
+        effective_observations=effective,
+    )
+
+
+def _central_moments(histogram: Counter) -> tuple[int, float, float, float]:
+    """Trial count, mean and plug-in second and fourth central moments.
+
+    The power sums are Python ints, so no count is too large for them.
+    """
+    n = sum(histogram.values())
+    s1, s2, s3, s4 = (
+        sum(trials * value ** k for value, trials in histogram.items()) for k in (1, 2, 3, 4)
+    )
+    mean = s1 / n
+    m2 = s2 / n - mean * mean
+    m4 = s4 / n - 4.0 * mean * (s3 / n) + 6.0 * mean * mean * (s2 / n) - 3.0 * mean ** 4
+    return n, mean, max(0.0, m2), max(0.0, m4)
+
+
+def _mean_estimate(histogram: Counter) -> Estimate:
+    n, mean, m2, _ = _central_moments(histogram)
+    sample_var = m2 * n / (n - 1) if n > 1 else 0.0
+    return Estimate(value=mean, se=math.sqrt(sample_var / n), observations=n)
+
+
+def _variance_estimate(histogram: Counter) -> Estimate:
+    n, mean, m2, m4 = _central_moments(histogram)
+    if n < 2:
+        return Estimate(value=None, se=None, observations=n)
+    sample_var = m2 * n / (n - 1)
+    # Sampling variance of the sample variance via the plug-in fourth
+    # central moment.
+    se_sq = (m4 - sample_var * sample_var * (n - 3) / (n - 1)) / n
+    return Estimate(value=sample_var, se=math.sqrt(max(0.0, se_sq)), observations=n)
 
 
 @dataclass(frozen=True)
@@ -251,29 +196,16 @@ class ExperimentConfig:
         scenario = self.scenario
         if scenario.n is None:
             raise DomainError("simulation needs the item count n in the scenario")
-        if isinstance(self.design, MultipoolParams):
-            if self.design.q != scenario.q or self.design.m != scenario.m:
-                raise DomainError(
-                    f"design ({self.design.q}, {self.design.m}) does not match "
-                    f"scenario ({scenario.q}, {scenario.m})"
-                )
-            if self.design.n != scenario.n:
-                raise DomainError(
-                    f"built designs cover {self.design.n} items, scenario says {scenario.n}"
-                )
+        design = self.design
+        if isinstance(design, MultipoolParams):
+            shape = (design.q, design.m, design.n)
         else:
-            if self.design.pool_size != scenario.q:
-                raise DomainError(
-                    f"matrix pool size {self.design.pool_size} does not match q={scenario.q}"
-                )
-            if self.design.multiplicity != scenario.m:
-                raise DomainError(
-                    f"matrix multiplicity {self.design.multiplicity} does not match m={scenario.m}"
-                )
-            if self.design.n != scenario.n:
-                raise DomainError(
-                    f"matrix covers {self.design.n} items, scenario says {scenario.n}"
-                )
+            shape = (design.pool_size, design.multiplicity, design.n)
+        if shape != (scenario.q, scenario.m, scenario.n):
+            raise DomainError(
+                f"design has (q, m, n) = {shape}, scenario has "
+                f"({scenario.q}, {scenario.m}, {scenario.n})"
+            )
 
     def matrix(self) -> PoolingMatrix:
         if isinstance(self.design, PoolingMatrix):
@@ -288,7 +220,7 @@ def _run_block(
     block_index: int,
     count: int,
     m: int,
-) -> _Totals:
+) -> dict[str, Counter]:
     n = matrix.n
     rng = SeedSpec(master_seed, block_index).rng()
     x = rng.random((count, n)) < scenario.rho
@@ -307,16 +239,15 @@ def _run_block(
     true_neg = healthy - false_pos
     flagged_neg = n - flagged
 
-    totals = _Totals()
-    totals.sens.add(true_pos, infected)
-    totals.spec.add(true_neg, healthy)
-    totals.type_one.add(false_pos, flagged)
-    totals.type_two.add(false_neg, flagged_neg)
-    totals.positives.add(flagged)
-    totals.false_positives.add(false_pos)
-    totals.false_negatives.add(false_neg)
-    totals.max_false_negatives = int(false_neg.max()) if count else 0
-    return totals
+    return {
+        "sens": _ratio_sums(true_pos, infected),
+        "spec": _ratio_sums(true_neg, healthy),
+        "type_one": _ratio_sums(false_pos, flagged),
+        "type_two": _ratio_sums(false_neg, flagged_neg),
+        "positives": _histogram(flagged),
+        "false_positives": _histogram(false_pos),
+        "false_negatives": _histogram(false_neg),
+    }
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats:
@@ -337,31 +268,28 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats
         for index, start in enumerate(range(0, config.trials, block))
     ]
 
-    def work(entry: tuple[int, int]) -> _Totals:
+    def work(entry: tuple[int, int]) -> dict[str, Counter]:
         index, count = entry
         return _run_block(matrix, scenario, config.master_seed, index, count, m)
 
-    totals = _Totals()
     if threads == 1 or len(blocks) == 1:
-        for entry in blocks:
-            totals.merge(work(entry))
+        tally = _merge(map(work, blocks))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for partial in pool.map(work, blocks):
-                totals.merge(partial)
+            tally = _merge(pool.map(work, blocks))
 
     return EmpiricalStats(
-        sensitivity=totals.sens.estimate(),
-        specificity=totals.spec.estimate(),
-        type_one=totals.type_one.estimate(),
-        type_two=totals.type_two.estimate(),
-        mean_positives=totals.positives.mean_estimate(),
-        mean_false_positives=totals.false_positives.mean_estimate(),
-        mean_false_negatives=totals.false_negatives.mean_estimate(),
-        var_positives=totals.positives.variance_estimate(),
-        var_false_positives=totals.false_positives.variance_estimate(),
+        sensitivity=_ratio_estimate(tally["sens"]),
+        specificity=_ratio_estimate(tally["spec"]),
+        type_one=_ratio_estimate(tally["type_one"]),
+        type_two=_ratio_estimate(tally["type_two"]),
+        mean_positives=_mean_estimate(tally["positives"]),
+        mean_false_positives=_mean_estimate(tally["false_positives"]),
+        mean_false_negatives=_mean_estimate(tally["false_negatives"]),
+        var_positives=_variance_estimate(tally["positives"]),
+        var_false_positives=_variance_estimate(tally["false_positives"]),
         trials=config.trials,
-        max_false_negatives=totals.max_false_negatives,
+        max_false_negatives=max(tally["false_negatives"]),
     )
 
 

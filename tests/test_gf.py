@@ -150,6 +150,19 @@ def test_prime_fast_path_matches_polynomial_arithmetic(p):
         assert f.mul(x, y) == (poly_product[0] if poly_product else 0)
 
 
+@pytest.mark.parametrize("q", EXTENSION_ORDERS)
+def test_tables_match_polynomial_arithmetic(q):
+    # The scalar route: add digit vectors mod p, multiply residue
+    # polynomials and reduce by the modulus, one pair at a time.
+    f = gf.field_for_order(q)
+    for x, y in itertools.product(range(q), repeat=2):
+        cx, cy = f.coeffs(x), f.coeffs(y)
+        total = tuple((u + v) % f.p for u, v in zip(cx, cy))
+        product = gf.poly_mul_mod(cx, cy, f.modulus, f.p)
+        assert f.add(x, y) == f.from_coeffs(total)
+        assert f.mul(x, y) == f.from_coeffs(product + (0,) * (f.a - len(product)))
+
+
 def test_neg_and_inv_consistency():
     f = gf.field_for_order(27)
     for x in range(27):

@@ -2,14 +2,20 @@
 
 import hashlib
 import json
+import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multipool import montecarlo
 from multipool.analytics import ScenarioParams
 from multipool.design import MultipoolParams, PoolingMatrix, build_multipool
 from multipool.errors import DomainError
-from multipool.model import NOISELESS, NoiseModel, pool_loads, positive_pool_counts
+from multipool.model import NOISELESS, NoiseModel, SeedSpec, pool_loads, positive_pool_counts
 from multipool.montecarlo import ComparisonReport, ExperimentConfig, compare, run_experiment
 
 from helpers import fano_matrix
@@ -206,3 +212,80 @@ def test_ragged_design_kernels_match_the_dense_gather_pipeline():
         "counts": positive_pool_counts(ragged, y).tolist(),
     }
     assert _sha256(document) == "ca99501d7752fb9ef662dbf643281af091d6949221c656de14530bc4303f2a2f"
+
+
+def _plug_in_moments(values) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact mean and second and fourth central moments of a sample."""
+    values = [Fraction(int(v)) for v in values]
+    mean = sum(values) / len(values)
+    m2 = sum((v - mean) ** 2 for v in values) / len(values)
+    m4 = sum((v - mean) ** 4 for v in values) / len(values)
+    return mean, m2, m4
+
+
+def test_variance_standard_error_survives_fourth_powers_past_int64():
+    # 10,000 disjoint pairs over 20,000 items with all 200 trials in one
+    # block: about 15,000 items are flagged per trial, so sum(T**4) is
+    # about 1.0e19, past the int64 range.
+    n, rho, trials, seed = 20_000, 0.5, 200, 1
+    pairs = PoolingMatrix.from_pools(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    scenario = ScenarioParams(rho=rho, q=2, m=1, nc=0, noise=NOISELESS, n=n)
+    stats = run_experiment(ExperimentConfig(scenario, pairs, trials, seed))
+
+    # Replay the block's infection draws: noiseless tests decoded with
+    # m = 1 flag both items of every pool that holds an infection.
+    x = SeedSpec(seed, 0).rng().random((trials, n)) < rho
+    flagged = 2 * x.reshape(trials, n // 2, 2).any(axis=2).sum(axis=1)
+    assert sum(int(t) ** 4 for t in flagged) > np.iinfo(np.int64).max
+
+    _, m2, m4 = _plug_in_moments(flagged)
+    sample_var = m2 * trials / (trials - 1)
+    se_sq = (m4 - sample_var * sample_var * (trials - 3) / (trials - 1)) / trials
+    assert stats.var_positives.value == pytest.approx(float(sample_var), rel=1e-9)
+    # The float plug-in formula expands the fourth central moment from raw
+    # power sums: s4/n is about 5e16 against m4 of about 2e8, which leaves
+    # about 7 of the 16 digits.
+    assert stats.var_positives.se == pytest.approx(math.sqrt(se_sq), rel=1e-6)
+
+
+_COUNT = st.one_of(st.integers(0, 20_000), st.integers(19_900, 20_000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(_COUNT, _COUNT, _COUNT), min_size=1, max_size=300), data=st.data())
+def test_tallies_merge_to_the_same_estimates_however_trials_split(rows, data):
+    # Per trial: one count, and a ratio's events and base (events <= base).
+    trials = len(rows)
+    values, a, b = np.array(rows, dtype=np.int64).T
+    events, base = np.minimum(a, b), np.maximum(a, b)
+    cuts = sorted(data.draw(st.sets(st.integers(1, trials - 1)) if trials > 1 else st.just(set())))
+
+    def tally(values, events, base):
+        return {"count": montecarlo._histogram(values),
+                "ratio": montecarlo._ratio_sums(events, base)}
+
+    def estimates(total):
+        return (montecarlo._mean_estimate(total["count"]),
+                montecarlo._variance_estimate(total["count"]),
+                montecarlo._ratio_estimate(total["ratio"]),
+                max(total["count"]))
+
+    whole = estimates(montecarlo._merge([tally(values, events, base)]))
+    blocks = zip(*(np.split(array, cuts) for array in (values, events, base)))
+    split = estimates(montecarlo._merge(tally(*block) for block in blocks))
+    assert split == whole
+    mean, variance, ratio, largest = split
+
+    exact_mean, m2, _ = _plug_in_moments(values)
+    assert mean.value == float(exact_mean)
+    assert largest == values.max()
+    assert ratio.observations == base.sum()
+    if ratio.available:
+        assert ratio.value == float(Fraction(int(events.sum()), int(base.sum())))
+    if trials > 1:
+        # m2 = s2/n - mean**2 in floats: the rounding of each term is
+        # relative to the raw second moment, not to the variance.
+        raw_second = float(sum(Fraction(int(v)) ** 2 for v in values) / trials)
+        exact = m2 * trials / (trials - 1)
+        tolerance = 8 * sys.float_info.epsilon * raw_second * trials / (trials - 1)
+        assert abs(variance.value - float(exact)) <= tolerance
