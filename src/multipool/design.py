@@ -236,7 +236,12 @@ def build_multipool(params: MultipoolParams) -> PoolingMatrix:
         blocks.append(q * x[:, None] + x)
         labels += [PoolLabel(INFINITY, intercept) for intercept in range(q)]
     pool_index = np.concatenate(blocks).astype(np.int32)
-    return PoolingMatrix(params.n, pool_index, _member_index(pool_index, params.n), tuple(labels))
+    # Layer k holds pools k*q .. k*q + q - 1 and covers every item once, so
+    # an item's k-th pool, in increasing order, is the one of layer k.
+    pools = np.arange(params.t, dtype=np.int32)[:, None]
+    member_index = np.empty((params.n, m), dtype=np.int32)
+    member_index[pool_index, pools // q] = pools
+    return PoolingMatrix(params.n, pool_index, member_index, tuple(labels))
 
 
 def max_pools_bound(q: int, n: int) -> int:

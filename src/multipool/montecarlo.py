@@ -1,15 +1,19 @@
 """Monte Carlo estimation of screening statistics, and comparison of the
 estimates against the closed forms.
 
-Trials are processed in fixed-size blocks.  Block b draws all of its
-randomness from the stream (master_seed, b) and returns an exact tally:
-for each pooled ratio the integer sums of its per-trial events and
-bases, their squares and their product, and for each per-trial count
-(flagged, false positives, false negatives) a histogram of how many
-trials had each value.  Blocks merge by integer addition and every
-estimate is a function of the merged integers, so results are
-bit-identical no matter how many threads process the blocks, in which
-order they finish, or how the trials split into blocks.
+Blocks fix the randomness: block b holds :func:`_block_size` trials and
+draws their infections, then under noise their pool results, from the
+stream (master_seed, b).  Batches only group the compute: a batch is a
+run of consecutive whole blocks, about ``_BATCH_ITEM_TRIALS``
+item-trials in all, whose trials go through the pool-load gather, the
+decode gather and the tally together, trial-minor.  Each batch returns
+an exact tally: for each pooled ratio the integer sums of its per-trial
+events and bases, their squares and their product, and for each
+per-trial count (flagged, false positives, false negatives) a histogram
+of how many trials had each value.  Batches merge by integer addition
+and every estimate is a function of the merged integers, so results are
+bit-identical no matter how many threads process the batches, in which
+order they finish, or how the blocks group into batches.
 
 Conditional proportions (sensitivity and friends) pool item-level events
 across trials.  Items within a trial share pools and are therefore
@@ -24,6 +28,7 @@ import math
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -36,14 +41,19 @@ from .model import SeedSpec, negative_probabilities, pool_loads, positive_pool_c
 _BLOCK_TARGET_ELEMENTS = 1 << 24
 _BLOCK_MAX = 4096
 _BLOCK_MIN = 32
+# Item-trials per batch, about: a batch groups whole blocks.
+_BATCH_ITEM_TRIALS = 1 << 19
+# Uniforms per infection draw, at most, unless one trial needs more.
+_DRAW_ITEMS = 1 << 19
 
 
 def _block_size(n: int, m: int, q: int) -> int:
     """Trials per block.
 
-    Block b draws its randomness from the stream (master_seed, b), so
-    this partition fixes every random draw of an experiment: the formula
-    must stay as it is for reports to stay the same.
+    Blocks fix the random streams: block b draws from (master_seed, b),
+    so this partition fixes every random draw of an experiment and the
+    formula must stay as it is for reports to stay the same.  Batches
+    only group whole blocks for the compute and move no draw.
     """
     per_trial = max(1, n * (m + q))
     return max(_BLOCK_MIN, min(_BLOCK_MAX, _BLOCK_TARGET_ELEMENTS // per_trial))
@@ -75,8 +85,9 @@ class Estimate:
 def _ratio_sums(events: np.ndarray, base: np.ndarray) -> Counter:
     """Exact integer sums for a pooled ratio  sum(a_i) / sum(b_i).
 
-    Every term is at most n**2 per trial, so one block's int64 sums are
-    exact; blocks merge as Python ints.
+    Every term is at most n**2 per trial, and a batch holds at most about
+    2**19 / n trials plus two blocks, so a batch's int64 sums are exact
+    for any n below 2**28; batches merge as Python ints.
     """
     return Counter(
         events=int(events.sum()),
@@ -213,26 +224,66 @@ class ExperimentConfig:
         return build_multipool(self.design)
 
 
-def _run_block(
+def _run_batch(
     matrix: PoolingMatrix,
     scenario: ScenarioParams,
     master_seed: int,
-    block_index: int,
-    count: int,
-    m: int,
+    blocks: list[tuple[int, int]],
 ) -> dict[str, Counter]:
-    n = matrix.n
-    rng = SeedSpec(master_seed, block_index).rng()
-    x = rng.random((count, n)) < scenario.rho
-    loads = pool_loads(matrix, x)
-    p_negative = negative_probabilities(loads, scenario.noise)
-    y = rng.random((count, matrix.t)) >= p_negative
-    counts = positive_pool_counts(matrix, y)
-    z = counts >= (m - scenario.nc)
+    """Tally a run of consecutive whole (block index, trial count) blocks.
 
-    infected = x.sum(axis=1, dtype=np.int64)
-    true_pos = (x & z).sum(axis=1, dtype=np.int64)
-    flagged = z.sum(axis=1, dtype=np.int64)
+    Each block draws from its own stream: count * n uniforms for the
+    infections, then, under noise, count * t for the pool results.
+    Everything else runs once for the whole batch, trial-minor: item and
+    pool states are (rows, trials) arrays, and the gathers get them as
+    transposed views.
+    """
+    n, t = matrix.n, matrix.t
+    counts = [count for _, count in blocks]
+    trials = sum(counts)
+    starts = list(accumulate(counts[:-1], initial=0))
+    rngs = [SeedSpec(master_seed, index).rng() for index, _ in blocks]
+    # Each block's uniforms come in chunks of up to _DRAW_ITEMS, which
+    # draw the same stream as one (count, n) array.  Much smaller chunks
+    # made the allocator give each batch's memory back to the system and
+    # fault it in again.
+    xt = np.empty((n, trials), dtype=bool)
+    rows = max(1, _DRAW_ITEMS // n)
+    for rng, count, first in zip(rngs, counts, starts):
+        for lo in range(first, first + count, rows):
+            hi = min(first + count, lo + rows)
+            xt[:, lo:hi] = (rng.random((hi - lo, n)) < scenario.rho).T
+
+    # Pool results, then decoded items, overwrite the counts they come
+    # from, as 0/1 in the counts' own dtype.
+    loads = pool_loads(matrix, xt.T)
+    yt = loads.T
+    if scenario.noise.noiseless:
+        # u >= (1 - 0) * 0.0 ** k is k > 0 for every u in [0, 1), and the
+        # pool draw is the last of each stream, so skipping it moves no
+        # other draw.
+        np.greater(yt, 0, out=yt)
+    else:
+        for rng, count, first in zip(rngs, counts, starts):
+            cols = slice(first, first + count)
+            np.greater_equal(
+                rng.random((count, t)),
+                negative_probabilities(loads[cols], scenario.noise),
+                out=yt[:, cols].T,
+            )
+    zt = positive_pool_counts(matrix, yt.T).T
+    np.greater_equal(zt, scenario.m - scenario.nc, out=zt)
+
+    # Per-trial column sums: uint16 holds any count below 65536 items.
+    acc = np.uint16 if n < 1 << 16 else np.int64
+
+    def per_trial(states: np.ndarray) -> np.ndarray:
+        return states.sum(axis=0, dtype=acc).astype(np.int64)
+
+    infected = per_trial(xt)
+    flagged = per_trial(zt)
+    zt &= xt
+    true_pos = per_trial(zt)
     false_pos = flagged - true_pos
     false_neg = infected - true_pos
     healthy = n - infected
@@ -250,34 +301,49 @@ def _run_block(
     }
 
 
+def _simulate(
+    matrix: PoolingMatrix,
+    scenario: ScenarioParams,
+    trials: int,
+    master_seed: int,
+    threads: int,
+) -> dict[str, Counter]:
+    """The merged tally of ``trials`` trials.
+
+    Block b of :func:`_block_size` trials draws from the stream
+    (master_seed, b).  Consecutive blocks are grouped into at least
+    ``threads`` batches of about ``_BATCH_ITEM_TRIALS`` item-trials each,
+    never more batches than blocks, and the batches share out over the
+    thread pool.
+    """
+    block = _block_size(matrix.n, scenario.m, scenario.q)
+    blocks = [
+        (index, min(block, trials - start))
+        for index, start in enumerate(range(0, trials, block))
+    ]
+    count = min(len(blocks), max(threads, -(-trials * matrix.n // _BATCH_ITEM_TRIALS)))
+    cuts = [len(blocks) * k // count for k in range(count + 1)]
+    batches = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+    def work(batch: list[tuple[int, int]]) -> dict[str, Counter]:
+        return _run_batch(matrix, scenario, master_seed, batch)
+
+    if threads == 1 or len(batches) == 1:
+        return _merge(map(work, batches))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return _merge(pool.map(work, batches))
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats:
     """Simulate config.trials rounds and pool the tallies.
 
-    ``threads`` only distributes blocks over a thread pool; the estimates
-    are identical for every thread count because block seeding and the
-    integer accumulations do not depend on scheduling.
+    ``threads`` only distributes batches of blocks over a thread pool;
+    the estimates are identical for every thread count because block
+    seeding and the integer accumulations do not depend on scheduling.
     """
     if threads < 1:
         raise DomainError(f"thread count must be positive, got {threads}")
-    matrix = config.matrix()
-    m = matrix.multiplicity
-    scenario = config.scenario
-    block = _block_size(matrix.n, scenario.m, scenario.q)
-    blocks = [
-        (index, min(block, config.trials - start))
-        for index, start in enumerate(range(0, config.trials, block))
-    ]
-
-    def work(entry: tuple[int, int]) -> dict[str, Counter]:
-        index, count = entry
-        return _run_block(matrix, scenario, config.master_seed, index, count, m)
-
-    if threads == 1 or len(blocks) == 1:
-        tally = _merge(map(work, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tally = _merge(pool.map(work, blocks))
-
+    tally = _simulate(config.matrix(), config.scenario, config.trials, config.master_seed, threads)
     return EmpiricalStats(
         sensitivity=_ratio_estimate(tally["sens"]),
         specificity=_ratio_estimate(tally["spec"]),

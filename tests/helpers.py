@@ -8,11 +8,13 @@ independent computational routes.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from multipool import model
+from multipool import model, montecarlo
+from multipool.analytics import ScenarioParams
 from multipool.design import PoolingMatrix
 
 
@@ -138,3 +140,54 @@ def dense_gather_sums(values: np.ndarray, rows) -> np.ndarray:
     values = np.asarray(values)
     columns = [values[..., list(row)].sum(axis=-1, dtype=np.int64) for row in rows]
     return np.stack(columns, axis=-1)
+
+
+def block_tally(
+    matrix: PoolingMatrix,
+    scenario: ScenarioParams,
+    master_seed: int,
+    block_index: int,
+    count: int,
+) -> dict[str, Counter]:
+    """Reference for the batched Monte Carlo kernel: one block through the
+    per-block pipeline, trial-major, drawing its infections and then its
+    pool results from the stream (master_seed, block_index), noiseless or
+    not."""
+    n = matrix.n
+    rng = model.SeedSpec(master_seed, block_index).rng()
+    x = rng.random((count, n)) < scenario.rho
+    loads = model.pool_loads(matrix, x)
+    p_negative = model.negative_probabilities(loads, scenario.noise)
+    y = rng.random((count, matrix.t)) >= p_negative
+    counts = model.positive_pool_counts(matrix, y)
+    z = counts >= (scenario.m - scenario.nc)
+
+    infected = x.sum(axis=1, dtype=np.int64)
+    true_pos = (x & z).sum(axis=1, dtype=np.int64)
+    flagged = z.sum(axis=1, dtype=np.int64)
+    false_pos = flagged - true_pos
+    false_neg = infected - true_pos
+    healthy = n - infected
+    true_neg = healthy - false_pos
+    flagged_neg = n - flagged
+
+    return {
+        "sens": montecarlo._ratio_sums(true_pos, infected),
+        "spec": montecarlo._ratio_sums(true_neg, healthy),
+        "type_one": montecarlo._ratio_sums(false_pos, flagged),
+        "type_two": montecarlo._ratio_sums(false_neg, flagged_neg),
+        "positives": montecarlo._histogram(flagged),
+        "false_positives": montecarlo._histogram(false_pos),
+        "false_negatives": montecarlo._histogram(false_neg),
+    }
+
+
+def blockwise_tally(
+    matrix: PoolingMatrix, scenario: ScenarioParams, trials: int, master_seed: int
+) -> dict[str, Counter]:
+    """The merged :func:`block_tally` of every block of an experiment."""
+    block = montecarlo._block_size(matrix.n, scenario.m, scenario.q)
+    return montecarlo._merge(
+        block_tally(matrix, scenario, master_seed, index, min(block, trials - start))
+        for index, start in enumerate(range(0, trials, block))
+    )

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from multipool import design
+from multipool import design, gf
 from multipool.design import (
     INFINITY,
     MultipoolParams,
@@ -213,3 +213,12 @@ def test_csv_parse_errors_carry_location():
         pytest.fail("non-binary entries must raise")
     with pytest.raises(MatrixFormatError):
         design.parse_matrix_csv("0,1\n0\n")
+
+
+@pytest.mark.parametrize("q", sorted(gf.SUPPORTED_ORDERS))
+def test_built_membership_matches_the_sorted_dual(q):
+    for m in sorted({1, 2, 3, q, q + 1}):
+        matrix = build_multipool(MultipoolParams(q, m))
+        expected = design._member_index(matrix.pool_index, matrix.n)
+        assert matrix.member_index.dtype == expected.dtype
+        assert np.array_equal(matrix.member_index, expected)

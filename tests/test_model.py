@@ -285,3 +285,14 @@ def test_negative_probabilities_equal_np_power_bit_for_bit(dtype):
                 got = negative_probabilities(k, noise)
                 assert got.dtype == expected.dtype and got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32])
+def test_noiseless_pool_results_are_loads_above_zero(dtype):
+    # The Monte Carlo kernel skips the pool draw of noiseless scenarios.
+    loads = np.random.default_rng(2).permutation(np.tile(np.arange(65, dtype=dtype), 8))
+    loads = loads.reshape(8, 65)
+    u = SeedSpec(9, 4).rng().random(loads.shape)
+    u[:2] = [[0.0], [np.nextafter(1.0, 0.0)]]  # both ends of [0, 1)
+    drawn = u >= negative_probabilities(loads, NOISELESS)
+    assert drawn.tobytes() == (loads > 0).tobytes()

@@ -18,7 +18,7 @@ from multipool.errors import DomainError
 from multipool.model import NOISELESS, NoiseModel, SeedSpec, pool_loads, positive_pool_counts
 from multipool.montecarlo import ComparisonReport, ExperimentConfig, compare, run_experiment
 
-from helpers import fano_matrix
+from helpers import blockwise_tally, fano_matrix
 
 NOISY = NoiseModel(0.02, 0.02)
 
@@ -289,3 +289,73 @@ def test_tallies_merge_to_the_same_estimates_however_trials_split(rows, data):
         exact = m2 * trials / (trials - 1)
         tolerance = 8 * sys.float_info.epsilon * raw_second * trials / (trials - 1)
         assert abs(variance.value - float(exact)) <= tolerance
+
+
+@st.composite
+def _simulations(draw):
+    """A design and a scenario on it: a built line design, or a ragged
+    external one whose pools may be empty and whose items may sit in no
+    pool, decoded against its widest membership."""
+    noise = draw(st.sampled_from([NOISELESS, NOISY, NoiseModel(0.3, 0.1)]))
+    rho = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    if draw(st.booleans()):
+        q, m = draw(st.sampled_from([(2, 1), (3, 4), (4, 2), (5, 3), (7, 2)]))
+        matrix = build_multipool(MultipoolParams(q, m))
+    else:
+        n = draw(st.integers(1, 30))
+        pools = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=12))
+        matrix = PoolingMatrix.from_pools(n, pools)
+        q = draw(st.integers(2, 6))
+        m = max(1, max(map(len, matrix.item_membership)))
+    nc = draw(st.integers(0, m))
+    return matrix, ScenarioParams(rho=rho, q=q, m=m, nc=nc, noise=noise, n=matrix.n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    simulation=_simulations(),
+    trials=st.integers(1, 300),
+    seed=st.sampled_from([1, 7, 2 ** 64 - 59]),
+    threads=st.sampled_from([1, 2, 3]),
+    target=st.integers(1, 1 << 14),
+    batch=st.integers(1, 1 << 12),
+    chunk=st.integers(1, 1 << 8),
+)
+def test_batches_tally_exactly_like_the_per_block_pipeline(
+    simulation, trials, seed, threads, target, batch, chunk
+):
+    # Small limits split even these small designs into several blocks, a
+    # partial last one, batches of several blocks and draws of a few rows.
+    matrix, scenario = simulation
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_BLOCK_TARGET_ELEMENTS", target)
+        patch.setattr(montecarlo, "_BATCH_ITEM_TRIALS", batch)
+        patch.setattr(montecarlo, "_DRAW_ITEMS", chunk)
+        tally = montecarlo._simulate(matrix, scenario, trials, seed, threads)
+        expected = blockwise_tally(matrix, scenario, trials, seed)
+    assert tally == expected
+
+
+@pytest.mark.parametrize(
+    "pools,n",
+    [
+        ([range(300), (0, 1), ()], 300),  # a pool of 300 items: int32 loads
+        ([(0, 1)] * 260 + [(2,)], 3),  # items in 260 pools: int32 counts
+    ],
+)
+def test_wide_ragged_designs_tally_like_the_per_block_pipeline(pools, n):
+    matrix = PoolingMatrix.from_pools(n, pools)
+    m = max(map(len, matrix.item_membership))
+    scenario = ScenarioParams(rho=0.5, q=2, m=m, nc=1, noise=NOISY, n=n)
+    tally = montecarlo._simulate(matrix, scenario, 70, 3, 2)
+    assert tally == blockwise_tally(matrix, scenario, 70, 3)
+
+
+def test_counts_past_uint16_are_tallied_exactly():
+    # 65536 items all infected: every per-trial count reaches 65536.
+    n = 1 << 16
+    pairs = PoolingMatrix.from_pools(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    scenario = ScenarioParams(rho=1.0, q=2, m=1, nc=0, noise=NOISELESS, n=n)
+    tally = montecarlo._simulate(pairs, scenario, 3, 5, 1)
+    assert tally["positives"] == {n: 3}
+    assert tally == blockwise_tally(pairs, scenario, 3, 5)
