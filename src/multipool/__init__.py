@@ -49,21 +49,8 @@ from .errors import (
     UndefinedResultError,
     UnsupportedFieldError,
 )
-from .gf import Field, FieldReport, PrimePower, field_for_order, verify_field
-from .model import (
-    NOISELESS,
-    DecodedResults,
-    InfectionState,
-    NoiseModel,
-    PoolResults,
-    SeedSpec,
-    Tally,
-    decode_ncomp,
-    pool_loads,
-    sample_infections,
-    sample_pool_results,
-    tally,
-)
+from .gf import Field, PrimePower, field_for_order
+from .model import NOISELESS, NoiseModel, SeedSpec, pool_loads
 from .montecarlo import (
     ComparisonReport,
     ComparisonRow,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -214,13 +214,15 @@ def _rows(index: np.ndarray, pad: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v for v in row if v != pad) for row in index.tolist())
 
 
+@lru_cache(maxsize=8)
 def build_multipool(params: MultipoolParams) -> PoolingMatrix:
     """Construct the line design for (q, m): q*q items, m*q pools.
 
     Item (x, y) gets index q*x + y.  Slope layers are the first m field
     elements in index order; when m = q + 1 the vertical layer comes
     last.  Within a layer, pools are ordered by intercept, so pool
-    indices are layer*q + intercept.
+    indices are layer*q + intercept.  The last few designs built are
+    cached; a built design is immutable, so callers share it.
     """
     field = gf.field_for_order(params.q)
     q, m = params.q, params.m
@@ -236,12 +238,7 @@ def build_multipool(params: MultipoolParams) -> PoolingMatrix:
         blocks.append(q * x[:, None] + x)
         labels += [PoolLabel(INFINITY, intercept) for intercept in range(q)]
     pool_index = np.concatenate(blocks).astype(np.int32)
-    # Layer k holds pools k*q .. k*q + q - 1 and covers every item once, so
-    # an item's k-th pool, in increasing order, is the one of layer k.
-    pools = np.arange(params.t, dtype=np.int32)[:, None]
-    member_index = np.empty((params.n, m), dtype=np.int32)
-    member_index[pool_index, pools // q] = pools
-    return PoolingMatrix(params.n, pool_index, member_index, tuple(labels))
+    return PoolingMatrix(params.n, pool_index, _member_index(pool_index, params.n), tuple(labels))
 
 
 def max_pools_bound(q: int, n: int) -> int:
@@ -284,23 +281,14 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _pair_codes(matrix: PoolingMatrix) -> np.ndarray:
-    """Encode every within-pool item pair (j1 < j2) as j1*n + j2."""
-    n = matrix.n
-    arr = matrix.pools_array
-    if arr is not None and arr.shape[1] >= 2:
-        q = arr.shape[1]
-        left, right = np.triu_indices(q, k=1)
-        return (arr[:, left].astype(np.int64) * n + arr[:, right]).ravel()
-    codes: list[np.ndarray] = []
-    for pool in matrix.pools:
-        if len(pool) < 2:
-            continue
-        items = np.asarray(pool, dtype=np.int64)
-        left, right = np.triu_indices(len(items), k=1)
-        codes.append(items[left] * n + items[right])
-    if not codes:
-        return np.empty(0, dtype=np.int64)
+def _pair_codes(pool_index: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
+    """Encode every within-pool item pair (j1 < j2) as j1*n + j2, one
+    gather over the pools of each distinct size."""
+    codes = [np.empty(0, dtype=np.int64)]
+    for size in np.unique(sizes).tolist():
+        rows = pool_index[sizes == size, :size]
+        left, right = np.triu_indices(size, k=1)
+        codes.append((rows[:, left].astype(np.int64) * n + rows[:, right]).ravel())
     return np.concatenate(codes)
 
 
@@ -309,7 +297,8 @@ def validate_multipool(matrix: PoolingMatrix, q: int, m: int) -> ValidationRepor
     no two items share more than one pool."""
     if q < 1 or m < 1:
         raise DomainError("q and m must be positive")
-    row_sums = tuple((matrix.pool_index < matrix.n).sum(axis=1).tolist())
+    sizes = (matrix.pool_index < matrix.n).sum(axis=1)
+    row_sums = tuple(sizes.tolist())
     col_sums = tuple((matrix.member_index < matrix.t).sum(axis=1).tolist())
     violations: list[tuple[str, tuple[int, ...]]] = []
     for i, size in enumerate(row_sums):
@@ -318,7 +307,7 @@ def validate_multipool(matrix: PoolingMatrix, q: int, m: int) -> ValidationRepor
     for j, count in enumerate(col_sums):
         if count != m:
             violations.append(("col_sum", (j,)))
-    codes = _pair_codes(matrix)
+    codes = _pair_codes(matrix.pool_index, sizes, matrix.n)
     if codes.size:
         unique, counts = np.unique(codes, return_counts=True)
         max_overlap = int(counts.max())
@@ -364,12 +353,17 @@ def _require(condition: bool, message: str):
         raise MatrixFormatError(message)
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer; JSON booleans load as Python bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def matrix_from_document(doc: object) -> MatrixFile:
     _require(isinstance(doc, dict), "design document must be a JSON object")
     version = doc.get("format_version")
-    _require(version == FORMAT_VERSION, f"unsupported format_version {version!r}")
+    _require(_is_int(version) and version == FORMAT_VERSION, f"unsupported format_version {version!r}")
     for key in ("q", "m", "n", "t"):
-        _require(isinstance(doc.get(key), int), f"field {key!r} must be an integer")
+        _require(_is_int(doc.get(key)), f"field {key!r} must be an integer")
     q, m, n, t = doc["q"], doc["m"], doc["n"], doc["t"]
     pools = doc.get("pools")
     _require(isinstance(pools, list), "field 'pools' must be an array")
@@ -377,7 +371,7 @@ def matrix_from_document(doc: object) -> MatrixFile:
     for i, pool in enumerate(pools):
         _require(isinstance(pool, list), f"pool {i} must be an array")
         for j in pool:
-            _require(isinstance(j, int), f"pool {i} contains a non-integer entry")
+            _require(_is_int(j), f"pool {i} contains a non-integer entry")
     labels_doc = doc.get("labels")
     labels: list[PoolLabel] | None = None
     if labels_doc is not None:
@@ -389,11 +383,11 @@ def matrix_from_document(doc: object) -> MatrixFile:
             slope = entry.get("slope")
             intercept = entry.get("intercept")
             _require(
-                slope == INFINITY or (isinstance(slope, int) and 0 <= slope < q),
+                slope == INFINITY or (_is_int(slope) and 0 <= slope < q),
                 f"label {i} has invalid slope {slope!r}",
             )
             _require(
-                isinstance(intercept, int) and 0 <= intercept < q,
+                _is_int(intercept) and 0 <= intercept < q,
                 f"label {i} has invalid intercept {intercept!r}",
             )
             labels.append(PoolLabel(slope, intercept))

@@ -22,15 +22,14 @@ The moduli are Conway polynomials, one per supported prime power:
 
 Any irreducible modulus would give an isomorphic field; fixing one table
 keeps every structure built on top of these fields reproducible byte for
-byte.  Each table entry is re-checked by the brute-force irreducibility
-test in :func:`verify_field`, so a transcription error cannot survive the
-test suite.
+byte.  ``test_conway_table_is_irreducible_by_independent_oracle`` in
+``tests/test_gf.py`` re-checks each table entry with an irreducibility
+oracle that shares no code with this module, so a transcription error
+cannot survive the test suite.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -151,24 +150,6 @@ def poly_mul_mod(u: tuple[int, ...], v: tuple[int, ...], modulus: tuple[int, ...
     return _poly_rem(_poly_mul(u, v, p), modulus, p)
 
 
-def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Brute-force irreducibility over F_p.
-
-    A monic polynomial of degree a is reducible iff it has a monic factor
-    of degree between 1 and a // 2; for the orders supported here that is
-    a tiny search.
-    """
-    a = len(modulus) - 1
-    if a < 1 or modulus[-1] != 1:
-        return False
-    for d in range(1, a // 2 + 1):
-        for lower in itertools.product(range(p), repeat=d):
-            candidate = tuple(lower) + (1,)
-            if not any(_poly_rem(modulus, candidate, p)):
-                return False
-    return True
-
-
 class Field:
     """GF(p^a) for a supported order, operating on integer indices.
 
@@ -181,7 +162,7 @@ class Field:
     beyond numpy's own, while the scalar methods check their arguments.
     """
 
-    def __init__(self, order: PrimePower, modulus: tuple[int, ...] | None = None):
+    def __init__(self, order: PrimePower):
         if order.q not in SUPPORTED_ORDERS:
             raise UnsupportedFieldError(
                 f"unsupported field order {order.q}; supported orders are primes up to 64 "
@@ -191,14 +172,7 @@ class Field:
         self.p = order.p
         self.a = order.a
         self.q = order.q
-        if modulus is None:
-            modulus = (0, 1) if self.a == 1 else _CONWAY[(self.p, self.a)]
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != self.a + 1 or modulus[-1] != 1:
-            raise DomainError(f"modulus must be monic of degree {self.a}")
-        if any(not 0 <= c < self.p for c in modulus[:-1]):
-            raise DomainError(f"modulus coefficients must lie in [0, {self.p})")
-        self.modulus = modulus
+        self.modulus = (0, 1) if self.a == 1 else _CONWAY[(self.p, self.a)]
         p, a = self.p, self.a
         # Base-p digit vectors of every element, little endian: (q, a).
         digits = np.array([index_to_coeffs(x, p, a) for x in range(self.q)], dtype=np.intp)
@@ -211,7 +185,7 @@ class Field:
         product = np.zeros((self.q, self.q, 2 * a - 1), dtype=np.intp)
         for i in range(a):
             product[:, :, i : i + a] += x[:, :, i : i + 1] * y
-        low = np.array(modulus[:-1], dtype=np.intp)
+        low = np.array(self.modulus[:-1], dtype=np.intp)
         for k in range(2 * a - 2, a - 1, -1):
             product[:, :, k - a : k] -= product[:, :, k : k + 1] * low
         mul = (product[:, :, :a] % p) @ weights
@@ -229,17 +203,6 @@ class Field:
     def mul(self, x: int, y: int) -> int:
         return int(self.mul_table[self._check(x), self._check(y)])
 
-    def neg(self, x: int) -> int:
-        return int(np.flatnonzero(self.add_table[self._check(x)] == 0)[0])
-
-    def inv(self, x: int) -> int:
-        if self._check(x) == 0:
-            raise DomainError("0 has no multiplicative inverse")
-        ones = np.flatnonzero(self.mul_table[x] == 1)
-        if ones.size == 0:
-            raise DomainError(f"{x} has no multiplicative inverse under this modulus")
-        return int(ones[0])
-
     def coeffs(self, x: int) -> tuple[int, ...]:
         self._check(x)
         return index_to_coeffs(x, self.p, self.a)
@@ -248,10 +211,6 @@ class Field:
         if len(coeffs) != self.a or any(not 0 <= c < self.p for c in coeffs):
             raise DomainError(f"expected {self.a} coefficients in [0, {self.p})")
         return coeffs_to_index(tuple(coeffs), self.p)
-
-    @property
-    def elements(self) -> range:
-        return range(self.q)
 
     def __repr__(self) -> str:
         return f"Field(GF({self.q}))"
@@ -267,78 +226,3 @@ def _frozen(table: np.ndarray) -> np.ndarray:
 def field_for_order(q: int) -> Field:
     """The canonical GF(q) for a supported order (cached, immutable)."""
     return Field(PrimePower.from_order(q))
-
-
-@dataclass(frozen=True)
-class FieldReport:
-    """Outcome of :func:`verify_field`: pass flag plus failure descriptions."""
-
-    passed: bool
-    failures: tuple[str, ...]
-
-
-def verify_field(field: Field, triple_samples: int = 4000) -> FieldReport:
-    """Check the field axioms and the modulus directly on a Field instance.
-
-    Pairwise properties (commutativity, identities, inverses) are checked
-    over all q^2 pairs.  Three-element properties (associativity,
-    distributivity) are exhaustive for q <= 16 and use a seeded random
-    sample of triples for larger q.
-    """
-    failures: list[str] = []
-    q, p, a = field.q, field.p, field.a
-
-    if len(field.modulus) != a + 1 or field.modulus[-1] != 1:
-        failures.append(f"modulus {field.modulus} is not monic of degree {a}")
-    elif not is_irreducible(field.modulus, p):
-        failures.append(f"modulus {field.modulus} is reducible over F_{p}")
-
-    for x in range(q):
-        if field.add(x, 0) != x:
-            failures.append(f"0 is not an additive identity at {x}")
-            break
-    for x in range(q):
-        if field.mul(x, 1) != x:
-            failures.append(f"1 is not a multiplicative identity at {x}")
-            break
-
-    for x in range(q):
-        if not any(field.add(x, y) == 0 for y in range(q)):
-            failures.append(f"{x} has no additive inverse")
-            break
-    for x in range(1, q):
-        if not any(field.mul(x, y) == 1 for y in range(q)):
-            failures.append(f"{x} has no multiplicative inverse")
-            break
-
-    commutative = True
-    for x in range(q):
-        for y in range(x + 1, q):
-            if field.add(x, y) != field.add(y, x):
-                failures.append(f"addition is not commutative at ({x}, {y})")
-                commutative = False
-                break
-            if field.mul(x, y) != field.mul(y, x):
-                failures.append(f"multiplication is not commutative at ({x}, {y})")
-                commutative = False
-                break
-        if not commutative:
-            break
-
-    if q <= 16:
-        triples = itertools.product(range(q), repeat=3)
-    else:
-        rng = random.Random(0x5EED * q)
-        triples = ((rng.randrange(q), rng.randrange(q), rng.randrange(q)) for _ in range(triple_samples))
-    for x, y, z in triples:
-        if field.add(field.add(x, y), z) != field.add(x, field.add(y, z)):
-            failures.append(f"addition is not associative at ({x}, {y}, {z})")
-            break
-        if field.mul(field.mul(x, y), z) != field.mul(x, field.mul(y, z)):
-            failures.append(f"multiplication is not associative at ({x}, {y}, {z})")
-            break
-        if field.mul(x, field.add(y, z)) != field.add(field.mul(x, y), field.mul(x, z)):
-            failures.append(f"distributivity fails at ({x}, {y}, {z})")
-            break
-
-    return FieldReport(passed=not failures, failures=tuple(failures))

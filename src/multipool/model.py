@@ -1,9 +1,12 @@
 """Forward model for pooled screening.
 
-Covers one round end to end: sample who is infected, accumulate pool
-loads through a pooling matrix, corrupt the pool results with false
-positives and false negatives, and decode item statuses by thresholding
-positive-pool counts.
+Holds the noise model and the three kernels of one screening round:
+:func:`pool_loads` counts the infected items of each pool,
+:func:`negative_probabilities` gives each pool's chance of testing
+negative under noise, and :func:`positive_pool_counts` counts each
+item's positive pools, which the threshold decoder compares with
+m - nc.  ``montecarlo`` draws the infections and pool results and runs
+the round through these kernels.
 
 States and results may be stacked, one trial per row.  Pool loads and
 positive-pool counts share one trial-minor gather kernel: the trials are
@@ -70,52 +73,6 @@ class SeedSpec:
         return np.random.default_rng(seq)
 
 
-def _as_rng(seed: "SeedSpec | np.random.Generator") -> np.random.Generator:
-    if isinstance(seed, SeedSpec):
-        return seed.rng()
-    return seed
-
-
-@dataclass
-class InfectionState:
-    """Binary infection vector plus the prevalence it was drawn at."""
-
-    x: np.ndarray
-    rho: float
-
-
-@dataclass
-class PoolResults:
-    y: np.ndarray
-
-
-@dataclass
-class DecodedResults:
-    z: np.ndarray
-    nc: int
-
-
-@dataclass(frozen=True)
-class Tally:
-    """Counts for one decoded round."""
-
-    positives: int
-    false_positives: int
-    false_negatives: int
-    true_positives: int
-    true_negatives: int
-
-
-def sample_infections(n: int, rho: float, seed: "SeedSpec | np.random.Generator") -> InfectionState:
-    if n < 1:
-        raise DomainError(f"item count must be positive, got {n}")
-    if not 0.0 <= rho <= 1.0:
-        raise DomainError(f"prevalence must lie in [0, 1], got {rho}")
-    rng = _as_rng(seed)
-    x = (rng.random(n) < rho).astype(np.uint8)
-    return InfectionState(x=x, rho=rho)
-
-
 def _index_sums(values: np.ndarray, index: np.ndarray, what: str) -> np.ndarray:
     """``out[..., i] = values[..., index[i]].sum(-1)`` for 0/1 ``values``.
 
@@ -138,13 +95,13 @@ def _index_sums(values: np.ndarray, index: np.ndarray, what: str) -> np.ndarray:
     return sums.T.reshape(values.shape[:-1] + (index.shape[0],))
 
 
-def pool_loads(matrix: PoolingMatrix, state: "InfectionState | np.ndarray") -> np.ndarray:
+def pool_loads(matrix: PoolingMatrix, x: np.ndarray) -> np.ndarray:
     """Number of infected items per pool; accepts (..., n) stacked 0/1 states.
 
     Computed trial-minor; uint8 when every pool has fewer than 256 items,
     int32 otherwise.
     """
-    x = state.x if isinstance(state, InfectionState) else np.asarray(state)
+    x = np.asarray(x)
     if x.shape[-1] != matrix.n:
         raise DomainError(f"state has {x.shape[-1]} items, matrix expects {matrix.n}")
     return _index_sums(x, matrix.pool_index, "infection states")
@@ -163,15 +120,6 @@ def negative_probabilities(loads: np.ndarray, noise: NoiseModel) -> np.ndarray:
     return table[loads]
 
 
-def sample_pool_results(
-    loads: np.ndarray, noise: NoiseModel, seed: "SeedSpec | np.random.Generator"
-) -> PoolResults:
-    rng = _as_rng(seed)
-    p_negative = negative_probabilities(loads, noise)
-    y = (rng.random(p_negative.shape) >= p_negative).astype(np.uint8)
-    return PoolResults(y=y)
-
-
 def positive_pool_counts(matrix: PoolingMatrix, y: np.ndarray) -> np.ndarray:
     """Per item, how many of its pools tested positive; accepts (..., t)
     stacked 0/1 results.
@@ -183,38 +131,3 @@ def positive_pool_counts(matrix: PoolingMatrix, y: np.ndarray) -> np.ndarray:
     if y.shape[-1] != matrix.t:
         raise DomainError(f"results cover {y.shape[-1]} pools, matrix has {matrix.t}")
     return _index_sums(y, matrix.member_index, "pool results")
-
-
-def decode_ncomp(
-    matrix: PoolingMatrix, results: "PoolResults | np.ndarray", nc: int
-) -> DecodedResults:
-    """Flag an item positive when at most nc of its pools tested negative."""
-    m = matrix.multiplicity
-    if m is None:
-        raise DomainError("decoding requires a constant number of pools per item")
-    if not 0 <= nc <= m:
-        raise DomainError(f"nc must lie in [0, {m}], got {nc}")
-    y = results.y if isinstance(results, PoolResults) else np.asarray(results)
-    counts = positive_pool_counts(matrix, y)
-    z = (counts >= m - nc).astype(np.uint8)
-    return DecodedResults(z=z, nc=nc)
-
-
-def tally(state: InfectionState, decoded: DecodedResults) -> Tally:
-    x = np.asarray(state.x)
-    z = np.asarray(decoded.z)
-    if x.shape != z.shape:
-        raise DomainError(f"state shape {x.shape} does not match decode shape {z.shape}")
-    x = x.astype(bool)
-    z = z.astype(bool)
-    true_positives = int(np.count_nonzero(x & z))
-    false_positives = int(np.count_nonzero(~x & z))
-    false_negatives = int(np.count_nonzero(x & ~z))
-    true_negatives = int(np.count_nonzero(~x & ~z))
-    return Tally(
-        positives=true_positives + false_positives,
-        false_positives=false_positives,
-        false_negatives=false_negatives,
-        true_positives=true_positives,
-        true_negatives=true_negatives,
-    )

@@ -53,13 +53,17 @@ def state_weights(states: np.ndarray, rho: float) -> np.ndarray:
     return rho ** infected * (1.0 - rho) ** (n - infected)
 
 
+def ncomp_flags(matrix: PoolingMatrix, y: np.ndarray, m: int, nc: int) -> np.ndarray:
+    """Threshold decode of stacked 0/1 pool results: flag an item when at
+    most nc of its m pools tested negative."""
+    return (model.positive_pool_counts(matrix, y) >= m - nc).astype(np.uint8)
+
+
 def decode_states(matrix: PoolingMatrix, states: np.ndarray, m: int, nc: int) -> np.ndarray:
     """Noiseless pipeline applied to a stack of states: loads, exact pool
     results, threshold decode."""
-    loads = model.pool_loads(matrix, states)
-    y = (loads > 0).astype(np.uint8)
-    counts = model.positive_pool_counts(matrix, y)
-    return (counts >= m - nc).astype(np.uint8)
+    y = (model.pool_loads(matrix, states) > 0).astype(np.uint8)
+    return ncomp_flags(matrix, y, m, nc)
 
 
 @dataclass(frozen=True)

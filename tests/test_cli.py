@@ -66,6 +66,17 @@ def test_validate_flags_a_corrupted_design(tmp_path):
     assert "col_sum" in check.stdout
 
 
+def test_validate_rejects_a_boolean_pool_entry(tmp_path):
+    path = tmp_path / "d.json"
+    runner.invoke(main, ["design", "--q", "2", "--m", "1", "--output", str(path)])
+    doc = json.loads(path.read_text())
+    doc["pools"][0] = [False, True]
+    path.write_text(json.dumps(doc))
+    check = runner.invoke(main, ["validate", str(path)])
+    assert check.exit_code == 2
+    assert "non-integer" in check.stderr
+
+
 def test_validate_reports_parse_location(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("0,1,0\n0,x,1\n")

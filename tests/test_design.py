@@ -1,9 +1,12 @@
 """Design construction, validation, and the file formats."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multipool import design, gf
 from multipool.design import (
@@ -222,3 +225,48 @@ def test_built_membership_matches_the_sorted_dual(q):
         expected = design._member_index(matrix.pool_index, matrix.n)
         assert matrix.member_index.dtype == expected.dtype
         assert np.array_equal(matrix.member_index, expected)
+
+
+def test_built_designs_are_shared():
+    params = MultipoolParams(8, 3)
+    assert build_multipool(params) is build_multipool(MultipoolParams(8, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 10), data=st.data())
+def test_ragged_overlaps_match_a_brute_force_count(n, data):
+    pools = data.draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=8))
+    report = validate_multipool(PoolingMatrix.from_pools(n, pools), 2, 1)
+    shared = {
+        pair: sum(set(pair) <= pool for pool in pools)
+        for pair in itertools.combinations(range(n), 2)
+    }
+    assert report.max_pairwise_overlap == max(shared.values(), default=0)
+    overlaps = [indices for kind, indices in report.violations if kind == "overlap"]
+    assert overlaps == [pair for pair, count in shared.items() if count > 1]
+
+
+_VALID_DOCUMENT = {
+    "format_version": 1, "q": 1, "m": 1, "n": 1, "t": 1,
+    "pools": [[0]], "labels": [{"slope": 0, "intercept": 0}],
+}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("format_version",), ("q",), ("m",), ("n",), ("t",),
+     ("pools", 0, 0), ("labels", 0, "slope"), ("labels", 0, "intercept")],
+    ids=lambda path: ".".join(map(str, path)),
+)
+def test_json_booleans_are_not_integers(path):
+    # true == 1 and false == 0 in Python, and every value in the document
+    # is 0 or 1, so each field gets the boolean equal to its valid value.
+    doc = json.loads(json.dumps(_VALID_DOCUMENT))
+    design.matrix_from_document(doc)
+    *parents, key = path
+    holder = doc
+    for step in parents:
+        holder = holder[step]
+    holder[key] = bool(holder[key])
+    with pytest.raises(MatrixFormatError):
+        design.matrix_from_document(doc)

@@ -1,28 +1,22 @@
-"""Forward model: infection sampling, pool loads, noise, decoding."""
+"""Forward-model kernels: pool loads, noise, decode counts."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipool import model
 from multipool.design import MultipoolParams, PoolingMatrix, build_multipool
 from multipool.errors import DomainError
 from multipool.model import (
     NOISELESS,
-    InfectionState,
     NoiseModel,
     SeedSpec,
-    decode_ncomp,
     negative_probabilities,
     pool_loads,
     positive_pool_counts,
-    sample_infections,
-    sample_pool_results,
-    tally,
 )
 
-from helpers import dense_gather_sums
+from helpers import dense_gather_sums, ncomp_flags
 
 
 def test_noise_model_validation():
@@ -51,37 +45,10 @@ def test_seed_spec_validation():
         SeedSpec(0, stream_id=-1)
 
 
-def test_sample_infections_degenerate_prevalences():
-    zeros = sample_infections(64, 0.0, SeedSpec(1))
-    ones = sample_infections(64, 1.0, SeedSpec(1))
-    assert zeros.x.sum() == 0
-    assert ones.x.sum() == 64
-    assert zeros.rho == 0.0 and ones.rho == 1.0
-
-
-def test_sample_infections_hits_the_prevalence():
-    n, rho = 10_000, 0.05
-    state = sample_infections(n, rho, SeedSpec(20240601))
-    count = int(state.x.sum())
-    sigma = (n * rho * (1 - rho)) ** 0.5
-    assert abs(count - n * rho) < 3 * sigma
-
-
-def test_sample_infections_validation():
-    with pytest.raises(DomainError):
-        sample_infections(0, 0.5, SeedSpec(0))
-    with pytest.raises(DomainError):
-        sample_infections(10, -0.1, SeedSpec(0))
-    with pytest.raises(DomainError):
-        sample_infections(10, 1.0001, SeedSpec(0))
-
-
 def test_pool_loads_hand_example():
     matrix = build_multipool(MultipoolParams(2, 2))
     x = np.array([1, 0, 0, 1], dtype=np.uint8)
     assert pool_loads(matrix, x).tolist() == [1, 1, 2, 0]
-    state = InfectionState(x=x, rho=0.5)
-    assert pool_loads(matrix, state).tolist() == [1, 1, 2, 0]
 
 
 def test_pool_loads_stacked_states_match_single_rows():
@@ -113,62 +80,26 @@ def test_negative_probabilities_closed_form():
         negative_probabilities(np.array([-1]), NOISELESS)
 
 
-def test_sample_pool_results_frequency():
-    noise = NoiseModel(0.02, 0.1)
-    loads = np.ones(20_000, dtype=np.int32)
-    results = sample_pool_results(loads, noise, SeedSpec(77))
-    p_positive = 1.0 - 0.98 * 0.1
-    rate = results.y.mean()
-    sigma = (p_positive * (1 - p_positive) / loads.size) ** 0.5
-    assert abs(rate - p_positive) < 3 * sigma
-
-
-def test_noiseless_results_are_deterministic():
-    matrix = build_multipool(MultipoolParams(3, 3))
-    x = np.array([1, 0, 0, 0, 1, 0, 0, 0, 0], dtype=np.uint8)
-    loads = pool_loads(matrix, x)
-    results = sample_pool_results(loads, NOISELESS, SeedSpec(0))
-    assert np.array_equal(results.y, (loads > 0).astype(np.uint8))
-
-
 def test_single_infected_item_is_recovered_exactly():
     matrix = build_multipool(MultipoolParams(3, 3))
     x = np.zeros(9, dtype=np.uint8)
     x[0] = 1
     y = (pool_loads(matrix, x) > 0).astype(np.uint8)
-    decoded = decode_ncomp(matrix, y, nc=0)
-    assert decoded.z.tolist() == x.tolist()
+    assert ncomp_flags(matrix, y, m=3, nc=0).tolist() == x.tolist()
 
 
 def test_decode_extremes():
     matrix = build_multipool(MultipoolParams(3, 3))
     silent = np.zeros(matrix.t, dtype=np.uint8)
-    assert decode_ncomp(matrix, silent, nc=0).z.sum() == 0
+    assert ncomp_flags(matrix, silent, m=3, nc=0).sum() == 0
     # nc = m drops the threshold to zero positive pools, flagging everyone.
-    assert decode_ncomp(matrix, silent, nc=3).z.sum() == matrix.n
+    assert ncomp_flags(matrix, silent, m=3, nc=3).sum() == matrix.n
 
 
 def test_decode_validation():
     matrix = build_multipool(MultipoolParams(3, 3))
     with pytest.raises(DomainError):
-        decode_ncomp(matrix, np.zeros(matrix.t, dtype=np.uint8), nc=-1)
-    with pytest.raises(DomainError):
-        decode_ncomp(matrix, np.zeros(matrix.t, dtype=np.uint8), nc=4)
-    ragged = PoolingMatrix.from_pools(4, [(0, 1), (1, 2)])
-    with pytest.raises(DomainError):
-        decode_ncomp(ragged, np.zeros(2, dtype=np.uint8), nc=0)
-    with pytest.raises(DomainError):
         positive_pool_counts(matrix, np.zeros(5, dtype=np.uint8))
-
-
-def test_tally_hand_case_and_identities():
-    state = InfectionState(x=np.array([1, 1, 0, 0], dtype=np.uint8), rho=0.5)
-    decoded = model.DecodedResults(z=np.array([1, 0, 1, 0], dtype=np.uint8), nc=0)
-    t = tally(state, decoded)
-    assert (t.true_positives, t.false_negatives, t.false_positives, t.true_negatives) == (1, 1, 1, 1)
-    assert t.positives == t.true_positives + t.false_positives
-    with pytest.raises(DomainError):
-        tally(state, model.DecodedResults(z=np.zeros(5, dtype=np.uint8), nc=0))
 
 
 def test_noiseless_comp_never_misses_an_infected_item():
@@ -178,11 +109,7 @@ def test_noiseless_comp_never_misses_an_infected_item():
         for _ in range(50):
             x = (rng.random(matrix.n) < 0.2).astype(np.uint8)
             y = (pool_loads(matrix, x) > 0).astype(np.uint8)
-            decoded = decode_ncomp(matrix, y, nc=0)
-            assert np.all(decoded.z >= x)
-            counts = tally(InfectionState(x=x, rho=0.2), decoded)
-            assert counts.false_negatives == 0
-            assert counts.true_positives == int(x.sum())
+            assert np.all(ncomp_flags(matrix, y, m, nc=0) >= x)
 
 
 _DECODER_CASES = [(2, 2), (3, 2), (3, 4), (4, 5), (5, 3)]
@@ -195,7 +122,7 @@ def test_decoder_is_monotone_in_nc_and_results(seed, params):
     matrix = build_multipool(MultipoolParams(q, m))
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 2, size=matrix.t, dtype=np.uint8)
-    flags = [decode_ncomp(matrix, y, nc).z for nc in range(m + 1)]
+    flags = [ncomp_flags(matrix, y, m, nc) for nc in range(m + 1)]
     for narrow, wide in zip(flags, flags[1:]):
         assert np.all(narrow <= wide)
     negatives = np.flatnonzero(y == 0)
@@ -203,7 +130,7 @@ def test_decoder_is_monotone_in_nc_and_results(seed, params):
         raised = y.copy()
         raised[negatives[rng.integers(negatives.size)]] = 1
         for nc in range(m + 1):
-            assert np.all(decode_ncomp(matrix, y, nc).z <= decode_ncomp(matrix, raised, nc).z)
+            assert np.all(ncomp_flags(matrix, y, m, nc) <= ncomp_flags(matrix, raised, m, nc))
 
 
 # --- gather kernels against the dense reference -----------------------------

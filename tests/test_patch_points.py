@@ -1,0 +1,36 @@
+"""The names the benchmark's tracer wraps, at the places it looks them up.
+
+``bench/tracing.py`` swaps these attributes for timed wrappers through
+``owner.__dict__[name]`` and restores them afterwards, so each must be
+defined directly on its owner, and ``montecarlo`` must call the model
+kernels and the design builder through its own module names.
+"""
+
+from multipool import analytics, design, gf, model, montecarlo
+from multipool.design import MultipoolParams, PoolingMatrix
+
+
+def test_montecarlo_calls_its_layers_through_module_names():
+    assert callable(montecarlo.__dict__["run_experiment"])
+    for owner, name in [
+        (design, "build_multipool"),
+        (analytics, "analytic_report"),
+        (model, "pool_loads"),
+        (model, "negative_probabilities"),
+        (model, "positive_pool_counts"),
+    ]:
+        assert montecarlo.__dict__[name] is owner.__dict__[name]
+
+
+def test_traced_methods_are_defined_on_their_classes():
+    assert callable(model.SeedSpec.__dict__["rng"])
+    assert callable(gf.Field.__dict__["add"])
+    assert callable(gf.Field.__dict__["mul"])
+
+
+def test_gather_byte_counts_find_the_dense_index_arrays():
+    assert isinstance(PoolingMatrix.__dict__["pools_array"], property)
+    assert isinstance(PoolingMatrix.__dict__["membership_array"], property)
+    matrix = design.build_multipool(MultipoolParams(4, 3))
+    assert matrix.pools_array is matrix.pool_index
+    assert matrix.membership_array is matrix.member_index
