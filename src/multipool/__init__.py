@@ -49,7 +49,7 @@ from .errors import (
     UndefinedResultError,
     UnsupportedFieldError,
 )
-from .gf import Field, PrimePower, field_for_order
+from .gf import Field, field_for_order
 from .model import NOISELESS, NoiseModel, SeedSpec, pool_loads
 from .montecarlo import (
     ComparisonReport,

@@ -116,27 +116,34 @@ def specificity(scenario: ScenarioParams) -> float:
     return _clamp_probability(1.0 - _flag_probability(scenario.m, scenario.nc, gamma(1, scenario)))
 
 
-def type_one(scenario: ScenarioParams) -> float:
-    """P(item not infected | item flagged positive).
+def _posterior(
+    wrong_prior: float, wrong_rate: float, right_prior: float, right_rate: float, flagged: str
+) -> float:
+    """P(item in the wrong class | item flagged ``flagged``) by Bayes' rule.
 
-    Interior evaluation uses
-        (1 + rho / (1 - rho) * sens / (1 - spec)) ** -1,
-    which is the Bayes posterior rearranged.  When no probability mass is
-    ever flagged positive the conditional does not exist and an
-    UndefinedResultError is raised.
+    The wrong class carries prior ``wrong_prior`` and is flagged at
+    ``wrong_rate``; the right class likewise.  Interior evaluation uses
+        (1 + right_prior / wrong_prior * right_rate / wrong_rate) ** -1.
+    When no probability mass is ever flagged this way the conditional
+    does not exist and an UndefinedResultError is raised.
     """
+    wrong_mass = wrong_prior * wrong_rate
+    right_mass = right_prior * right_rate
+    if wrong_mass == 0.0 and right_mass == 0.0:
+        raise UndefinedResultError(f"nothing is ever flagged {flagged} in this scenario")
+    if wrong_mass == 0.0:
+        return 0.0
+    if right_mass == 0.0:
+        return 1.0
+    return 1.0 / (1.0 + (right_prior / wrong_prior) * (right_rate / wrong_rate))
+
+
+def type_one(scenario: ScenarioParams) -> float:
+    """P(item not infected | item flagged positive)."""
     rho = scenario.rho
     sens = sensitivity(scenario)
     spec = specificity(scenario)
-    false_positive_mass = (1.0 - rho) * (1.0 - spec)
-    true_positive_mass = rho * sens
-    if false_positive_mass == 0.0 and true_positive_mass == 0.0:
-        raise UndefinedResultError("nothing is ever flagged positive in this scenario")
-    if false_positive_mass == 0.0:
-        return 0.0
-    if true_positive_mass == 0.0:
-        return 1.0
-    return 1.0 / (1.0 + (rho / (1.0 - rho)) * (sens / (1.0 - spec)))
+    return _posterior(1.0 - rho, 1.0 - spec, rho, sens, "positive")
 
 
 def type_two(scenario: ScenarioParams) -> float:
@@ -144,15 +151,7 @@ def type_two(scenario: ScenarioParams) -> float:
     rho = scenario.rho
     sens = sensitivity(scenario)
     spec = specificity(scenario)
-    false_negative_mass = rho * (1.0 - sens)
-    true_negative_mass = (1.0 - rho) * spec
-    if false_negative_mass == 0.0 and true_negative_mass == 0.0:
-        raise UndefinedResultError("nothing is ever flagged negative in this scenario")
-    if false_negative_mass == 0.0:
-        return 0.0
-    if true_negative_mass == 0.0:
-        return 1.0
-    return 1.0 / (1.0 + ((1.0 - rho) / rho) * (spec / (1.0 - sens)))
+    return _posterior(rho, 1.0 - sens, 1.0 - rho, spec, "negative")
 
 
 class ExpectedCounts(NamedTuple):
@@ -387,28 +386,22 @@ class AnalyticReport:
     rho_info: float | None
 
 
+def _or_none(error: type[Exception], statistic, *args):
+    """``statistic(*args)``, or None where it raises ``error``."""
+    try:
+        return statistic(*args)
+    except error:
+        return None
+
+
 def analytic_report(scenario: ScenarioParams) -> AnalyticReport:
-    try:
-        t1 = type_one(scenario)
-    except UndefinedResultError:
-        t1 = None
-    try:
-        t2 = type_two(scenario)
-    except UndefinedResultError:
-        t2 = None
-    expected = None
+    t1 = _or_none(UndefinedResultError, type_one, scenario)
+    t2 = _or_none(UndefinedResultError, type_two, scenario)
+    expected = bounds = None
     if scenario.n is not None:
         expected = expected_counts(scenario)
-    bounds = None
-    if scenario.n is not None:
-        try:
-            bounds = variance_bounds(scenario)
-        except NotApplicableError:
-            bounds = None
-    try:
-        rho_info = threshold_info(scenario.q, scenario.m)
-    except NoSolutionError:
-        rho_info = None
+        bounds = _or_none(NotApplicableError, variance_bounds, scenario)
+    rho_info = _or_none(NoSolutionError, threshold_info, scenario.q, scenario.m)
     return AnalyticReport(
         gamma_1=gamma(1, scenario),
         sensitivity=sensitivity(scenario),

@@ -274,7 +274,6 @@ def cmd_analyze(statistic, sweep, start, stop, step, values, rho, q, m, nc, pfp,
 @click.option("--rho", type=float, required=True)
 @click.option("--pfp", type=float, default=0.0, show_default=True)
 @click.option("--pfn", type=float, default=0.0, show_default=True)
-@click.option("--n", "n", type=int, default=None, help="Item count; defaults to q*q.")
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="Master seed.")
 @click.option("--threads", type=int, default=1, show_default=True)
@@ -284,22 +283,18 @@ def cmd_analyze(statistic, sweep, start, stop, step, values, rho, q, m, nc, pfp,
     default=None,
     help="Where to write the JSON comparison report.",
 )
-def cmd_simulate(q, m, nc, rho, pfp, pfn, n, trials, seed, threads, output):
+def cmd_simulate(q, m, nc, rho, pfp, pfn, trials, seed, threads, output):
     """Simulate the built (q, m) design and gate the closed forms against
     the empirical estimates.  Exits 1 when any comparison fails."""
     try:
         params = design.MultipoolParams(q=q, m=m)
-        if n is None:
-            n = params.n
-        scenario = ScenarioParams(rho=rho, q=q, m=m, nc=nc, noise=NoiseModel(pfp, pfn), n=n)
+        scenario = ScenarioParams(rho=rho, q=q, m=m, nc=nc, noise=NoiseModel(pfp, pfn), n=params.n)
         config = montecarlo.ExperimentConfig(
             scenario=scenario, design=params, trials=trials, master_seed=seed
         )
-        if threads < 1:
-            raise DomainError(f"thread count must be positive, got {threads}")
+        report = montecarlo.compare(config, threads=threads)
     except _PARAM_ERRORS as exc:
         _invalid(str(exc))
-    report = montecarlo.compare(config, threads=threads)
     text = json.dumps(report.to_document(), indent=2) + "\n"
     if output is not None:
         with open(output, "w", newline="\n") as handle:

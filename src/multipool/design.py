@@ -121,9 +121,9 @@ class PoolingMatrix:
             labels = tuple(labels)
             if len(labels) != len(canonical):
                 raise DomainError("labels must match the number of pools")
-        pool_index = np.full((len(canonical), max(map(len, canonical))), n, dtype=np.int32)
-        for i, items in enumerate(canonical):
-            pool_index[i, : len(items)] = items
+        sizes = [len(items) for items in canonical]
+        flat = np.fromiter((j for items in canonical for j in items), np.int32, sum(sizes))
+        pool_index = _padded(np.repeat(np.arange(len(sizes)), sizes), flat, len(sizes), n)
         return cls(n, pool_index, _member_index(pool_index, n), labels)
 
     @classmethod
@@ -131,8 +131,13 @@ class PoolingMatrix:
         arr = np.asarray(array)
         if arr.ndim != 2:
             raise DomainError("dense design must be a 2-d array")
-        pools = [tuple(np.flatnonzero(row).tolist()) for row in arr]
-        return cls.from_pools(arr.shape[1], pools)
+        t, n = arr.shape
+        if n < 1:
+            raise DomainError(f"item count must be positive, got {n}")
+        if t < 1:
+            raise DomainError("a design needs at least one pool")
+        pool_index = _padded(*np.nonzero(arr), t, n)
+        return cls(n, pool_index, _member_index(pool_index, n), None)
 
     @cached_property
     def pool_size(self) -> int | None:
@@ -165,10 +170,10 @@ class PoolingMatrix:
         return _rows(self.member_index, self.t)
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.t, self.n), dtype=np.uint8)
-        for i, pool in enumerate(self.pools):
-            dense[i, list(pool)] = 1
-        return dense
+        # Padding entries equal n and land in an extra last column.
+        dense = np.zeros((self.t, self.n + 1), dtype=np.uint8)
+        dense[np.arange(self.t)[:, None], self.pool_index] = 1
+        return dense[:, : self.n]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PoolingMatrix):
@@ -193,11 +198,17 @@ def _member_index(pool_index: np.ndarray, n: int) -> np.ndarray:
     items, owners = items[real], owners[real]
     # Owners run in increasing order, and a stable sort by item keeps it.
     order = np.argsort(items, kind="stable")
-    items, owners = items[order], owners[order]
-    counts = np.bincount(items, minlength=n)
-    index = np.full((n, counts.max()), t, dtype=np.int32)
-    rank = np.arange(items.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    index[items, rank] = owners
+    return _padded(items[order], owners[order], n, t)
+
+
+def _padded(rows: np.ndarray, values: np.ndarray, count: int, pad: int) -> np.ndarray:
+    """The (count, longest row) int32 index whose row r lists, in order,
+    the values of the pairs with row r, padded at the end with ``pad``;
+    the (row, value) pairs come sorted by row, then value."""
+    counts = np.bincount(rows, minlength=count)
+    index = np.full((count, counts.max()), pad, dtype=np.int32)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    index[rows, rank] = values
     return index
 
 
@@ -421,8 +432,12 @@ def read_matrix_json(path: str) -> MatrixFile:
 
 
 def dump_matrix_csv(matrix: PoolingMatrix) -> str:
-    dense = matrix.to_dense()
-    return "\n".join(",".join(str(int(v)) for v in row) for row in dense) + "\n"
+    # Row i is 2n bytes: the digits of pool i at the even offsets, each
+    # followed by a comma, and a newline in place of the last comma.
+    text = np.full((matrix.t, 2 * matrix.n), ord(","), dtype=np.uint8)
+    text[:, 0::2] = matrix.to_dense() + ord("0")
+    text[:, -1] = ord("\n")
+    return text.tobytes().decode("ascii")
 
 
 def parse_matrix_csv(text: str) -> PoolingMatrix:

@@ -30,7 +30,6 @@ cannot survive the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,44 +64,6 @@ _CONWAY: dict[tuple[int, int], tuple[int, ...]] = {
 SUPPORTED_ORDERS = frozenset(p for p in range(2, 65) if _is_prime(p)) | frozenset(
     p ** a for (p, a) in _CONWAY
 )
-
-
-@dataclass(frozen=True)
-class PrimePower:
-    """A field order q = p^a with p prime and a >= 1."""
-
-    p: int
-    a: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise UnsupportedFieldError(f"{self.p} is not prime")
-        if self.a < 1:
-            raise UnsupportedFieldError(f"extension degree must be positive, got {self.a}")
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.a
-
-    @classmethod
-    def from_order(cls, q: int) -> "PrimePower":
-        if q < 2:
-            raise UnsupportedFieldError(f"field order must be at least 2, got {q}")
-        p = 2
-        while p * p <= q:
-            if q % p == 0:
-                break
-            p += 1
-        else:
-            return cls(q, 1)
-        a = 0
-        rest = q
-        while rest % p == 0:
-            rest //= p
-            a += 1
-        if rest != 1:
-            raise UnsupportedFieldError(f"{q} is not a prime power")
-        return cls(p, a)
 
 
 def index_to_coeffs(index: int, p: int, a: int) -> tuple[int, ...]:
@@ -162,18 +123,18 @@ class Field:
     beyond numpy's own, while the scalar methods check their arguments.
     """
 
-    def __init__(self, order: PrimePower):
-        if order.q not in SUPPORTED_ORDERS:
+    def __init__(self, q: int):
+        if q not in SUPPORTED_ORDERS:
             raise UnsupportedFieldError(
-                f"unsupported field order {order.q}; supported orders are primes up to 64 "
+                f"unsupported field order {q}; supported orders are primes up to 64 "
                 f"and the prime powers {sorted(p ** a for (p, a) in _CONWAY)}"
             )
-        self.order = order
-        self.p = order.p
-        self.a = order.a
-        self.q = order.q
-        self.modulus = (0, 1) if self.a == 1 else _CONWAY[(self.p, self.a)]
-        p, a = self.p, self.a
+        self.q = q
+        # Every supported order is a prime power, so its smallest divisor
+        # is the characteristic.
+        self.p = p = next(d for d in range(2, q + 1) if q % d == 0)
+        self.a = a = next(k for k in range(1, q) if p ** k == q)
+        self.modulus = (0, 1) if a == 1 else _CONWAY[(p, a)]
         # Base-p digit vectors of every element, little endian: (q, a).
         digits = np.array([index_to_coeffs(x, p, a) for x in range(self.q)], dtype=np.intp)
         weights = p ** np.arange(a)
@@ -203,15 +164,6 @@ class Field:
     def mul(self, x: int, y: int) -> int:
         return int(self.mul_table[self._check(x), self._check(y)])
 
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        self._check(x)
-        return index_to_coeffs(x, self.p, self.a)
-
-    def from_coeffs(self, coeffs: tuple[int, ...]) -> int:
-        if len(coeffs) != self.a or any(not 0 <= c < self.p for c in coeffs):
-            raise DomainError(f"expected {self.a} coefficients in [0, {self.p})")
-        return coeffs_to_index(tuple(coeffs), self.p)
-
     def __repr__(self) -> str:
         return f"Field(GF({self.q}))"
 
@@ -225,4 +177,4 @@ def _frozen(table: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def field_for_order(q: int) -> Field:
     """The canonical GF(q) for a supported order (cached, immutable)."""
-    return Field(PrimePower.from_order(q))
+    return Field(q)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 from typing import Iterable
 
@@ -202,8 +202,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError(f"trial count must be positive, got {self.trials}")
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise DomainError("master_seed must be a 64-bit unsigned integer")
+        SeedSpec(self.master_seed)  # raises on a seed outside [0, 2**64)
         scenario = self.scenario
         if scenario.n is None:
             raise DomainError("simulation needs the item count n in the scenario")
@@ -407,22 +406,7 @@ class ComparisonReport:
             "trials": self.trials,
             "master_seed": self.master_seed,
             "passed": self.passed,
-            "rows": [
-                {
-                    "statistic": row.statistic,
-                    "kind": row.kind,
-                    "status": row.status,
-                    "passed": row.passed,
-                    "analytic": row.analytic,
-                    "empirical": row.empirical,
-                    "se": row.se,
-                    "z": row.z,
-                    "bound": row.bound,
-                    "slack": row.slack,
-                    "observations": row.observations,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
         }
 
 

@@ -233,6 +233,15 @@ def test_simulate_parameter_errors(tmp_path):
     assert wrong_n.exit_code == 2
 
 
+def test_simulate_rejects_a_zero_thread_count():
+    result = runner.invoke(
+        main,
+        ["simulate", "--q", "4", "--m", "2", "--rho", "0.1", "--trials", "10", "--threads", "0"],
+    )
+    assert result.exit_code == 2
+    assert "thread count must be positive" in result.stderr
+
+
 # --- tune -----------------------------------------------------------------------
 
 def test_tune_reports_the_multiplicity():

@@ -70,9 +70,13 @@ def test_each_layer_partitions_the_items(q):
 
 
 def test_build_is_deterministic():
-    a = build_multipool(MultipoolParams(9, 5))
-    b = build_multipool(MultipoolParams(9, 5))
-    assert a == b
+    # Two real builds: the lru_cache would return one instance twice.
+    a = build_multipool.__wrapped__(MultipoolParams(9, 5))
+    b = build_multipool.__wrapped__(MultipoolParams(9, 5))
+    assert a is not b
+    assert np.array_equal(a.pool_index, b.pool_index)
+    assert np.array_equal(a.member_index, b.member_index)
+    assert a.labels == b.labels
     assert design.dump_matrix_json(a, 9, 5) == design.dump_matrix_json(b, 9, 5)
 
 
@@ -193,6 +197,18 @@ def test_csv_round_trip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_ragged_csv_round_trip():
+    # Pool 1 is empty and item 2 sits in no pool.
+    matrix = PoolingMatrix.from_pools(4, [[3, 0], [], [1, 3]])
+    text = design.dump_matrix_csv(matrix)
+    assert text == "1,0,0,1\n0,0,0,0\n0,1,0,1\n"
+    assert np.array_equal(matrix.to_dense(), [[1, 0, 0, 1], [0, 0, 0, 0], [0, 1, 0, 1]])
+    loaded = design.parse_matrix_csv(text)
+    assert loaded.pools == ((0, 3), (), (1, 3))
+    assert loaded.item_membership == ((0,), (2,), (), (0, 2))
+    assert design.dump_matrix_csv(loaded) == text
+
+
 def test_json_schema_violations_are_reported():
     with pytest.raises(MatrixFormatError):
         design.load_matrix_json('{"format_version": 2}')
@@ -244,6 +260,23 @@ def test_ragged_overlaps_match_a_brute_force_count(n, data):
     assert report.max_pairwise_overlap == max(shared.values(), default=0)
     overlaps = [indices for kind, indices in report.violations if kind == "overlap"]
     assert overlaps == [pair for pair, count in shared.items() if count > 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 10), data=st.data())
+def test_dense_forms_match_per_pool_loops(n, data):
+    pools = data.draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=8))
+    matrix = PoolingMatrix.from_pools(n, pools)
+    dense = np.zeros((len(pools), n), dtype=np.uint8)
+    for i, pool in enumerate(pools):
+        dense[i, sorted(pool)] = 1
+    assert np.array_equal(matrix.to_dense(), dense)
+    assert design.dump_matrix_csv(matrix) == "".join(
+        ",".join(str(v) for v in row) + "\n" for row in dense.tolist()
+    )
+    rebuilt = PoolingMatrix.from_dense(dense)
+    assert np.array_equal(rebuilt.pool_index, matrix.pool_index)
+    assert np.array_equal(rebuilt.member_index, matrix.member_index)
 
 
 _VALID_DOCUMENT = {

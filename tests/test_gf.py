@@ -12,7 +12,7 @@ from multipool.errors import DomainError, UnsupportedFieldError
 from helpers import independent_irreducibility
 
 EXTENSION_ORDERS = sorted(p ** a for (p, a) in gf._CONWAY)
-PRIME_ORDERS = sorted(q for q in gf.SUPPORTED_ORDERS if gf.PrimePower.from_order(q).a == 1)
+PRIME_ORDERS = sorted(q for q in gf.SUPPORTED_ORDERS if gf.field_for_order(q).a == 1)
 
 
 def test_supported_orders_are_primes_below_64_plus_listed_powers():
@@ -35,12 +35,16 @@ def test_prime_powers_outside_the_table_are_rejected(q):
 
 
 def test_prime_power_factoring():
-    assert gf.PrimePower.from_order(49) == gf.PrimePower(7, 2)
-    assert gf.PrimePower.from_order(31) == gf.PrimePower(31, 1)
+    assert (gf.Field(49).p, gf.Field(49).a) == (7, 2)
+    assert (gf.Field(31).p, gf.Field(31).a) == (31, 1)
+    assert (gf.Field(64).p, gf.Field(64).a) == (2, 6)
+    for q in gf.SUPPORTED_ORDERS:
+        f = gf.field_for_order(q)
+        assert f.q == q and f.p ** f.a == q and gf._is_prime(f.p)
     with pytest.raises(UnsupportedFieldError):
-        gf.PrimePower(6, 1)
+        gf.Field(6)
     with pytest.raises(UnsupportedFieldError):
-        gf.PrimePower(2, 0)
+        gf.Field(1)
 
 
 def test_prime_field_arithmetic_is_mod_p():
@@ -138,10 +142,10 @@ def test_coefficient_bijection_round_trips(q):
     f = gf.field_for_order(q)
     seen = set()
     for x in range(q):
-        coeffs = f.coeffs(x)
+        coeffs = gf.index_to_coeffs(x, f.p, f.a)
         assert len(coeffs) == f.a
         assert all(0 <= c < f.p for c in coeffs)
-        assert f.from_coeffs(coeffs) == x
+        assert gf.coeffs_to_index(coeffs, f.p) == x
         seen.add(coeffs)
     assert len(seen) == q
 
@@ -164,11 +168,11 @@ def test_tables_match_polynomial_arithmetic(q):
     # polynomials and reduce by the modulus, one pair at a time.
     f = gf.field_for_order(q)
     for x, y in itertools.product(range(q), repeat=2):
-        cx, cy = f.coeffs(x), f.coeffs(y)
+        cx, cy = gf.index_to_coeffs(x, f.p, f.a), gf.index_to_coeffs(y, f.p, f.a)
         total = tuple((u + v) % f.p for u, v in zip(cx, cy))
         product = gf.poly_mul_mod(cx, cy, f.modulus, f.p)
-        assert f.add(x, y) == f.from_coeffs(total)
-        assert f.mul(x, y) == f.from_coeffs(product + (0,) * (f.a - len(product)))
+        assert f.add(x, y) == gf.coeffs_to_index(total, f.p)
+        assert f.mul(x, y) == gf.coeffs_to_index(product, f.p)
 
 
 def test_neg_and_inv_consistency():

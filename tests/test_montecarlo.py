@@ -201,6 +201,42 @@ def test_external_design_report_matches_the_dense_gather_pipeline():
     )
 
 
+# sha256 of the merged tally of montecarlo._simulate, every histogram and
+# integer sum in sorted order.  It pins the draws and the counting apart
+# from the report, so a change to the report's fields or closed forms
+# leaves these alone, and a change that moves a draw shows here first.
+_TALLY_PINS = {
+    ("dense", 1): "00d628983338df04f46f3b2d921b5b45be24b4b568e280d17dcf78efbbe4b925",
+    ("dense", 2 ** 64 - 59): "c28413107e347633893a0deec6ab40123a91d4f25af8899adbf75fa59937470b",
+    ("sparse", 1): "5acd10dc04fdd287a05c9d73cf7968b211df3d1c2e75da0a140f6f9d685af027",
+    ("sparse", 2 ** 64 - 59): "66a338288883bd7d82d25980b1cdd0fff32c6c7399f5333b8538b655bf8e8653",
+    ("external", 5): "4ffabdc4de57f2a928c1019095a69ddd8765eae4a238faf02f1e5ed871b589ee",
+}
+
+
+def _tally_sha256(config: ExperimentConfig, threads: int) -> str:
+    tally = montecarlo._simulate(
+        config.matrix(), config.scenario, config.trials, config.master_seed, threads
+    )
+    merged = {name: sorted(counter.items()) for name, counter in sorted(tally.items())}
+    return hashlib.sha256(json.dumps(merged).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name,seed", sorted(_TALLY_PINS))
+def test_merged_tallies_match_their_pins(name, seed, threads):
+    if name == "external":
+        # The relabelled (8, 3) design of the external report pin above.
+        perm = np.random.default_rng(11).permutation(64)
+        built = build_multipool(MultipoolParams(8, 3))
+        pools = [sorted(int(perm[j]) for j in pool) for pool in reversed(built.pools)]
+        config = _config(8, 3, rho=0.08, nc=1, noise=NoiseModel(0.05, 0.05), trials=3000,
+                         seed=seed, design=PoolingMatrix.from_pools(64, pools))
+    else:
+        config = _config(**_GOLDEN_CONFIGS[name], seed=seed)
+    assert _tally_sha256(config, threads) == _TALLY_PINS[(name, seed)]
+
+
 def test_ragged_design_kernels_match_the_dense_gather_pipeline():
     # Pools of sizes 0..9 over 50 items; item 49 sits in no pool.
     rng = np.random.default_rng(3)
