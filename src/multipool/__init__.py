@@ -31,12 +31,9 @@ from .design import (
     PoolingMatrix,
     ValidationReport,
     build_multipool,
+    load_design,
     max_pools_bound,
-    read_matrix_csv,
-    read_matrix_json,
     validate_multipool,
-    write_matrix_csv,
-    write_matrix_json,
 )
 from .errors import (
     DesignBoundError,

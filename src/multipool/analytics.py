@@ -28,6 +28,7 @@ from .errors import (
     NoSolutionError,
     NotApplicableError,
     UndefinedResultError,
+    require_at_least,
 )
 from .model import NOISELESS, NoiseModel
 
@@ -50,10 +51,8 @@ class ScenarioParams:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"prevalence must lie in [0, 1], got {self.rho}")
-        if self.q < 2:
-            raise DomainError(f"pool size must be at least 2, got {self.q}")
-        if self.m < 1:
-            raise DomainError(f"multiplicity must be at least 1, got {self.m}")
+        require_at_least("pool size", self.q, 2)
+        require_at_least("multiplicity", self.m, 1)
         if not 0 <= self.nc <= self.m:
             raise DomainError(f"nc must lie in [0, {self.m}], got {self.nc}")
         if self.n is not None and self.n < 1:
@@ -255,12 +254,10 @@ def min_multiplicity(
         raise DomainError(f"prevalence must lie strictly inside (0, 1), got {rho}")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie strictly inside (0, 1), got {epsilon}")
-    if q < 2:
-        raise DomainError(f"pool size must be at least 2, got {q}")
+    require_at_least("pool size", q, 2)
     if cap is None:
         cap = q + 1
-    if cap < 1:
-        raise DomainError(f"cap must be at least 1, got {cap}")
+    require_at_least("cap", cap, 1)
 
     gamma_1 = gamma(1, ScenarioParams(rho=rho, q=q, m=1, noise=noise))
     if gamma_1 >= 1.0:
@@ -287,10 +284,8 @@ def min_multiplicity(
 def threshold_disjunct(q: int, m: int) -> float:
     """Prevalence below which expected infections stay under the design's
     guaranteed-exact decoding capacity: (m - 1) / q**2."""
-    if q < 2:
-        raise DomainError(f"pool size must be at least 2, got {q}")
-    if m < 1:
-        raise DomainError(f"multiplicity must be at least 1, got {m}")
+    require_at_least("pool size", q, 2)
+    require_at_least("multiplicity", m, 1)
     return (m - 1) / (q * q)
 
 
@@ -309,10 +304,8 @@ def threshold_info(q: int, m: int) -> float:
 
     Solved by bisection; no solution exists when m/q exceeds 1.
     """
-    if q < 2:
-        raise DomainError(f"pool size must be at least 2, got {q}")
-    if m < 1:
-        raise DomainError(f"multiplicity must be at least 1, got {m}")
+    require_at_least("pool size", q, 2)
+    require_at_least("multiplicity", m, 1)
     target = m / q
     if target > 1.0:
         raise NoSolutionError(f"m/q = {m}/{q} exceeds 1 bit; H(x) cannot reach it")

@@ -17,18 +17,13 @@ import click
 from . import analytics, design, montecarlo
 from .analytics import ScenarioParams
 from .errors import (
-    DesignBoundError,
     DomainError,
     InfeasibleError,
     MatrixFormatError,
-    NoSolutionError,
     NotApplicableError,
     UndefinedResultError,
-    UnsupportedFieldError,
 )
 from .model import NoiseModel
-
-_PARAM_ERRORS = (DomainError, DesignBoundError, UnsupportedFieldError, NoSolutionError)
 
 
 def _invalid(message: str):
@@ -78,12 +73,14 @@ def cmd_design(q: int, m: int, output: str, file_format: str):
     try:
         params = design.MultipoolParams(q=q, m=m)
         matrix = design.build_multipool(params)
-    except _PARAM_ERRORS as exc:
+    except DomainError as exc:
         _invalid(str(exc))
     if file_format == "json":
-        design.write_matrix_json(output, matrix, q, m)
+        text = design.dump_matrix_json(matrix, q, m)
     else:
-        design.write_matrix_csv(output, matrix)
+        text = design.dump_matrix_csv(matrix)
+    with open(output, "w", newline="\n") as handle:
+        handle.write(text)
     click.echo(f"items: {matrix.n}")
     click.echo(f"pools: {matrix.t}")
     click.echo(f"compression ratio: {_format_value(matrix.n / matrix.t)}")
@@ -101,23 +98,19 @@ def cmd_validate(path: str, q: int | None, m: int | None):
     except OSError as exc:
         _invalid(str(exc))
     try:
-        if text.lstrip().startswith("{"):
-            loaded = design.load_matrix_json(text)
-            matrix = loaded.matrix
-            q = loaded.q if q is None else q
-            m = loaded.m if m is None else m
-        else:
-            matrix = design.parse_matrix_csv(text)
+        loaded = design.load_design(text)
     except MatrixFormatError as exc:
         location = ""
         if exc.line is not None:
             location = f" (line {exc.line}, column {exc.column})"
         _invalid(f"{exc}{location}")
+    q = loaded.q if q is None else q
+    m = loaded.m if m is None else m
     if q is None or m is None:
         _invalid("this file carries no q/m metadata; pass --q and --m")
     try:
-        report = design.validate_multipool(matrix, q, m)
-    except _PARAM_ERRORS as exc:
+        report = design.validate_multipool(loaded.matrix, q, m)
+    except DomainError as exc:
         _invalid(str(exc))
     click.echo(report.summary())
     if not report.is_multipool:
@@ -226,7 +219,7 @@ def cmd_analyze(statistic, sweep, start, stop, step, values, rho, q, m, nc, pfp,
 
     try:
         noise = NoiseModel(p_fp=fixed["pfp"], p_fn=fixed["pfn"])
-    except _PARAM_ERRORS as exc:
+    except DomainError as exc:
         _invalid(str(exc))
 
     evaluate = _STATISTICS[statistic]
@@ -246,7 +239,7 @@ def cmd_analyze(statistic, sweep, start, stop, step, values, rho, q, m, nc, pfp,
                 noise=noise,
                 n=params["n"],
             )
-        except _PARAM_ERRORS as exc:
+        except DomainError as exc:
             _invalid(f"invalid grid point {sweep}={point}: {exc}")
         try:
             value = evaluate(scenario)
@@ -254,7 +247,7 @@ def cmd_analyze(statistic, sweep, start, stop, step, values, rho, q, m, nc, pfp,
             _failure(str(exc))
         except UndefinedResultError as exc:
             _failure(f"{statistic} at {sweep}={_format_value(point)}: {exc}")
-        except _PARAM_ERRORS as exc:
+        except DomainError as exc:
             _invalid(f"invalid grid point {sweep}={point}: {exc}")
         rows.append((point, value, [params[name] for name in header_params]))
 
@@ -293,7 +286,7 @@ def cmd_simulate(q, m, nc, rho, pfp, pfn, trials, seed, threads, output):
             scenario=scenario, design=params, trials=trials, master_seed=seed
         )
         report = montecarlo.compare(config, threads=threads)
-    except _PARAM_ERRORS as exc:
+    except DomainError as exc:
         _invalid(str(exc))
     text = json.dumps(report.to_document(), indent=2) + "\n"
     if output is not None:
@@ -334,7 +327,7 @@ def cmd_tune(rho, q, epsilon, pfp, pfn, cap):
     except InfeasibleError as exc:
         click.echo(f"raw bound: {_format_value(exc.raw_bound)}")
         _failure(str(exc))
-    except _PARAM_ERRORS as exc:
+    except DomainError as exc:
         _invalid(str(exc))
     click.echo(f"raw bound: {_format_value(result.raw_bound)}")
     click.echo(f"multiplicity: {result.m}")

@@ -19,14 +19,15 @@ the same report.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import gf
-from .errors import DesignBoundError, DomainError, MatrixFormatError
+from .errors import DesignBoundError, DomainError, MatrixFormatError, require_at_least
 
 FORMAT_VERSION = 1
 
@@ -50,10 +51,8 @@ class MultipoolParams:
     m: int
 
     def __post_init__(self):
-        if self.q < 2:
-            raise DomainError(f"pool size must be at least 2, got {self.q}")
-        if self.m < 1:
-            raise DomainError(f"multiplicity must be at least 1, got {self.m}")
+        require_at_least("pool size", self.q, 2)
+        require_at_least("multiplicity", self.m, 1)
         if self.m > self.q + 1:
             raise DesignBoundError(
                 f"multiplicity {self.m} exceeds the maximum {self.q + 1} "
@@ -258,8 +257,7 @@ def max_pools_bound(q: int, n: int) -> int:
     Every pool contains q*(q-1)/2 item pairs and no pair may repeat, so
     the count is at most n*(n-1) / (q*(q-1)), rounded down.
     """
-    if q < 2:
-        raise DomainError(f"pool size must be at least 2, got {q}")
+    require_at_least("pool size", q, 2)
     if n < q:
         raise DomainError(f"need at least q={q} items, got {n}")
     return (n * (n - 1)) // (q * (q - 1))
@@ -337,11 +335,12 @@ def validate_multipool(matrix: PoolingMatrix, q: int, m: int) -> ValidationRepor
 
 @dataclass(frozen=True)
 class MatrixFile:
-    """A design together with the (q, m) it claims to satisfy."""
+    """A design together with the (q, m) it claims to satisfy; a CSV
+    matrix claims none, and both are None."""
 
     matrix: PoolingMatrix
-    q: int
-    m: int
+    q: int | None
+    m: int | None
 
 
 def matrix_document(matrix: PoolingMatrix, q: int, m: int) -> dict:
@@ -421,16 +420,6 @@ def load_matrix_json(text: str) -> MatrixFile:
     return matrix_from_document(doc)
 
 
-def write_matrix_json(path: str, matrix: PoolingMatrix, q: int, m: int):
-    with open(path, "w", newline="\n") as handle:
-        handle.write(dump_matrix_json(matrix, q, m))
-
-
-def read_matrix_json(path: str) -> MatrixFile:
-    with open(path) as handle:
-        return load_matrix_json(handle.read())
-
-
 def dump_matrix_csv(matrix: PoolingMatrix) -> str:
     # Row i is 2n bytes: the digits of pool i at the even offsets, each
     # followed by a comma, and a newline in place of the last comma.
@@ -440,42 +429,54 @@ def dump_matrix_csv(matrix: PoolingMatrix) -> str:
     return text.tobytes().decode("ascii")
 
 
+@cache
+def _blanks() -> dict[int, None]:
+    """Translation table deleting every character ``str.strip()`` strips,
+    except the newline, which separates rows."""
+    return dict.fromkeys(c for c in range(sys.maxunicode + 1) if chr(c).isspace() and c != ord("\n"))
+
+
 def parse_matrix_csv(text: str) -> PoolingMatrix:
-    rows: list[list[int]] = []
-    width: int | None = None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for line_no, line in enumerate(lines, start=1):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise MatrixFormatError(
-                f"row has {len(cells)} columns, expected {width}", line=line_no, column=1
-            )
-        row = []
-        for col_no, cell in enumerate(cells, start=1):
-            value = cell.strip()
-            if value not in ("0", "1"):
-                raise MatrixFormatError(
-                    f"non-binary entry {cell!r}", line=line_no, column=col_no
-                )
-            row.append(int(value))
-        rows.append(row)
+    """Read the dense 0/1 matrix that ``dump_matrix_csv`` writes, one row
+    per line; cells may carry surrounding whitespace.
+
+    With whitespace dropped, a valid row of width w is w digits with a
+    comma after every digit but the last, so it is checked by slicing.
+    A row failing that check is split into cells to locate the error.
+    """
+    rows = text.translate(_blanks()).split("\n")
+    # A final newline ends the last row instead of starting an empty one.
+    if text.endswith("\n") or not text:
+        rows.pop()
     if not rows:
         raise MatrixFormatError("empty design file", line=1, column=1)
-    try:
-        return PoolingMatrix.from_dense(np.asarray(rows, dtype=np.uint8))
-    except DomainError as exc:
-        raise MatrixFormatError(str(exc)) from exc
+    width = rows[0].count(",") + 1
+    commas = "," * (width - 1)
+    digits = []
+    for line_no, row in enumerate(rows, start=1):
+        if len(row) != 2 * width - 1 or row[1::2] != commas or row[0::2].strip("01"):
+            raise _row_error(text.split("\n")[line_no - 1], line_no, width)
+        digits.append(row[0::2])
+    dense = np.frombuffer("".join(digits).encode("ascii"), dtype=np.uint8) - ord("0")
+    return PoolingMatrix.from_dense(dense.reshape(len(rows), width))
 
 
-def write_matrix_csv(path: str, matrix: PoolingMatrix):
-    with open(path, "w", newline="\n") as handle:
-        handle.write(dump_matrix_csv(matrix))
+def _row_error(line: str, line_no: int, width: int) -> MatrixFormatError:
+    """The error of a CSV line that fails the row check."""
+    cells = line.split(",")
+    if len(cells) != width:
+        return MatrixFormatError(
+            f"row has {len(cells)} columns, expected {width}", line=line_no, column=1
+        )
+    col_no, cell = next(
+        (k, cell) for k, cell in enumerate(cells, start=1) if cell.strip() not in ("0", "1")
+    )
+    return MatrixFormatError(f"non-binary entry {cell!r}", line=line_no, column=col_no)
 
 
-def read_matrix_csv(path: str) -> PoolingMatrix:
-    with open(path) as handle:
-        return parse_matrix_csv(handle.read())
+def load_design(text: str) -> MatrixFile:
+    """Read a design file: JSON when its first non-whitespace character
+    is ``{``, the CSV matrix otherwise, which carries no q or m."""
+    if text.lstrip().startswith("{"):
+        return load_matrix_json(text)
+    return MatrixFile(matrix=parse_matrix_csv(text), q=None, m=None)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the lower-bound check
+that most parameter validation goes through."""
 
 
 class MultipoolError(Exception):
@@ -9,11 +10,11 @@ class DomainError(MultipoolError, ValueError):
     """An argument violates an operation's domain (range, shape, consistency)."""
 
 
-class UnsupportedFieldError(MultipoolError, ValueError):
+class UnsupportedFieldError(DomainError):
     """The requested field order is not a supported prime power."""
 
 
-class DesignBoundError(MultipoolError, ValueError):
+class DesignBoundError(DomainError):
     """The requested multiplicity exceeds what designs of this size admit."""
 
 
@@ -33,7 +34,7 @@ class InfeasibleError(MultipoolError):
         self.raw_bound = raw_bound
 
 
-class NoSolutionError(MultipoolError, ValueError):
+class NoSolutionError(DomainError):
     """The target value lies outside the achievable range."""
 
 
@@ -51,3 +52,9 @@ class MatrixFormatError(MultipoolError, ValueError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def require_at_least(what: str, value: int, least: int):
+    """Raise DomainError unless ``value`` is at least ``least``."""
+    if value < least:
+        raise DomainError(f"{what} must be at least {least}, got {value}")

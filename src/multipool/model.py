@@ -78,17 +78,23 @@ def _index_sums(values: np.ndarray, index: np.ndarray, what: str) -> np.ndarray:
 
     The rows of ``values`` become the columns of a (width + 1, rows) copy
     whose last row is zero; an index entry equal to the width is padding
-    and reads that row.  Sums accumulate one index column at a time, in
-    uint8 when no index row has 256 entries, which bounds every sum, and
-    in int32 otherwise.
+    and reads that row.  An index without padding gathers straight from
+    a bool or uint8 ``values`` whose transpose is already C-contiguous,
+    read as uint8 so that adding its rows casts nothing.
+    Sums accumulate one index column at a time, in uint8 when no index
+    row has 256 entries, which bounds every sum, and in int32 otherwise.
     """
     width = values.shape[-1]
     flat = values.reshape(-1, width)
     if flat.dtype != bool and ((flat != 0) & (flat != 1)).any():
         raise DomainError(f"{what} must be 0 or 1")
     dtype = np.uint8 if index.shape[1] < 256 else np.int32
-    columns = np.zeros((width + 1, flat.shape[0]), dtype=dtype)
-    columns[:width] = flat.T
+    padded = index.shape[1] and (index[:, -1] == width).any()
+    if not padded and flat.dtype in (bool, np.uint8) and flat.T.flags.c_contiguous:
+        columns = flat.T.view(np.uint8)
+    else:
+        columns = np.zeros((width + 1, flat.shape[0]), dtype=dtype)
+        columns[:width] = flat.T
     sums = np.zeros((index.shape[0], flat.shape[0]), dtype=dtype)
     for k in range(index.shape[1]):
         sums += columns.take(index[:, k], axis=0)

@@ -16,6 +16,7 @@ import numpy as np
 from multipool import model, montecarlo
 from multipool.analytics import ScenarioParams
 from multipool.design import PoolingMatrix
+from multipool.errors import DomainError, MatrixFormatError
 
 
 def independent_irreducibility(modulus: tuple[int, ...], p: int) -> bool:
@@ -135,6 +136,39 @@ FANO_POOLS = (
 def fano_matrix() -> PoolingMatrix:
     """The 7-point, 7-line plane: pool size 3, multiplicity 3, n = 7."""
     return PoolingMatrix.from_pools(7, FANO_POOLS)
+
+
+def parse_matrix_csv_per_cell(text: str) -> PoolingMatrix:
+    """Reference CSV reader for ``design.parse_matrix_csv``: it splits
+    every line into cells and strips and checks each cell on its own."""
+    rows: list[list[int]] = []
+    width: int | None = None
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    for line_no, line in enumerate(lines, start=1):
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise MatrixFormatError(
+                f"row has {len(cells)} columns, expected {width}", line=line_no, column=1
+            )
+        row = []
+        for col_no, cell in enumerate(cells, start=1):
+            value = cell.strip()
+            if value not in ("0", "1"):
+                raise MatrixFormatError(
+                    f"non-binary entry {cell!r}", line=line_no, column=col_no
+                )
+            row.append(int(value))
+        rows.append(row)
+    if not rows:
+        raise MatrixFormatError("empty design file", line=1, column=1)
+    try:
+        return PoolingMatrix.from_dense(np.asarray(rows, dtype=np.uint8))
+    except DomainError as exc:
+        raise MatrixFormatError(str(exc)) from exc
 
 
 def dense_gather_sums(values: np.ndarray, rows) -> np.ndarray:

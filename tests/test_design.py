@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipool import design, gf
+from multipool.analytics import threshold_info
 from multipool.design import (
     INFINITY,
     MultipoolParams,
@@ -18,9 +19,15 @@ from multipool.design import (
     max_pools_bound,
     validate_multipool,
 )
-from multipool.errors import DesignBoundError, DomainError, MatrixFormatError, UnsupportedFieldError
+from multipool.errors import (
+    DesignBoundError,
+    DomainError,
+    MatrixFormatError,
+    NoSolutionError,
+    UnsupportedFieldError,
+)
 
-from helpers import fano_matrix
+from helpers import fano_matrix, parse_matrix_csv_per_cell
 
 QUICK_GRID = [2, 3, 4, 5, 7, 9]
 
@@ -78,6 +85,17 @@ def test_build_is_deterministic():
     assert np.array_equal(a.member_index, b.member_index)
     assert a.labels == b.labels
     assert design.dump_matrix_json(a, 9, 5) == design.dump_matrix_json(b, 9, 5)
+
+
+def test_parameter_errors_are_domain_errors():
+    for error in (UnsupportedFieldError, DesignBoundError, NoSolutionError):
+        assert issubclass(error, DomainError) and issubclass(error, ValueError)
+    with pytest.raises(DomainError):
+        build_multipool(MultipoolParams(6, 2))
+    with pytest.raises(DomainError):
+        MultipoolParams(7, 9)
+    with pytest.raises(DomainError):
+        threshold_info(2, 3)
 
 
 def test_multiplicity_above_q_plus_one_is_rejected():
@@ -166,16 +184,13 @@ def test_dense_view_matches_pools():
     assert PoolingMatrix.from_dense(dense).pools == matrix.pools
 
 
-def test_json_round_trip_identity(tmp_path):
+def test_json_round_trip_identity():
     matrix = build_multipool(MultipoolParams(8, 9))
-    path = tmp_path / "design.json"
-    design.write_matrix_json(str(path), matrix, 8, 9)
-    loaded = design.read_matrix_json(str(path))
+    text = design.dump_matrix_json(matrix, 8, 9)
+    loaded = design.load_matrix_json(text)
     assert loaded.q == 8 and loaded.m == 9
     assert loaded.matrix == matrix
-    again = tmp_path / "again.json"
-    design.write_matrix_json(str(again), loaded.matrix, loaded.q, loaded.m)
-    assert path.read_bytes() == again.read_bytes()
+    assert design.dump_matrix_json(loaded.matrix, loaded.q, loaded.m) == text
 
 
 def test_json_keeps_infinity_labels(tmp_path):
@@ -186,15 +201,58 @@ def test_json_keeps_infinity_labels(tmp_path):
     assert loaded.matrix.labels[-1] == PoolLabel(INFINITY, 2)
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip():
     matrix = build_multipool(MultipoolParams(4, 5))
-    path = tmp_path / "design.csv"
-    design.write_matrix_csv(str(path), matrix)
-    loaded = design.read_matrix_csv(str(path))
+    text = design.dump_matrix_csv(matrix)
+    loaded = design.parse_matrix_csv(text)
     assert loaded.pools == matrix.pools
-    again = tmp_path / "again.csv"
-    design.write_matrix_csv(str(again), loaded)
-    assert path.read_bytes() == again.read_bytes()
+    assert design.dump_matrix_csv(loaded) == text
+
+
+def test_load_design_reads_json_after_leading_whitespace_and_csv_otherwise():
+    matrix = build_multipool(MultipoolParams(3, 2))
+    loaded = design.load_design(" \n\t" + design.dump_matrix_json(matrix, 3, 2))
+    assert (loaded.matrix, loaded.q, loaded.m) == (matrix, 3, 2)
+    loaded = design.load_design(design.dump_matrix_csv(matrix))
+    assert loaded.matrix.pools == matrix.pools
+    assert loaded.q is None and loaded.m is None
+
+
+_CSV_TOKENS = ["0", "1", ",", "\n", "\r", " ", "\t", "\u00a0", "\u2003", "\x1c", "2", "x", "11", ""]
+
+
+@st.composite
+def _csv_texts(draw):
+    """Any run of tokens, or a well-formed matrix with up to three tokens
+    inserted or replaced; most runs of tokens fail in their first cell."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(_CSV_TOKENS), max_size=40)))
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    tokens = []
+    for _ in range(rows):
+        for col in range(width):
+            tokens += [draw(st.sampled_from("01")), "," if col < width - 1 else "\n"]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at : at + draw(st.integers(0, 1))] = [draw(st.sampled_from(_CSV_TOKENS))]
+    return "".join(tokens)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_csv_texts())
+def test_csv_reader_matches_the_per_cell_reader(text):
+    try:
+        expected = parse_matrix_csv_per_cell(text)
+    except MatrixFormatError as exc:
+        with pytest.raises(MatrixFormatError) as raised:
+            design.parse_matrix_csv(text)
+        assert (str(raised.value), raised.value.line, raised.value.column) == (
+            str(exc), exc.line, exc.column
+        )
+    else:
+        loaded = design.parse_matrix_csv(text)
+        assert loaded.n == expected.n
+        assert np.array_equal(loaded.pool_index, expected.pool_index)
 
 
 def test_ragged_csv_round_trip():

@@ -167,6 +167,15 @@ def test_gather_kernels_match_the_dense_reference(data):
     counts = positive_pool_counts(matrix, y)
     assert counts.shape == y.shape[:-1] + (matrix.n,)
     assert np.array_equal(counts, dense_gather_sums(y, matrix.item_membership))
+    # Trial-minor states, as the Monte Carlo batches hold them, arrive
+    # as transposed views of C-contiguous (rows, trials) arrays.
+    for states, kernel, rows in [
+        (x, pool_loads, matrix.pools),
+        (y, positive_pool_counts, matrix.item_membership),
+    ]:
+        flat = states.reshape(-1, states.shape[-1])
+        view = np.ascontiguousarray(flat.T).T
+        assert np.array_equal(kernel(matrix, view), dense_gather_sums(flat, rows))
 
 
 def test_ragged_design_with_an_empty_pool_and_an_uncovered_item():
