@@ -5,12 +5,14 @@ from .analytics import (
     AnalyticReport,
     ConfusionStats,
     ExpectedCounts,
+    Moments,
     ScenarioParams,
     TuningResult,
     VarianceBounds,
     analytic_report,
     binary_entropy,
     confusion_stats,
+    exact_moments,
     expected_counts,
     gamma,
     min_multiplicity,

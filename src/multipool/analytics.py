@@ -18,9 +18,11 @@ for the ones built in this package.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .errors import (
     DomainError,
@@ -203,6 +205,155 @@ def variance_bounds(scenario: ScenarioParams) -> VarianceBounds:
         positives=scale * (1.0 - beta ** m + shared_pair_term),
         false_positives=scale * (beta ** m + shared_pair_term),
     )
+
+
+class Moments(NamedTuple):
+    """Means and covariance matrix of (I, T, T_fp, T_fn): the infected,
+    flagged, falsely flagged and missed counts of one round."""
+
+    mean: tuple[float, ...]
+    cov: tuple[tuple[float, ...], ...]
+
+
+# Digits of the first decimal pass of exact_moments.  The inclusion-
+# exclusion sums alternate in sign and cancel: on (64, 8) noiseless,
+# 50 digits broke down at rho = 1e-9, and 80 digits at rho = 1e-10.
+_MOMENT_DIGITS = 80
+
+
+@lru_cache(maxsize=256)
+def exact_moments(scenario: ScenarioParams) -> Moments:
+    """Exact means and covariances of (I, T, T_fp, T_fn) on the line
+    design that ``design.build_multipool`` makes for (q, m).
+
+    Holds for that design only, under noise and for any nc: every two of
+    its non-parallel pools meet in one item, so the joint law of two
+    items' decodes depends only on whether they share a pool.  Computed
+    in ``decimal`` from the exact values of the float parameters, at 80
+    digits and then at twice as many, doubling until two passes round to
+    the same floats, so the far tails keep their digits.
+    """
+    n = scenario._require_n()
+    if n != scenario.q * scenario.q:
+        raise DomainError(f"a line design has q*q = {scenario.q ** 2} items, got n = {n}")
+    digits, previous = _MOMENT_DIGITS, None
+    while True:
+        with decimal.localcontext() as context:
+            context.prec = digits
+            mean, cov = _line_design_moments(scenario, decimal.Decimal)
+        moments = Moments(
+            mean=tuple(float(v) for v in mean),
+            cov=tuple(tuple(float(v) for v in row) for row in cov),
+        )
+        if moments == previous:
+            return moments
+        digits, previous = 2 * digits, moments
+
+
+def _line_design_moments(scenario: ScenarioParams, number: Callable[[float], object]):
+    """Means and covariance matrix of (I, T, T_fp, T_fn) in the number
+    type that ``number`` converts the float parameters to: ``Decimal``
+    here, an exact type in the tests.
+
+    A pool set S is all negative with probability, given the statuses of
+    the items held fixed, (1 - p_fp)^|S| * p_fn^(pools of S over fixed
+    infected items) * g1^once * g2^twice, where once and twice count the
+    other items that S covers once and twice, g1 = 1 - rho (1 - p_fn) and
+    g2 = 1 - rho (1 - p_fn^2).  Summing over the pool subsets A of item
+    i and B of item j, grouped by their sizes and their c shared
+    directions, gives the binomial moments S_ab of the two negative-pool
+    counts, and P(N_i <= nc, N_j <= nc) = sum c_a c_b S_ab inverts them.
+    """
+    q, m, nc, n = scenario.q, scenario.m, scenario.nc, scenario.n
+    one = number(1)
+    rho = number(scenario.rho)
+    p_fn = number(scenario.noise.p_fn)
+    keep = one - number(scenario.noise.p_fp)
+    g1 = one - rho * (one - p_fn)
+    g2 = one - rho * (one - p_fn * p_fn)
+
+    def powers(base, top: int) -> list:
+        table = [one]
+        for _ in range(top):
+            table.append(table[-1] * base)
+        return table
+
+    keep_pow, fn_pow = powers(keep, 2 * m), powers(p_fn, 2 * m)
+    g1_pow, g2_pow = powers(g1, 2 * m * (q - 1)), powers(g2, m * m)
+    # P(N <= nc) = sum over s of c_s times the s-th binomial moment of N.
+    inverse = [sum((-1) ** (s - k) * math.comb(s, k) for k in range(min(nc, s) + 1))
+               for s in range(m + 1)]
+    shared = m * (q - 1)
+    pair_types = []
+    if n - 1 - shared > 0:
+        # A pair sharing no pool: i's and j's pools of one direction are
+        # parallel, of two directions they meet in one other item.
+        moments = {}
+        for a in range(m + 1):
+            for b in range(m + 1):
+                total = 0
+                for c in range(max(0, a + b - m), min(a, b) + 1):
+                    twice = a * b - c
+                    ways = math.comb(m, a) * math.comb(a, c) * math.comb(m - a, b - c)
+                    total += ways * g1_pow[(a + b) * (q - 1) - 2 * twice] * g2_pow[twice]
+                moments[a, b, a, b] = total * keep_pow[a + b]
+        pair_types.append((n - 1 - shared, moments))
+    # A pair sharing pool P: P covers both and q - 2 others once; the
+    # other m - 1 pools of each are placed as in the disjoint case.
+    moments = {}
+    for a in range(m):
+        for b in range(m):
+            for in_a in (0, 1):
+                for in_b in (0, 1):
+                    with_p = in_a | in_b
+                    total = 0
+                    for c in range(max(0, a + b - m + 1), min(a, b) + 1):
+                        twice = a * b - c
+                        once = (q - 2) * with_p + (a + b) * (q - 1) - 2 * twice
+                        ways = math.comb(m - 1, a) * math.comb(a, c) * math.comb(m - 1 - a, b - c)
+                        total += ways * g1_pow[once] * g2_pow[twice]
+                    key = (a + in_a, b + in_b, a + with_p, b + with_p)
+                    moments[key] = moments.get(key, 0) + total * keep_pow[a + b + with_p]
+    pair_types.append((shared, moments))
+
+    # The per-item indicators x, z and xz are x**e z**d for (e, d) in
+    # products; Y = (X, Z, W) are their sums over the items.
+    prior = (one - rho, rho)
+    flag = [sum(inverse[s] * math.comb(m, s) * pool
+                for s, pool in enumerate(powers(keep * fn_pow[x] * g1_pow[q - 1], m)))
+            for x in (0, 1)]
+    products = ((1, 0), (0, 1), (1, 1))
+
+    def single(e: int, d: int):
+        """E[x**e z**d] of one item."""
+        return sum(prior[x] * (flag[x] if d else one) for x in ((1,) if e else (0, 1)))
+
+    mean_y = [n * single(e, d) for e, d in products]
+    second = [[n * single(e | f, d | g) for f, g in products] for e, d in products]
+    for count, moments in pair_types:
+        for xi in (0, 1):
+            for xj in (0, 1):
+                # Joint and marginal flag probabilities given the pair's statuses.
+                both = flag_i = flag_j = 0
+                for (a, b, ei, ej), value in moments.items():
+                    term = value * fn_pow[xi * ei] * fn_pow[xj * ej]
+                    both += inverse[a] * inverse[b] * term
+                    if b == 0:
+                        flag_i += inverse[a] * term
+                    if a == 0:
+                        flag_j += inverse[b] * term
+                weight = prior[xi] * prior[xj] * n * count
+                law = {(0, 0): one, (1, 0): flag_i, (0, 1): flag_j, (1, 1): both}
+                for u, (e, d) in enumerate(products):
+                    for v, (f, g) in enumerate(products):
+                        second[u][v] += weight * xi ** e * xj ** f * law[d, g]
+    cov_y = [[second[u][v] - mean_y[u] * mean_y[v] for v in range(3)] for u in range(3)]
+    # (I, T, T_fp, T_fn) = (X, Z, Z - W, X - W) for X, Z, W the sums of x, z, xz.
+    lift = ((1, 0, 0), (0, 1, 0), (0, 1, -1), (1, 0, -1))
+    mean = [sum(c * mean_y[u] for u, c in enumerate(row)) for row in lift]
+    cov = [[sum(r[u] * s[v] * cov_y[u][v] for u in range(3) for v in range(3)) for s in lift]
+           for r in lift]
+    return mean, cov
 
 
 def pivotal_probability(scenario: ScenarioParams) -> float:

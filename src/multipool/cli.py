@@ -93,10 +93,12 @@ def cmd_design(q: int, m: int, output: str, file_format: str):
 def cmd_validate(path: str, q: int | None, m: int | None):
     """Check a design file for the three multipool properties."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         _invalid(str(exc))
+    except UnicodeDecodeError as exc:
+        _invalid(f"{path} is not UTF-8 text: {exc}")
     try:
         loaded = design.load_design(text)
     except MatrixFormatError as exc:

@@ -2,8 +2,9 @@
 estimates against the closed forms.
 
 Blocks fix the randomness: block b holds :func:`_block_size` trials and
-draws their infections, then under noise their pool results, from the
-stream (master_seed, b).  Batches only group the compute: a batch is a
+draws their infections, then their pool errors, from the stream
+(master_seed, b), each as the sorted positions of the rare events
+(:func:`positions`).  Batches only group the compute: a batch is a
 run of consecutive whole blocks, about ``_BATCH_ITEM_TRIALS``
 item-trials in all, whose trials go through the pool-load gather, the
 decode gather and the tally together, trial-minor.  Each batch returns
@@ -19,7 +20,9 @@ Conditional proportions (sensitivity and friends) pool item-level events
 across trials.  Items within a trial share pools and are therefore
 correlated, so next to the naive binomial standard error each estimate
 carries a trial-level clustered standard error from the linearized ratio
-estimator; the larger of the two is what comparisons gate on.
+estimator; the larger of the two is the estimate's standard error.
+Comparisons divide by the larger of it and the standard error that the
+closed form implies (:func:`compare`).
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ import math
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from fractions import Fraction
+from functools import partial
 from itertools import accumulate
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .analytics import AnalyticReport, ScenarioParams, analytic_report
+from .analytics import AnalyticReport, Moments, ScenarioParams, analytic_report, exact_moments
 from .design import MultipoolParams, PoolingMatrix, build_multipool
 from .errors import DomainError
 from .model import SeedSpec, negative_probabilities, pool_loads, positive_pool_counts
@@ -43,8 +48,15 @@ _BLOCK_MAX = 4096
 _BLOCK_MIN = 32
 # Item-trials per batch, about: a batch groups whole blocks.
 _BATCH_ITEM_TRIALS = 1 << 19
-# Uniforms per infection draw, at most, unless one trial needs more.
-_DRAW_ITEMS = 1 << 19
+
+# glibc's malloc serves each request at or above its mmap threshold
+# (128 KiB at start) with a fresh mapping and unmaps it on free, so every
+# batch would fault its arrays in anew: about 1400 page faults, a fifth
+# of a compare call on both benchmark workloads.  Freeing one mapped
+# block raises the threshold to that block's size, and batch arrays
+# below it (under 1 MiB each on both workloads) then reuse heap memory.
+# Elsewhere this costs one allocation that is never touched.
+np.empty(4 << 20, dtype=np.uint8)
 
 
 def _block_size(n: int, m: int, q: int) -> int:
@@ -57,6 +69,44 @@ def _block_size(n: int, m: int, q: int) -> int:
     """
     per_trial = max(1, n * (m + q))
     return max(_BLOCK_MIN, min(_BLOCK_MAX, _BLOCK_TARGET_ELEMENTS // per_trial))
+
+
+def _gap_chunk(size: int, rate: float) -> int:
+    """Gaps drawn at a time by :func:`positions`: the mean success count
+    of ``size`` trials plus four standard deviations, plus 16."""
+    mean = size * rate
+    return int(mean + 4.0 * math.sqrt(mean * (1.0 - rate))) + 16
+
+
+def positions(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
+    """Sorted positions of the successes among ``size`` Bernoulli(rate)
+    trials, by geometric skips (Devroye 1986, ch. X).
+
+    Each gap to the next success is floor(E * -1 / log1p(-rate)) + 1 for
+    a standard exponential E.  Gaps come in chunks of
+    :func:`_gap_chunk` exponentials, chunk after chunk while the
+    positions fall short of ``size``, and the rest of the last chunk is
+    discarded.  The chunk rule fixes how much of the stream a call takes
+    and so every later draw: like :func:`_block_size` it must stay as it
+    is for reports to stay the same.  Rate 0 draws nothing, and rate 1
+    returns every position without drawing.
+    """
+    if rate <= 0.0 or size <= 0:
+        return np.empty(0, dtype=np.int64)
+    if rate >= 1.0:
+        return np.arange(size, dtype=np.int64)
+    scale = -1.0 / math.log1p(-rate)
+    chunk = _gap_chunk(size, rate)
+    parts, last = [], -1
+    while last < size - 1:
+        # Any gap past the end ends the draw, so capping gaps at ``size``
+        # moves no position and keeps the sums in int64.
+        gaps = np.fmin(rng.standard_exponential(chunk) * scale, size).astype(np.int64)
+        gaps += 1
+        parts.append(np.cumsum(gaps) + last)
+        last = int(parts[-1][-1])
+    found = np.concatenate(parts)
+    return found[: np.searchsorted(found, size)]
 
 
 @dataclass(frozen=True)
@@ -141,36 +191,38 @@ def _ratio_estimate(sums: Counter) -> Estimate:
     )
 
 
-def _central_moments(histogram: Counter) -> tuple[int, float, float, float]:
-    """Trial count, mean and plug-in second and fourth central moments.
+def _central_moments(histogram: Counter) -> tuple[int, Fraction, Fraction, Fraction]:
+    """Trial count, mean and plug-in second and fourth central moments,
+    exact.
 
-    The power sums are Python ints, so no count is too large for them.
+    With s1 the sum of the values, each centred value is (n v - s1) / n,
+    so the centred power sums are integer sums over the histogram.
     """
     n = sum(histogram.values())
-    s1, s2, s3, s4 = (
-        sum(trials * value ** k for value, trials in histogram.items()) for k in (1, 2, 3, 4)
-    )
-    mean = s1 / n
-    m2 = s2 / n - mean * mean
-    m4 = s4 / n - 4.0 * mean * (s3 / n) + 6.0 * mean * mean * (s2 / n) - 3.0 * mean ** 4
-    return n, mean, max(0.0, m2), max(0.0, m4)
+    s1 = sum(trials * value for value, trials in histogram.items())
+    d2 = d4 = 0
+    for value, trials in histogram.items():
+        square = (n * value - s1) ** 2
+        d2 += trials * square
+        d4 += trials * square * square
+    return n, Fraction(s1, n), Fraction(d2, n ** 3), Fraction(d4, n ** 5)
 
 
 def _mean_estimate(histogram: Counter) -> Estimate:
     n, mean, m2, _ = _central_moments(histogram)
-    sample_var = m2 * n / (n - 1) if n > 1 else 0.0
-    return Estimate(value=mean, se=math.sqrt(sample_var / n), observations=n)
+    sample_var = m2 * n / (n - 1) if n > 1 else 0
+    return Estimate(value=float(mean), se=math.sqrt(sample_var / n), observations=n)
 
 
 def _variance_estimate(histogram: Counter) -> Estimate:
-    n, mean, m2, m4 = _central_moments(histogram)
+    n, _, m2, m4 = _central_moments(histogram)
     if n < 2:
         return Estimate(value=None, se=None, observations=n)
     sample_var = m2 * n / (n - 1)
     # Sampling variance of the sample variance via the plug-in fourth
     # central moment.
     se_sq = (m4 - sample_var * sample_var * (n - 3) / (n - 1)) / n
-    return Estimate(value=sample_var, se=math.sqrt(max(0.0, se_sq)), observations=n)
+    return Estimate(value=float(sample_var), se=math.sqrt(max(0, se_sq)), observations=n)
 
 
 @dataclass(frozen=True)
@@ -231,45 +283,45 @@ def _run_batch(
 ) -> dict[str, Counter]:
     """Tally a run of consecutive whole (block index, trial count) blocks.
 
-    Each block draws from its own stream: count * n uniforms for the
-    infections, then, under noise, count * t for the pool results.
-    Everything else runs once for the whole batch, trial-minor: item and
-    pool states are (rows, trials) arrays, and the gathers get them as
-    transposed views.
+    Each block draws from its own stream: the positions of its
+    infections among its count * n item-trials, trial-major, then the
+    candidate pool errors among its count * t pool-trials at the largest
+    error rate r*, then one uniform per candidate that keeps it with
+    probability (its pool's error rate) / r*.  A pool errs at rate p_fp
+    at load 0 and (1 - p_fp) * p_fn ** k at load k >= 1, and its result
+    is (load > 0) XOR error.  Everything else runs once for the whole
+    batch, trial-minor: item and pool states are (rows, trials) arrays,
+    and the gathers get them as transposed views.
     """
     n, t = matrix.n, matrix.t
     counts = [count for _, count in blocks]
     trials = sum(counts)
     starts = list(accumulate(counts[:-1], initial=0))
     rngs = [SeedSpec(master_seed, index).rng() for index, _ in blocks]
-    # Each block's uniforms come in chunks of up to _DRAW_ITEMS, which
-    # draw the same stream as one (count, n) array.  Much smaller chunks
-    # made the allocator give each batch's memory back to the system and
-    # fault it in again.
-    xt = np.empty((n, trials), dtype=bool)
-    rows = max(1, _DRAW_ITEMS // n)
+    xt = np.zeros((n, trials), dtype=bool)
     for rng, count, first in zip(rngs, counts, starts):
-        for lo in range(first, first + count, rows):
-            hi = min(first + count, lo + rows)
-            xt[:, lo:hi] = (rng.random((hi - lo, n)) < scenario.rho).T
+        trial, item = np.divmod(positions(rng, count * n, scenario.rho), n)
+        xt[item, trial + first] = True
 
     # Pool results, then decoded items, overwrite the counts they come
     # from, as 0/1 in the counts' own dtype.
     loads = pool_loads(matrix, xt.T)
     yt = loads.T
-    if scenario.noise.noiseless:
-        # u >= (1 - 0) * 0.0 ** k is k > 0 for every u in [0, 1), and the
-        # pool draw is the last of each stream, so skipping it moves no
-        # other draw.
-        np.greater(yt, 0, out=yt)
-    else:
-        for rng, count, first in zip(rngs, counts, starts):
-            cols = slice(first, first + count)
-            np.greater_equal(
-                rng.random((count, t)),
-                negative_probabilities(loads[cols], scenario.noise),
-                out=yt[:, cols].T,
-            )
+    # Error rate by load, up to the widest pool; p_fn ** k falls with k,
+    # so r* is the rate at load 0 or 1.
+    widest = max(1, matrix.pool_index.shape[1])
+    error = negative_probabilities(np.arange(widest + 1), scenario.noise)
+    error[0] = scenario.noise.p_fp
+    top = float(error[:2].max())
+    pools, cols = [], []
+    for rng, count, first in zip(rngs, counts, starts):
+        trial, pool = np.divmod(positions(rng, count * t, top), t)
+        trial += first
+        keep = rng.random(pool.size) * top < error[yt[pool, trial]]
+        pools.append(pool[keep])
+        cols.append(trial[keep])
+    np.greater(yt, 0, out=yt)
+    yt[np.concatenate(pools), np.concatenate(cols)] ^= 1
     zt = positive_pool_counts(matrix, yt.T).T
     np.greater_equal(zt, scenario.m - scenario.nc, out=zt)
 
@@ -366,7 +418,11 @@ class ComparisonRow:
     variance checks.  ``status`` is "ok" when both sides exist,
     "unavailable" when the empirical side has no observations,
     "undefined" when the analytic side does not exist, and
-    "not_applicable" when the closed form has no claim to make.
+    "not_applicable" when the closed form has no claim to make.  A z row
+    divides by ``se``, the larger of ``se_sample``, the standard error
+    estimated from the trials, and ``se_null``, the one the closed form
+    implies (see :func:`compare`).  ``exact`` is a var row's exact
+    variance on a built design.
     """
 
     statistic: str
@@ -380,6 +436,9 @@ class ComparisonRow:
     bound: float | None = None
     slack: float | None = None
     observations: int = 0
+    se_sample: float | None = None
+    se_null: float | None = None
+    exact: float | None = None
 
 
 @dataclass(frozen=True)
@@ -410,8 +469,61 @@ class ComparisonReport:
         }
 
 
+# Each ratio row's event and base counts as coefficients on
+# (I, T, T_fp, T_fn), and the base's constant term in units of n:
+# sens = TP / I, spec = TN / (n - I), typeI = T_fp / T and
+# typeII = T_fn / (n - T), with TP = I - T_fn and TN = n - I - T_fp.
+_RATIO_COUNTS = {
+    "sens": ((1, 0, 0, -1), (1, 0, 0, 0), 0),
+    "spec": ((-1, 0, -1, 0), (-1, 0, 0, 0), 1),
+    "typeI": ((0, 0, 1, 0), (0, 1, 0, 0), 0),
+    "typeII": ((0, 0, 0, 1), (0, -1, 0, 0), 1),
+}
+# Each mean row's count, as its index in (I, T, T_fp, T_fn).
+_MEAN_COUNTS = {"mean_T": 1, "mean_Tfp": 2, "mean_Tfn": 3}
+
+
+def _null_se(
+    statistic: str,
+    analytic: float,
+    estimate: Estimate,
+    *,
+    scenario: ScenarioParams,
+    moments: Moments | None,
+    trials: int,
+) -> float:
+    """Standard error of a z row's estimate when its closed form holds.
+
+    With the exact moments of a built design, a mean row's is
+    sqrt(Var0 / trials) and a ratio row's, for event and base counts A
+    and B and closed form p0, is sqrt(Var(A - p0 B) / trials) / E[B].
+    Without them (external designs) it is the binomial floor:
+    sqrt(p0 (1 - p0) / base) and sqrt(mu0 (1 - mu0 / n) / trials).
+    """
+    if statistic in _MEAN_COUNTS:
+        if moments is None:
+            return math.sqrt(max(0.0, analytic * (1.0 - analytic / scenario.n)) / trials)
+        index = _MEAN_COUNTS[statistic]
+        return math.sqrt(max(0.0, moments.cov[index][index]) / trials)
+    if moments is None:
+        return math.sqrt(max(0.0, analytic * (1.0 - analytic)) / estimate.observations)
+    events, base, offset = _RATIO_COUNTS[statistic]
+    mean_base = offset * scenario.n + sum(c * mu for c, mu in zip(base, moments.mean))
+    if mean_base <= 0.0:
+        return 0.0
+    residual = [a - analytic * b for a, b in zip(events, base)]
+    variance = sum(
+        residual[i] * residual[j] * moments.cov[i][j] for i in range(4) for j in range(4)
+    )
+    return math.sqrt(max(0.0, variance) / trials) / mean_base
+
+
 def _value_row(
-    statistic: str, analytic: float | None, estimate: Estimate, z_threshold: float
+    statistic: str,
+    analytic: float | None,
+    estimate: Estimate,
+    z_threshold: float,
+    null_se: Callable[[str, float, Estimate], float],
 ) -> ComparisonRow:
     if analytic is None and estimate.value is None:
         return ComparisonRow(statistic=statistic, kind="z", status="undefined", passed=True)
@@ -430,8 +542,10 @@ def _value_row(
             observations=estimate.observations,
         )
     diff = estimate.value - analytic
-    if estimate.se and estimate.se > 0.0:
-        z = diff / estimate.se
+    se_null = null_se(statistic, analytic, estimate)
+    se = max(estimate.se, se_null)
+    if se > 0.0:
+        z = diff / se
         passed = abs(z) <= z_threshold
     else:
         z = 0.0 if diff == 0.0 else None
@@ -443,18 +557,25 @@ def _value_row(
         passed=passed,
         analytic=analytic,
         empirical=estimate.value,
-        se=estimate.se,
+        se=se,
         z=z,
         observations=estimate.observations,
+        se_sample=estimate.se,
+        se_null=se_null,
     )
 
 
-def _bound_row(statistic: str, bound: float | None, estimate: Estimate) -> ComparisonRow:
+def _bound_row(
+    statistic: str, bound: float | None, estimate: Estimate, exact: float | None
+) -> ComparisonRow:
     if bound is None:
-        return ComparisonRow(statistic=statistic, kind="bound", status="not_applicable", passed=True)
+        return ComparisonRow(
+            statistic=statistic, kind="bound", status="not_applicable", passed=True, exact=exact
+        )
     if estimate.value is None:
         return ComparisonRow(
-            statistic=statistic, kind="bound", status="unavailable", passed=True, bound=bound
+            statistic=statistic, kind="bound", status="unavailable", passed=True, bound=bound,
+            exact=exact,
         )
     slack = 5.0 * (estimate.se or 0.0)
     return ComparisonRow(
@@ -466,6 +587,7 @@ def _bound_row(statistic: str, bound: float | None, estimate: Estimate) -> Compa
         bound=bound,
         slack=slack,
         observations=estimate.observations,
+        exact=exact,
     )
 
 
@@ -475,28 +597,41 @@ def compare(
     """Run the experiment and gate every closed form against it.
 
     Value rows fail when |empirical - analytic| exceeds z_threshold
-    standard errors; variance rows fail when the sample variance exceeds
-    the bound by more than five of its own standard errors.
+    standard errors, where the standard error is the larger of the one
+    estimated from the trials and the one the closed form implies
+    (:func:`_null_se`): on a built design (``MultipoolParams``) from the
+    exact moments of ``analytics.exact_moments``, on an external design
+    from the binomial floor, since its pair structure is unknown.  The
+    null side keeps a rare outcome that happens to be seen seldom from
+    giving a tiny standard error and a large z.  Variance rows fail when
+    the sample variance exceeds the bound by more than five of its own
+    standard errors.
     """
-    report: AnalyticReport = analytic_report(config.scenario)
+    scenario = config.scenario
+    report: AnalyticReport = analytic_report(scenario)
+    moments = exact_moments(scenario) if isinstance(config.design, MultipoolParams) else None
     stats = run_experiment(config, threads=threads)
+    value_row = partial(
+        _value_row,
+        z_threshold=z_threshold,
+        null_se=partial(_null_se, scenario=scenario, moments=moments, trials=config.trials),
+    )
+    exact = (None, None) if moments is None else (moments.cov[1][1], moments.cov[2][2])
     rows = (
-        _value_row("sens", report.sensitivity, stats.sensitivity, z_threshold),
-        _value_row("spec", report.specificity, stats.specificity, z_threshold),
-        _value_row("typeI", report.type_one, stats.type_one, z_threshold),
-        _value_row("typeII", report.type_two, stats.type_two, z_threshold),
-        _value_row("mean_T", report.expected_positives, stats.mean_positives, z_threshold),
-        _value_row(
-            "mean_Tfp", report.expected_false_positives, stats.mean_false_positives, z_threshold
+        value_row("sens", report.sensitivity, stats.sensitivity),
+        value_row("spec", report.specificity, stats.specificity),
+        value_row("typeI", report.type_one, stats.type_one),
+        value_row("typeII", report.type_two, stats.type_two),
+        value_row("mean_T", report.expected_positives, stats.mean_positives),
+        value_row("mean_Tfp", report.expected_false_positives, stats.mean_false_positives),
+        value_row("mean_Tfn", report.expected_false_negatives, stats.mean_false_negatives),
+        _bound_row("var_T", report.var_positives_bound, stats.var_positives, exact[0]),
+        _bound_row(
+            "var_Tfp", report.var_false_positives_bound, stats.var_false_positives, exact[1]
         ),
-        _value_row(
-            "mean_Tfn", report.expected_false_negatives, stats.mean_false_negatives, z_threshold
-        ),
-        _bound_row("var_T", report.var_positives_bound, stats.var_positives),
-        _bound_row("var_Tfp", report.var_false_positives_bound, stats.var_false_positives),
     )
     return ComparisonReport(
-        scenario=config.scenario,
+        scenario=scenario,
         trials=config.trials,
         master_seed=config.master_seed,
         rows=rows,

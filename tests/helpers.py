@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from multipool import model, montecarlo
 from multipool.analytics import ScenarioParams
 from multipool.design import PoolingMatrix
 from multipool.errors import DomainError, MatrixFormatError
+from multipool.model import NOISELESS
 
 
 def independent_irreducibility(modulus: tuple[int, ...], p: int) -> bool:
@@ -75,30 +77,101 @@ class ExactStats:
     expected_false_positives: float
     var_positives: float
     var_false_positives: float
+    # Means and covariance matrix of (I, T, T_fp, T_fn).
+    means: np.ndarray
+    cov: np.ndarray
 
 
-def exact_noiseless_stats(matrix: PoolingMatrix, rho: float, m: int, nc: int = 0) -> ExactStats:
+def exact_noiseless_stats(
+    matrix: PoolingMatrix, rho: float, m: int, nc: int = 0, noise: model.NoiseModel = NOISELESS
+) -> ExactStats:
     """Exact statistics by probability-weighted enumeration of all 2**n
-    infection states under exact tests."""
+    infection states, under exact tests unless ``noise`` is given; under
+    noise, also of all 2**t pool results of each state."""
     states = all_states(matrix.n)
     weights = state_weights(states, rho)
-    z = decode_states(matrix, states, m, nc)
+    if noise.noiseless:
+        z = decode_states(matrix, states, m, nc)
+    else:
+        results = all_states(matrix.t)
+        negative = model.negative_probabilities(model.pool_loads(matrix, states), noise)
+        given = np.where(results[None] == 0, negative[:, None], 1.0 - negative[:, None])
+        weights = (weights[:, None] * given.prod(axis=2)).ravel()
+        z = np.tile(ncomp_flags(matrix, results, m, nc), (len(states), 1))
+        states = np.repeat(states, len(results), axis=0)
+    x = states.astype(np.int64)
+    z = z.astype(np.int64)
+    infected = x.sum(axis=1)
     positives = z.sum(axis=1)
-    false_positives = ((1 - states) * z).sum(axis=1)
-    e_pos = float(weights @ positives)
-    e_fp = float(weights @ false_positives)
-    var_pos = float(weights @ (positives - e_pos) ** 2)
-    var_fp = float(weights @ (false_positives - e_fp) ** 2)
-    sens = (weights[:, None] * (states * z)).sum(axis=0) / rho
-    spec = (weights[:, None] * ((1 - states) * (1 - z))).sum(axis=0) / (1.0 - rho)
+    true_positives = (x * z).sum(axis=1)
+    counts = np.stack([infected, positives, positives - true_positives,
+                       infected - true_positives]).astype(float)
+    means = counts @ weights
+    centred = counts - means[:, None]
+    cov = (centred * weights) @ centred.T
+    sens = (weights[:, None] * (x * z)).sum(axis=0) / rho
+    spec = (weights[:, None] * ((1 - x) * (1 - z))).sum(axis=0) / (1.0 - rho)
     return ExactStats(
         per_item_sensitivity=sens,
         per_item_specificity=spec,
-        expected_positives=e_pos,
-        expected_false_positives=e_fp,
-        var_positives=var_pos,
-        var_false_positives=var_fp,
+        expected_positives=float(means[1]),
+        expected_false_positives=float(means[2]),
+        var_positives=float(cov[1, 1]),
+        var_false_positives=float(cov[2, 2]),
+        means=means,
+        cov=cov,
     )
+
+
+class Dyadic:
+    """An exact dyadic rational mantissa * 2**exponent.
+
+    Floats and ints convert exactly, and sums, differences and products
+    stay exact without the gcd that ``Fraction`` pays on every step, so
+    long products of float parameters stay cheap.
+    """
+
+    __slots__ = ("mantissa", "exponent")
+
+    def __init__(self, value, exponent: int = 0):
+        if isinstance(value, float):
+            numerator, denominator = value.as_integer_ratio()
+            value, exponent = numerator, 1 - denominator.bit_length()
+        self.mantissa, self.exponent = int(value), exponent
+
+    @staticmethod
+    def _of(value) -> "Dyadic":
+        return value if isinstance(value, Dyadic) else Dyadic(value)
+
+    def __add__(self, other):
+        other = Dyadic._of(other)
+        low = min(self.exponent, other.exponent)
+        return Dyadic(
+            (self.mantissa << (self.exponent - low)) + (other.mantissa << (other.exponent - low)),
+            low,
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dyadic(-self.mantissa, self.exponent)
+
+    def __sub__(self, other):
+        return self + -Dyadic._of(other)
+
+    def __rsub__(self, other):
+        return Dyadic._of(other) + -self
+
+    def __mul__(self, other):
+        other = Dyadic._of(other)
+        return Dyadic(self.mantissa * other.mantissa, self.exponent + other.exponent)
+
+    __rmul__ = __mul__
+
+    def fraction(self) -> Fraction:
+        if self.exponent >= 0:
+            return Fraction(self.mantissa << self.exponent)
+        return Fraction(self.mantissa, 1 << -self.exponent)
 
 
 def exact_pivotal_probability(
@@ -188,15 +261,30 @@ def block_tally(
     count: int,
 ) -> dict[str, Counter]:
     """Reference for the batched Monte Carlo kernel: one block through the
-    per-block pipeline, trial-major, drawing its infections and then its
-    pool results from the stream (master_seed, block_index), noiseless or
-    not."""
-    n = matrix.n
+    per-block pipeline, dense and trial-major.
+
+    It takes its draws from the stream (master_seed, block_index) through
+    the package's :func:`montecarlo.positions`, in the package's order:
+    the infected item-trials, then the candidate pool errors at the
+    largest error rate r*, then one uniform per candidate, which keeps
+    it when u * r* falls below its pool's error rate.  A pool errs at rate
+    p_fp when empty and at its negative probability when loaded, and its
+    result is (load > 0) XOR error.
+    """
+    n, t = matrix.n, matrix.t
+    noise = scenario.noise
     rng = model.SeedSpec(master_seed, block_index).rng()
-    x = rng.random((count, n)) < scenario.rho
+    x = np.zeros(count * n, dtype=bool)
+    x[montecarlo.positions(rng, count * n, scenario.rho)] = True
+    x = x.reshape(count, n)
     loads = model.pool_loads(matrix, x)
-    p_negative = model.negative_probabilities(loads, scenario.noise)
-    y = rng.random((count, matrix.t)) >= p_negative
+    error = np.where(loads == 0, noise.p_fp, model.negative_probabilities(loads, noise)).ravel()
+    top = max(noise.p_fp, (1.0 - noise.p_fp) * noise.p_fn)
+    candidates = montecarlo.positions(rng, count * t, top)
+    u = rng.random(candidates.size)
+    flip = np.zeros(count * t, dtype=bool)
+    flip[candidates] = u * top < error[candidates]
+    y = (loads > 0) ^ flip.reshape(count, t)
     counts = model.positive_pool_counts(matrix, y)
     z = counts >= (scenario.m - scenario.nc)
 

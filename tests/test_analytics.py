@@ -12,6 +12,7 @@ from multipool.analytics import (
     ScenarioParams,
     analytic_report,
     binary_entropy,
+    exact_moments,
     confusion_stats,
     expected_counts,
     gamma,
@@ -35,7 +36,7 @@ from multipool.errors import (
 )
 from multipool.model import NOISELESS, NoiseModel
 
-from helpers import exact_pivotal_probability
+from helpers import Dyadic, exact_noiseless_stats, exact_pivotal_probability
 
 NOISY = NoiseModel(0.02, 0.02)
 
@@ -418,3 +419,50 @@ def test_comp_posterior_collapses_to_the_odds_form(q, rho, p_fp, p_fn):
         return
     odds = (rho / (1 - rho)) * ((1 - p_fn * g1) / (1 - g1)) ** m
     assert type_one(scenario) == pytest.approx(1.0 / (1.0 + odds), rel=1e-12)
+
+
+# --- exact moments of built line designs ------------------------------------
+
+_MOMENT_CELLS = [(q, m, nc) for q in (2, 3) for m in (1, 2, 3) for nc in range(min(m, 2) + 1)]
+
+
+@pytest.mark.parametrize("q,m,nc", _MOMENT_CELLS)
+@pytest.mark.parametrize("noise,rho", [(NOISELESS, 0.3), (NoiseModel(0.05, 0.1), 0.2)])
+def test_exact_moments_match_enumeration(q, m, nc, noise, rho):
+    matrix = build_multipool(MultipoolParams(q, m))
+    exact = exact_noiseless_stats(matrix, rho, m, nc, noise)
+    moments = exact_moments(ScenarioParams(rho=rho, q=q, m=m, nc=nc, noise=noise, n=q * q))
+    np.testing.assert_allclose(moments.mean, exact.means, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(moments.cov, exact.cov, rtol=0, atol=1e-12)
+
+
+def test_exact_moments_agree_with_the_closed_form_means():
+    scenario = ScenarioParams(rho=0.1, q=16, m=4, nc=1, noise=NOISY, n=256)
+    moments = exact_moments(scenario)
+    counts = expected_counts(scenario)
+    assert moments.mean[0] == pytest.approx(25.6, rel=1e-15)
+    assert moments.mean[1:] == pytest.approx(
+        (counts.positives, counts.false_positives, counts.false_negatives), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("q,m,rho", [(64, 8, 1e-3), (64, 8, 1e-5), (64, 8, 1e-9),
+                                     (64, 8, 1e-12), (16, 8, 1 - 1e-9)])
+@pytest.mark.parametrize("noise,nc", [(NOISELESS, 0), (NOISY, 1)])
+def test_exact_moments_keep_their_digits_in_the_far_tail(q, m, rho, noise, nc):
+    # The inclusion-exclusion sums cancel: in floats Var[T_fp] at (64, 8)
+    # came out 32 % off at rho = 1e-3 and negative at 1e-5, and 80
+    # decimal digits lose it below rho = 1e-10.  Exact dyadic arithmetic
+    # on the same float inputs is the reference.
+    scenario = ScenarioParams(rho=rho, q=q, m=m, nc=nc, noise=noise, n=q * q)
+    means, cov = analytics._line_design_moments(scenario, Dyadic)
+    moments = exact_moments(scenario)
+    for got, want in zip(moments.mean + sum(moments.cov, ()), means + sum(cov, [])):
+        assert got == pytest.approx(float(want.fraction()), rel=1e-12, abs=0.0)
+
+
+def test_exact_moments_need_a_line_design_size():
+    with pytest.raises(DomainError):
+        exact_moments(ScenarioParams(rho=0.1, q=4, m=2))
+    with pytest.raises(DomainError):
+        exact_moments(ScenarioParams(rho=0.1, q=4, m=2, n=20))

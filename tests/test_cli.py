@@ -85,6 +85,16 @@ def test_validate_reports_parse_location(tmp_path):
     assert "(line 2, column 2)" in check.stderr
 
 
+def test_validate_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"0,1\n1,\xff\n")
+    check = runner.invoke(main, ["validate", str(path), "--q", "2", "--m", "1"])
+    assert check.exit_code == 2
+    assert check.exception is None or isinstance(check.exception, SystemExit)
+    assert check.stderr.startswith("error: ")
+    assert "not UTF-8" in check.stderr
+
+
 # --- analyze -------------------------------------------------------------------
 
 def _analyze(path, statistic, m, extra=()):

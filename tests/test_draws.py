@@ -1,0 +1,99 @@
+"""The sparse Bernoulli draw: success positions by geometric skips."""
+
+import math
+
+import numpy as np
+import pytest
+
+from multipool import montecarlo
+from multipool.model import SeedSpec
+
+RATES = (1e-4, 0.01, 0.1, 0.5, 0.9)
+# Standard normal quantile of 0.9995 and of 0.999.
+Z_TWO_SIDED = 3.2905
+Z_UPPER = 3.0902
+
+
+def _chi_square_limit(df: int) -> float:
+    """Upper 99.9 % point of chi-square(df), Wilson-Hilferty."""
+    return df * (1 - 2 / (9 * df) + Z_UPPER * math.sqrt(2 / (9 * df))) ** 3
+
+
+def _gap_chi_square(gaps: np.ndarray, rate: float) -> tuple[float, int]:
+    """Chi-square statistic and degrees of freedom of gaps against the
+    geometric law P(g = k) = (1 - rate)**(k - 1) * rate, in about 20
+    bins of equal probability."""
+    cdf = lambda k: -math.expm1(k * math.log1p(-rate))  # noqa: E731
+    edges = sorted({math.ceil(math.log1p(-j / 20) / math.log1p(-rate)) for j in range(1, 20)})
+    edges = [e for e in edges if e >= 1]
+    observed, expected, low = [], [], 0
+    for edge in edges + [math.inf]:
+        observed.append(int(((gaps > low) & (gaps <= edge)).sum()))
+        expected.append(gaps.size * ((1.0 if edge == math.inf else cdf(edge)) - cdf(low)))
+        low = edge
+    # Fold bins expected below 5 into their left neighbour.
+    bins = [[observed[0], expected[0]]]
+    for o, e in zip(observed[1:], expected[1:]):
+        if e < 5 or bins[-1][1] < 5:
+            bins[-1][0] += o
+            bins[-1][1] += e
+        else:
+            bins.append([o, e])
+    statistic = sum((o - e) ** 2 / e for o, e in bins)
+    return statistic, len(bins) - 1
+
+
+def _draw(rate: float, size: int, seed: int = 1) -> np.ndarray:
+    return montecarlo.positions(SeedSpec(seed, 0).rng(), size, rate)
+
+
+@pytest.mark.parametrize("rate", RATES)
+def test_success_count_and_gaps_follow_the_bernoulli_law(rate):
+    size = math.ceil(5000 / rate)
+    found = _draw(rate, size)
+    assert found.dtype == np.int64
+    assert found.size == 0 or (found[0] >= 0 and found[-1] < size)
+    assert (np.diff(found) > 0).all()
+
+    mean, sd = size * rate, math.sqrt(size * rate * (1 - rate))
+    assert abs(found.size - mean) <= Z_TWO_SIDED * sd + 1
+
+    gaps = np.diff(found, prepend=-1)
+    statistic, df = _gap_chi_square(gaps, rate)
+    assert df >= 1
+    assert statistic <= _chi_square_limit(df), (statistic, df)
+
+
+@pytest.mark.parametrize("rate", RATES)
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_later_chunks_continue_the_same_positions(rate, chunk):
+    # The chunk only decides how many exponentials are drawn at a time;
+    # the stream gives the same ones however they are split, so small
+    # chunks, which force many of them, must find the same positions.
+    size = math.ceil(300 / rate)
+    whole = _draw(rate, size, seed=3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_gap_chunk", lambda size, rate: chunk)
+        chunked = _draw(rate, size, seed=3)
+    np.testing.assert_array_equal(chunked, whole)
+    assert whole.size > 7
+
+
+def test_the_chunk_covers_four_standard_deviations():
+    assert montecarlo._gap_chunk(10_000, 0.01) == 100 + int(4 * math.sqrt(99)) + 16
+    assert montecarlo._gap_chunk(1, 1e-9) == 16
+
+
+def test_edge_rates_and_sizes_draw_nothing():
+    for rate, size, expected in [(0.0, 100, []), (1.0, 5, [0, 1, 2, 3, 4]), (0.3, 0, [])]:
+        rng = SeedSpec(4, 0).rng()
+        found = montecarlo.positions(rng, size, rate)
+        assert found.dtype == np.int64
+        assert found.tolist() == expected
+        assert rng.random() == SeedSpec(4, 0).rng().random()
+
+
+def test_tiny_rates_stay_inside_int64():
+    for rate in (1e-300, 5e-324):
+        found = _draw(rate, 1 << 40)
+        assert found.size == 0

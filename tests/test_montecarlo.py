@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipool import montecarlo
-from multipool.analytics import ScenarioParams
+from multipool.analytics import ScenarioParams, analytic_report, exact_moments
 from multipool.design import MultipoolParams, PoolingMatrix, build_multipool
 from multipool.errors import DomainError
 from multipool.model import NOISELESS, NoiseModel, SeedSpec, pool_loads, positive_pool_counts
 from multipool.montecarlo import ComparisonReport, ExperimentConfig, compare, run_experiment
 
-from helpers import blockwise_tally, fano_matrix
+from helpers import blockwise_tally, exact_noiseless_stats, fano_matrix
 
 NOISY = NoiseModel(0.02, 0.02)
 
@@ -162,14 +164,14 @@ def test_partial_final_block_keeps_exact_trial_count():
 
 
 # sha256 of json.dumps(compare(config).to_document(), indent=2), captured
-# from the dense-gather pipeline that preceded the trial-minor kernels.
-# Every random draw and integer tally is unchanged since, so the reports
-# must match byte for byte.
+# once the batched kernel tallied exactly like the dense per-block oracle
+# (helpers.block_tally) on the sparse position draws.  A change that
+# keeps every draw, tally and report field must match byte for byte.
 _GOLDEN_REPORTS = {
-    ("dense", 1): "01748f4216e79bef2f6bb88b3bf2267c68aacd5eecca64b033479900e83941fe",
-    ("dense", 2 ** 64 - 59): "9ef042a0a7520c16a94adac3c958668f4557a99860373397ef9030c5bba16b71",
-    ("sparse", 1): "7bf4ae0f553ae777889724b450ccc7dbd663d49ade53c05ab8114227c572464a",
-    ("sparse", 2 ** 64 - 59): "a4090e577a1f2d745a0d5a284efce5dd149f7a20274553ccff888c9bbd967cbc",
+    ("dense", 1): "86658350bf933a31f1e08df611839e659acfb12798f9b97b4bdebf313e9d221c",
+    ("dense", 2 ** 64 - 59): "8da420a67fcf024cea028f126ad6f864224cda19f5bbafeab2f709c90f99b528",
+    ("sparse", 1): "3b307f73485e446b8e8a07069b107a162dd6b86352020affe87380a5185a7de1",
+    ("sparse", 2 ** 64 - 59): "47a79e95ce72cb75a44fda7e4101972c2e38cfdfd0b32c990c308daa08bf0ad4",
 }
 _GOLDEN_CONFIGS = {
     "dense": dict(q=16, m=4, nc=1, rho=0.1, noise=NOISY, trials=6552),
@@ -197,7 +199,7 @@ def test_external_design_report_matches_the_dense_gather_pipeline():
     config = _config(8, 3, rho=0.08, nc=1, noise=NoiseModel(0.05, 0.05), trials=3000, seed=5,
                      design=external)
     assert _sha256(compare(config).to_document()) == (
-        "e11a4d14368fad80d88e366d350a7079e919034a63dd752daba58980b4126e44"
+        "bb5e001b2c4c8952ac07f2c20b7723827ee1d37560eb8f29e4d224996e8841eb"
     )
 
 
@@ -206,11 +208,11 @@ def test_external_design_report_matches_the_dense_gather_pipeline():
 # from the report, so a change to the report's fields or closed forms
 # leaves these alone, and a change that moves a draw shows here first.
 _TALLY_PINS = {
-    ("dense", 1): "00d628983338df04f46f3b2d921b5b45be24b4b568e280d17dcf78efbbe4b925",
-    ("dense", 2 ** 64 - 59): "c28413107e347633893a0deec6ab40123a91d4f25af8899adbf75fa59937470b",
-    ("sparse", 1): "5acd10dc04fdd287a05c9d73cf7968b211df3d1c2e75da0a140f6f9d685af027",
-    ("sparse", 2 ** 64 - 59): "66a338288883bd7d82d25980b1cdd0fff32c6c7399f5333b8538b655bf8e8653",
-    ("external", 5): "4ffabdc4de57f2a928c1019095a69ddd8765eae4a238faf02f1e5ed871b589ee",
+    ("dense", 1): "337f9a55bc4a7ff9293a9b55a76059a06963daa13be957069503d99463f67163",
+    ("dense", 2 ** 64 - 59): "1214dc9392dd168ffaa7456375e294f3aca85001a9ee20848d2de80ce30641b7",
+    ("sparse", 1): "e7b9b7d8d598dbb0b33cd55cb415411dcc30dae1184c8f442697a738837cac3d",
+    ("sparse", 2 ** 64 - 59): "c3f9d8ac131bcdb38bf8fdc2ba7f1d4abb0de687642ec33152875cf9143a902a",
+    ("external", 5): "7400ba5952bd44736628efaf6735b0d77c598493b5a00ddf97da416b61781815",
 }
 
 
@@ -270,7 +272,9 @@ def test_variance_standard_error_survives_fourth_powers_past_int64():
 
     # Replay the block's infection draws: noiseless tests decoded with
     # m = 1 flag both items of every pool that holds an infection.
-    x = SeedSpec(seed, 0).rng().random((trials, n)) < rho
+    x = np.zeros(trials * n, dtype=bool)
+    x[montecarlo.positions(SeedSpec(seed, 0).rng(), trials * n, rho)] = True
+    x = x.reshape(trials, n)
     flagged = 2 * x.reshape(trials, n // 2, 2).any(axis=2).sum(axis=1)
     assert sum(int(t) ** 4 for t in flagged) > np.iinfo(np.int64).max
 
@@ -355,18 +359,16 @@ def _simulations(draw):
     threads=st.sampled_from([1, 2, 3]),
     target=st.integers(1, 1 << 14),
     batch=st.integers(1, 1 << 12),
-    chunk=st.integers(1, 1 << 8),
 )
 def test_batches_tally_exactly_like_the_per_block_pipeline(
-    simulation, trials, seed, threads, target, batch, chunk
+    simulation, trials, seed, threads, target, batch
 ):
     # Small limits split even these small designs into several blocks, a
-    # partial last one, batches of several blocks and draws of a few rows.
+    # partial last one and batches of several blocks.
     matrix, scenario = simulation
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_BLOCK_TARGET_ELEMENTS", target)
         patch.setattr(montecarlo, "_BATCH_ITEM_TRIALS", batch)
-        patch.setattr(montecarlo, "_DRAW_ITEMS", chunk)
         tally = montecarlo._simulate(matrix, scenario, trials, seed, threads)
         expected = blockwise_tally(matrix, scenario, trials, seed)
     assert tally == expected
@@ -395,3 +397,147 @@ def test_counts_past_uint16_are_tallied_exactly():
     tally = montecarlo._simulate(pairs, scenario, 3, 5, 1)
     assert tally["positives"] == {n: 3}
     assert tally == blockwise_tally(pairs, scenario, 3, 5)
+
+
+def test_variance_standard_error_is_exact_near_a_large_mean():
+    # Raw power sums of values near 15000 are about 5e16 per trial, so a
+    # float expansion of the fourth central moment (0.5 here) kept no
+    # digit of it and gave se = 0.0.
+    histogram = Counter({15000: 50, 15001: 100, 15002: 50})
+    n = 200
+    sample_var = Fraction(100, 199)
+    se_sq = (Fraction(1, 2) - sample_var * sample_var * (n - 3) / (n - 1)) / n
+    estimate = montecarlo._variance_estimate(histogram)
+    assert estimate.value == float(sample_var)
+    assert estimate.se == pytest.approx(math.sqrt(se_sq), rel=1e-12)
+    assert estimate.se == pytest.approx(0.0354, abs=1e-4)
+
+
+def test_z_rows_divide_by_the_larger_of_the_sample_and_null_errors():
+    built = compare(_config(8, 3, rho=0.05, nc=1, noise=NOISY, trials=3000, seed=4))
+    moments = exact_moments(built.scenario)
+    rows = {row.statistic: row for row in built.rows}
+    for row in built.rows:
+        if row.kind == "z" and row.status == "ok":
+            assert row.se == max(row.se_sample, row.se_null)
+            assert row.z == (row.empirical - row.analytic) / row.se
+    assert rows["mean_T"].se_null == math.sqrt(moments.cov[1][1] / 3000)
+    assert rows["var_T"].exact == moments.cov[1][1]
+    assert rows["var_Tfp"].exact == moments.cov[2][2]
+    document = built.to_document()["rows"]
+    assert {"se_sample", "se_null", "exact"} <= set(document[0])
+
+    # An external design falls back on the binomial floor.
+    external = compare(
+        ExperimentConfig(ScenarioParams(rho=0.1, q=3, m=3, n=7), fano_matrix(), 2000, 4)
+    )
+    rows = {row.statistic: row for row in external.rows}
+    spec, mean_t = rows["spec"], rows["mean_T"]
+    assert spec.se_null == math.sqrt(spec.analytic * (1 - spec.analytic) / spec.observations)
+    assert mean_t.se_null == math.sqrt(mean_t.analytic * (1 - mean_t.analytic / 7) / 2000)
+    assert rows["var_T"].exact is None
+
+
+def test_null_errors_follow_the_enumerated_null_variance():
+    # Each ratio row is A / B for event and base counts written out here
+    # from (I, T, T_fp, T_fn); its null error is the delta-method one,
+    # sqrt(Var(A - p0 B) / trials) / E[B], from an enumerated covariance.
+    q, m, nc, rho, noise, trials = 3, 2, 1, 0.2, NoiseModel(0.05, 0.1), 1000
+    exact = exact_noiseless_stats(build_multipool(MultipoolParams(q, m)), rho, m, nc, noise)
+    scenario = ScenarioParams(rho=rho, q=q, m=m, nc=nc, noise=noise, n=q * q)
+    report = compare(ExperimentConfig(scenario, MultipoolParams(q, m), trials, 3))
+    rows = {row.statistic: row for row in report.rows}
+    n = q * q
+    infected, flagged, false_pos, false_neg = np.eye(4)
+    ratios = {
+        "sens": (infected - false_neg, infected, 0),
+        "spec": (-infected - false_pos, -infected, n),
+        "typeI": (false_pos, flagged, 0),
+        "typeII": (false_neg, -flagged, n),
+    }
+    for name, (events, base, offset) in ratios.items():
+        p0 = rows[name].analytic
+        residual = events - p0 * base
+        expected = math.sqrt(residual @ exact.cov @ residual / trials) / (offset + base @ exact.means)
+        assert rows[name].se_null == pytest.approx(expected, rel=1e-9), name
+    for name, index in (("mean_T", 1), ("mean_Tfp", 2), ("mean_Tfn", 3)):
+        expected = math.sqrt(exact.cov[index, index] / trials)
+        assert rows[name].se_null == pytest.approx(expected, rel=1e-9), name
+
+
+def test_exact_moments_are_computed_once_per_scenario():
+    config = _config(4, 3, rho=0.07, nc=1, noise=NOISY, trials=500, seed=8)
+    exact_moments.cache_clear()
+    compare(config)
+    compare(config, threads=2)
+    assert exact_moments.cache_info().misses == 1
+
+
+# sim-dense-small's seed 102, op 377 before the sparse draws: 5 misses
+# against about 17 expected.  Dividing by the standard error of those
+# same trials gave sens z = 5.55, typeII z = -5.59 and mean_Tfn z = -5.56.
+_SEED_102_OP_377 = {
+    "sens": Counter(events=167682, base=167687, events_sq=4444888, cross=4445002,
+                    base_sq=4445121, trials=6552),
+    "type_two": Counter(events=5, base=294396, events_sq=5, cross=388, base_sq=18884412,
+                        trials=6552),
+    "false_negatives": Counter({0: 6547, 1: 5}),
+}
+
+
+def test_a_low_count_of_a_rare_outcome_passes_the_null_gate():
+    scenario = ScenarioParams(rho=0.1, q=16, m=4, nc=1, noise=NOISY, n=256)
+    report = analytic_report(scenario)
+    null_se = partial(montecarlo._null_se, scenario=scenario, moments=exact_moments(scenario),
+                      trials=6552)
+    tally = _SEED_102_OP_377
+    rows = [
+        montecarlo._value_row("sens", report.sensitivity,
+                              montecarlo._ratio_estimate(tally["sens"]), 4.0, null_se),
+        montecarlo._value_row("typeII", report.type_two,
+                              montecarlo._ratio_estimate(tally["type_two"]), 4.0, null_se),
+        montecarlo._value_row("mean_Tfn", report.expected_false_negatives,
+                              montecarlo._mean_estimate(tally["false_negatives"]), 4.0, null_se),
+    ]
+    for row in rows:
+        assert abs((row.empirical - row.analytic) / row.se_sample) > 5.5
+        assert abs(row.z) < 4.0 and row.passed, row
+
+
+_CALIBRATION_CASES = [
+    (4, 2, 1, 0.1, NOISY),
+    (8, 3, 0, 0.05, NOISY),
+    (8, 3, 1, 0.02, NOISY),
+    (8, 4, 1, 0.1, NoiseModel(0.05, 0.05)),
+    (16, 4, 1, 0.1, NOISY),
+    (8, 3, 0, 0.03, NOISELESS),
+]
+
+
+def test_the_gate_trips_no_more_often_than_its_nominal_rate():
+    # 240 small reports: a row is beyond 2 (3) standard errors with
+    # probability 4.55 % (0.27 %) under a normal null.  The share of rows
+    # beyond must stay under the upper 99.9 % binomial limit of that rate.
+    # Rows of one report share counts, so this is a screen, not an exact
+    # test.  Dividing by the sample error alone put 18.8 % of these rows
+    # beyond 2 and 16.7 % beyond 3: rows whose rare outcome never
+    # occurred had a zero standard error.
+    beyond, old_beyond, rows = Counter(), Counter(), 0
+    for q, m, nc, rho, noise in _CALIBRATION_CASES:
+        scenario = ScenarioParams(rho=rho, q=q, m=m, nc=nc, noise=noise, n=q * q)
+        for seed in range(1, 41):
+            report = compare(ExperimentConfig(scenario, MultipoolParams(q, m), 200, seed))
+            for row in report.rows:
+                if row.kind != "z" or row.status != "ok":
+                    continue
+                rows += 1
+                diff = abs(row.empirical - row.analytic)
+                old = diff / row.se_sample if row.se_sample else (math.inf if diff else 0.0)
+                for k in (2, 3):
+                    beyond[k] += abs(row.z) > k
+                    old_beyond[k] += old > k
+    print(f"rows {rows}: beyond 2 / 3 sigma {beyond[2]} / {beyond[3]} with the null gate, "
+          f"{old_beyond[2]} / {old_beyond[3]} dividing by the sample error alone")
+    for k, rate in ((2, 0.0455), (3, 0.0027)):
+        limit = rate + 3.0902 * math.sqrt(rate * (1 - rate) / rows)
+        assert beyond[k] / rows <= limit, (k, beyond[k], rows)
