@@ -5,8 +5,9 @@ Holds the noise model and the three kernels of one screening round:
 :func:`negative_probabilities` gives each pool's chance of testing
 negative under noise, and :func:`positive_pool_counts` counts each
 item's positive pools, which the threshold decoder compares with
-m - nc.  ``montecarlo`` draws the infections and pool results and runs
-the round through these kernels.
+m - nc.  These are the dense reference for one round: ``montecarlo``
+runs the same rules on trial states packed 64 to a word, and reads only
+the error-rate table from :func:`negative_probabilities`.
 
 States and results may be stacked, one trial per row.  Pool loads and
 positive-pool counts share one trial-minor gather kernel: the trials are

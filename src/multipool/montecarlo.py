@@ -6,8 +6,9 @@ draws their infections, then their pool errors, from the stream
 (master_seed, b), each as the sorted positions of the rare events
 (:func:`positions`).  Batches only group the compute: a batch is a
 run of consecutive whole blocks, about ``_BATCH_ITEM_TRIALS``
-item-trials in all, whose trials go through the pool-load gather, the
-decode gather and the tally together, trial-minor.  Each batch returns
+item-trials in all, whose trials go through the pool results, the
+decode and the tally together, on states packed 64 trials to a uint64
+word (:func:`_run_batch`).  Each batch returns
 an exact tally: for each pooled ratio the integer sums of its per-trial
 events and bases, their squares and their product, and for each
 per-trial count (flagged, false positives, false negatives) a histogram
@@ -41,21 +42,29 @@ import numpy as np
 from .analytics import AnalyticReport, Moments, ScenarioParams, analytic_report, exact_moments
 from .design import MultipoolParams, PoolingMatrix, build_multipool
 from .errors import DomainError
-from .model import SeedSpec, negative_probabilities, pool_loads, positive_pool_counts
+# pool_loads and positive_pool_counts, the dense reference kernels, are
+# not called here; bench/tracing.py wraps them under these names.
+from .model import SeedSpec, negative_probabilities, pool_loads, positive_pool_counts  # noqa: F401
 
 _BLOCK_TARGET_ELEMENTS = 1 << 24
 _BLOCK_MAX = 4096
 _BLOCK_MIN = 32
-# Item-trials per batch, about: a batch groups whole blocks.
-_BATCH_ITEM_TRIALS = 1 << 19
+# Item-trials per batch, about: a batch groups whole blocks.  Both
+# benchmark workloads run in two batches of about 0.9 M item-trials.
+# One batch of all 1.7-1.8 M made sim-sparse-large 5-10 % faster but
+# sim-dense-small about 40 % slower, its arrays then faulting in about
+# 2200 pages per compare call.
+_BATCH_ITEM_TRIALS = 1 << 20
 
 # glibc's malloc serves each request at or above its mmap threshold
 # (128 KiB at start) with a fresh mapping and unmaps it on free, so every
-# batch would fault its arrays in anew: about 1400 page faults, a fifth
-# of a compare call on both benchmark workloads.  Freeing one mapped
-# block raises the threshold to that block's size, and batch arrays
-# below it (under 1 MiB each on both workloads) then reuse heap memory.
-# Elsewhere this costs one allocation that is never touched.
+# batch would fault its arrays in anew: about 1650 page faults per
+# compare call on sim-dense-small, which made the call about 40 %
+# slower (sim-sparse-large faulted no page either way).  Freeing one
+# mapped block raises the threshold to that block's size, and batch
+# arrays below it (about 1 MiB each at most on both workloads) then
+# reuse heap memory.  Elsewhere this costs one allocation that is never
+# touched.
 np.empty(4 << 20, dtype=np.uint8)
 
 
@@ -135,9 +144,11 @@ class Estimate:
 def _ratio_sums(events: np.ndarray, base: np.ndarray) -> Counter:
     """Exact integer sums for a pooled ratio  sum(a_i) / sum(b_i).
 
-    Every term is at most n**2 per trial, and a batch holds at most about
-    2**19 / n trials plus two blocks, so a batch's int64 sums are exact
-    for any n below 2**28; batches merge as Python ints.
+    Every term is at most n**2 per trial.  A batch holds about
+    ``_BATCH_ITEM_TRIALS`` / n trials plus at most two blocks, and a
+    block holds at most max(32, 2**24 / n) trials, so a batch's sums stay
+    below 2**20 n + 64 n**2 + 2**25 n: exact in int64 for any n below
+    2**28.  Batches merge as Python ints.
     """
     return Counter(
         events=int(events.sum()),
@@ -151,8 +162,9 @@ def _ratio_sums(events: np.ndarray, base: np.ndarray) -> Counter:
 
 def _histogram(values: np.ndarray) -> Counter:
     """How many trials had each value of one per-trial count."""
-    keys, counts = np.unique(values, return_counts=True)
-    return Counter(dict(zip(keys.tolist(), counts.tolist())))
+    counts = np.bincount(values)
+    keys = np.flatnonzero(counts)
+    return Counter(dict(zip(keys.tolist(), counts[keys].tolist())))
 
 
 def _merge(tallies: Iterable[dict[str, Counter]]) -> dict[str, Counter]:
@@ -289,54 +301,101 @@ def _run_batch(
     error rate r*, then one uniform per candidate that keeps it with
     probability (its pool's error rate) / r*.  A pool errs at rate p_fp
     at load 0 and (1 - p_fp) * p_fn ** k at load k >= 1, and its result
-    is (load > 0) XOR error.  Everything else runs once for the whole
-    batch, trial-minor: item and pool states are (rows, trials) arrays,
-    and the gathers get them as transposed views.
+    is (load > 0) XOR error.
+
+    Everything else runs once for the whole batch, on states packed
+    along the trials: one row per item or pool, one bit per trial, 64
+    trials to a uint64 word.  A pool's row is the OR of its items' rows.
+    Each candidate error reads its pool's load from the unpacked
+    infections, and the kept errors flip their pools' bits.  An item is
+    flagged when at least m - nc of its pools are positive, the rule of
+    ``model.positive_pool_counts``: when at most nc + width - m of the
+    ``width`` rows its index names are negative, which a bit-sliced
+    counter of negative rows, saturating one past that, decides.  Index
+    padding reads an all-zero row in both steps, as in ``model``'s
+    gathers: a healthy item and a negative pool.  Per trial, the
+    infected count comes from the infection positions, the flagged count
+    from the unpacked flags, and the missed count from the few words of
+    infected but unflagged bits; no bit past the last trial is counted.
     """
     n, t = matrix.n, matrix.t
     counts = [count for _, count in blocks]
     trials = sum(counts)
     starts = list(accumulate(counts[:-1], initial=0))
     rngs = [SeedSpec(master_seed, index).rng() for index, _ in blocks]
-    xt = np.zeros((n, trials), dtype=bool)
+    # Item-major bools, (n + 1) rows of whole 64-trial words; row n pads.
+    span = -(-trials // 64) * 64
+    x = np.zeros((n + 1) * span, dtype=bool)
+    infected = np.empty(trials, dtype=np.int64)
     for rng, count, first in zip(rngs, counts, starts):
-        trial, item = np.divmod(positions(rng, count * n, scenario.rho), n)
-        xt[item, trial + first] = True
+        local = positions(rng, count * n, scenario.rho)
+        trial = local // n
+        item = local - trial * n
+        infected[first : first + count] = np.bincount(trial, minlength=count)
+        x[item * span + trial + first] = True
+    xp = np.packbits(x.reshape(n + 1, span), axis=1, bitorder="little").view(np.uint64)
 
-    # Pool results, then decoded items, overwrite the counts they come
-    # from, as 0/1 in the counts' own dtype.
-    loads = pool_loads(matrix, xt.T)
-    yt = loads.T
+    # Pool rows, then an all-zero pad row.
+    yp = np.zeros((t + 1, xp.shape[1]), dtype=np.uint64)
+    for column in np.ascontiguousarray(matrix.pool_index.T):
+        yp[:t] |= xp.take(column, axis=0)
+
     # Error rate by load, up to the widest pool; p_fn ** k falls with k,
     # so r* is the rate at load 0 or 1.
     widest = max(1, matrix.pool_index.shape[1])
     error = negative_probabilities(np.arange(widest + 1), scenario.noise)
     error[0] = scenario.noise.p_fp
     top = float(error[:2].max())
-    pools, cols = [], []
+    pools, cols, draws = [], [], []
     for rng, count, first in zip(rngs, counts, starts):
         trial, pool = np.divmod(positions(rng, count * t, top), t)
-        trial += first
-        keep = rng.random(pool.size) * top < error[yt[pool, trial]]
-        pools.append(pool[keep])
-        cols.append(trial[keep])
-    np.greater(yt, 0, out=yt)
-    yt[np.concatenate(pools), np.concatenate(cols)] ^= 1
-    zt = positive_pool_counts(matrix, yt.T).T
-    np.greater_equal(zt, scenario.m - scenario.nc, out=zt)
+        pools.append(pool)
+        cols.append(trial + first)
+        draws.append(rng.random(pool.size))
+    pool, trial = np.concatenate(pools), np.concatenate(cols)
+    if pool.size:
+        load = np.zeros(pool.size, dtype=np.intp)
+        for column in np.multiply(matrix.pool_index.T, span, dtype=np.int64):
+            load += x.take(column.take(pool) + trial)
+        keep = np.concatenate(draws) * top < error[load]
+        pool, trial = pool[keep], trial[keep]
+        # Unbuffered, as flips share bytes; bytes, not words, because
+        # packbits puts trial j at bit j % 8 of byte j // 8.
+        np.bitwise_xor.at(
+            yp.view(np.uint8), (pool, trial >> 3), np.left_shift(1, trial & 7).astype(np.uint8)
+        )
 
-    # Per-trial column sums: uint16 holds any count below 65536 items.
-    acc = np.uint16 if n < 1 << 16 else np.int64
+    # The unpacked infections, the batch's largest array, end here.
+    del x
 
-    def per_trial(states: np.ndarray) -> np.ndarray:
-        return states.sum(axis=0, dtype=acc).astype(np.int64)
+    # below[k]: the trials in which at most k of the rows read so far
+    # were negative.
+    width = matrix.member_index.shape[1]
+    most = scenario.nc + width - scenario.m
+    below = [np.full(xp[:n].shape, np.iinfo(np.uint64).max, dtype=np.uint64)
+             for _ in range(most + 1)]
+    for column in np.ascontiguousarray(matrix.member_index.T):
+        positive = yp.take(column, axis=0)
+        for k in range(most, -1, -1):
+            below[k] &= below[k - 1] | positive if k else positive
+    flags = below[most] if below else np.zeros_like(xp[:n])
 
-    infected = per_trial(xt)
-    flagged = per_trial(zt)
-    zt &= xt
-    true_pos = per_trial(zt)
+    # Column sums over runs of rows unpacked to about 256 KiB at a time:
+    # at most 4096 rows, so uint16 holds them.
+    rows = (1 << 18) // span or 1
+    flagged = np.zeros(span, dtype=np.int64)
+    for lo in range(0, n, rows):
+        bits = np.unpackbits(flags[lo : lo + rows].view(np.uint8), axis=1, bitorder="little")
+        flagged += bits.sum(axis=0, dtype=np.uint16)
+    flagged = flagged[:trials]
+    # Missed infections are rare: unpack only the words that hold one.
+    missed = (xp[:n] & ~flags).reshape(-1)
+    words = np.flatnonzero(missed)
+    bits = np.unpackbits(missed[words].view(np.uint8), bitorder="little").reshape(-1, 64)
+    held, bit = np.nonzero(bits)
+    false_neg = np.bincount(words[held] % (span // 64) * 64 + bit, minlength=trials)
+    true_pos = infected - false_neg
     false_pos = flagged - true_pos
-    false_neg = infected - true_pos
     healthy = n - infected
     true_neg = healthy - false_pos
     flagged_neg = n - flagged

@@ -389,6 +389,38 @@ def test_wide_ragged_designs_tally_like_the_per_block_pipeline(pools, n):
     assert tally == blockwise_tally(matrix, scenario, 70, 3)
 
 
+# Six items: pool 1 is empty and item 5 sits in no pool.
+_RAGGED_POOLS = [(0, 1, 2), (), (2, 3, 4), (0, 4)]
+
+
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("design", ["built", "ragged"])
+def test_no_bit_past_the_last_trial_and_no_pad_row_is_counted(design, trials):
+    # Packed states hold whole 64-trial words: the last word's spare bits
+    # and the index padding must never reach a count.
+    if design == "built":
+        matrix = build_multipool(MultipoolParams(3, 2))
+    else:
+        matrix = PoolingMatrix.from_pools(6, _RAGGED_POOLS)
+    n, m = matrix.n, max(map(len, matrix.item_membership))
+    # nc = m flags every item in every trial.
+    flag_all = ScenarioParams(rho=0.3, q=3, m=m, nc=m, noise=NOISY, n=n)
+    tally = montecarlo._simulate(matrix, flag_all, trials, 7, 1)
+    assert tally["positives"] == {n: trials}
+    assert tally == blockwise_tally(matrix, flag_all, trials, 7)
+    # Every item infected, nc = 0: an item is flagged when all m of its
+    # pools are positive, so only the items in m pools are.
+    all_infected = ScenarioParams(rho=1.0, q=3, m=m, nc=0, noise=NOISELESS, n=n)
+    tally = montecarlo._simulate(matrix, all_infected, trials, 7, 1)
+    full = sum(len(pools) == m for pools in matrix.item_membership)
+    assert tally["positives"] == {full: trials}
+    assert tally == blockwise_tally(matrix, all_infected, trials, 7)
+    # The padding of a pool below the widest reads a healthy item.
+    some = ScenarioParams(rho=0.3, q=3, m=m, nc=0, noise=NOISY, n=n)
+    tally = montecarlo._simulate(matrix, some, trials, 7, 1)
+    assert tally == blockwise_tally(matrix, some, trials, 7)
+
+
 def test_counts_past_uint16_are_tallied_exactly():
     # 65536 items all infected: every per-trial count reaches 65536.
     n = 1 << 16
