@@ -85,36 +85,59 @@ def gamma(k: int, scenario: ScenarioParams) -> float:
     return (1.0 - noise.p_fp) * base ** (scenario.q - k)
 
 
-def _flag_probability(m: int, nc: int, pool_negative: float) -> float:
-    """P(at most nc of m independent pools test negative).
-
-    Each pool is negative with probability ``pool_negative``; the decoder
-    flags an item when at least m - nc of its pools are positive.
-    """
-    positive = 1.0 - pool_negative
-    total = 0.0
-    for k in range(m - nc, m + 1):
-        total += math.comb(m, k) * positive ** k * pool_negative ** (m - k)
+def _binomial_tail(m: int, counts: range, positive: float, negative: float) -> float:
+    """P(the number of positive pools among m independent ones lies in
+    ``counts``), each pool positive with ``positive`` and negative with
+    ``negative``."""
+    total = sum(math.comb(m, k) * positive ** k * negative ** (m - k) for k in counts)
     return _clamp_probability(total)
 
 
-def sensitivity(scenario: ScenarioParams) -> float:
-    """P(item flagged positive | item infected).
+class _DecodeRates(NamedTuple):
+    """The threshold decoder's four conditional rates, each summed as its
+    own binomial tail: a complement taken by subtraction would round a
+    small rate to 0 once its partner rounds to 1."""
 
-    Each pool of an infected item is negative with probability
-    p_fn * gamma_1, independently across its m pools.
-    """
-    pool_negative = scenario.noise.p_fn * gamma(1, scenario)
-    return _flag_probability(scenario.m, scenario.nc, pool_negative)
+    sensitivity: float  # P(flagged | infected)
+    miss: float  # P(cleared | infected)
+    false_alarm: float  # P(flagged | healthy)
+    specificity: float  # P(cleared | healthy)
+
+
+def _decode_rates(scenario: ScenarioParams) -> _DecodeRates:
+    """A pool of a healthy item tests negative with probability gamma_1,
+    a pool of an infected item with p_fn * gamma_1, independently across
+    the item's m pools; the decoder flags the item when at least m - nc
+    of them are positive.  The healthy pool's positive rate 1 - gamma_1
+    is -expm1(log1p(-p_fp) + (q - 1) * log1p(-(1 - p_fn) * rho)), which
+    keeps its digits where gamma_1 rounds to 1."""
+    m, nc = scenario.m, scenario.nc
+    p_fp, p_fn = scenario.noise.p_fp, scenario.noise.p_fn
+    hit = (1.0 - p_fn) * scenario.rho
+    if p_fp == 1.0 or hit == 1.0:
+        healthy_positive = 1.0  # gamma_1 = 0, and log1p(-1) would raise
+    else:
+        healthy_positive = -math.expm1(math.log1p(-p_fp) + (scenario.q - 1) * math.log1p(-hit))
+    healthy_negative = gamma(1, scenario)
+    infected_positive = (1.0 - p_fn) + p_fn * healthy_positive
+    infected_negative = p_fn * healthy_negative
+    flagged, cleared = range(m - nc, m + 1), range(m - nc)
+    return _DecodeRates(
+        sensitivity=_binomial_tail(m, flagged, infected_positive, infected_negative),
+        miss=_binomial_tail(m, cleared, infected_positive, infected_negative),
+        false_alarm=_binomial_tail(m, flagged, healthy_positive, healthy_negative),
+        specificity=_binomial_tail(m, cleared, healthy_positive, healthy_negative),
+    )
+
+
+def sensitivity(scenario: ScenarioParams) -> float:
+    """P(item flagged positive | item infected)."""
+    return _decode_rates(scenario).sensitivity
 
 
 def specificity(scenario: ScenarioParams) -> float:
-    """P(item flagged negative | item not infected).
-
-    Each pool of a healthy item is negative with probability gamma_1, so
-    the flag probability is the same binomial tail with that rate.
-    """
-    return _clamp_probability(1.0 - _flag_probability(scenario.m, scenario.nc, gamma(1, scenario)))
+    """P(item flagged negative | item not infected)."""
+    return _decode_rates(scenario).specificity
 
 
 def _posterior(
@@ -141,18 +164,14 @@ def _posterior(
 
 def type_one(scenario: ScenarioParams) -> float:
     """P(item not infected | item flagged positive)."""
-    rho = scenario.rho
-    sens = sensitivity(scenario)
-    spec = specificity(scenario)
-    return _posterior(1.0 - rho, 1.0 - spec, rho, sens, "positive")
+    rho, rates = scenario.rho, _decode_rates(scenario)
+    return _posterior(1.0 - rho, rates.false_alarm, rho, rates.sensitivity, "positive")
 
 
 def type_two(scenario: ScenarioParams) -> float:
     """P(item infected | item flagged negative), the mirror posterior."""
-    rho = scenario.rho
-    sens = sensitivity(scenario)
-    spec = specificity(scenario)
-    return _posterior(rho, 1.0 - sens, 1.0 - rho, spec, "negative")
+    rho, rates = scenario.rho, _decode_rates(scenario)
+    return _posterior(rho, rates.miss, 1.0 - rho, rates.specificity, "negative")
 
 
 class ExpectedCounts(NamedTuple):
@@ -164,13 +183,11 @@ class ExpectedCounts(NamedTuple):
 def expected_counts(scenario: ScenarioParams) -> ExpectedCounts:
     """Expected flagged, falsely flagged, and missed items out of n."""
     n = scenario._require_n()
-    sens = sensitivity(scenario)
-    spec = specificity(scenario)
-    rho = scenario.rho
+    rho, rates = scenario.rho, _decode_rates(scenario)
     return ExpectedCounts(
-        positives=n * (rho * sens + (1.0 - rho) * (1.0 - spec)),
-        false_positives=n * (1.0 - rho) * (1.0 - spec),
-        false_negatives=n * rho * (1.0 - sens),
+        positives=n * (rho * rates.sensitivity + (1.0 - rho) * rates.false_alarm),
+        false_positives=n * (1.0 - rho) * rates.false_alarm,
+        false_negatives=n * rho * rates.miss,
     )
 
 
@@ -410,10 +427,12 @@ def min_multiplicity(
         cap = q + 1
     require_at_least("cap", cap, 1)
 
-    gamma_1 = gamma(1, ScenarioParams(rho=rho, q=q, m=1, noise=noise))
-    if gamma_1 >= 1.0:
+    # With one pool, the flag rates are the pool's positive rates
+    # 1 - p_fn * gamma_1 and 1 - gamma_1.
+    one_pool = _decode_rates(ScenarioParams(rho=rho, q=q, m=1, noise=noise))
+    if one_pool.false_alarm == 0.0:
         raise DomainError("gamma_1 must be below 1 for tuning; the tests carry no signal")
-    ratio = (1.0 - noise.p_fn * gamma_1) / (1.0 - gamma_1)
+    ratio = one_pool.sensitivity / one_pool.false_alarm
     numerator = math.log(((1.0 - rho) / rho) * (1.0 / epsilon - 1.0))
     raw_bound = numerator / math.log(ratio) if ratio > 1.0 else math.inf
 

@@ -66,51 +66,6 @@ SUPPORTED_ORDERS = frozenset(p for p in range(2, 65) if _is_prime(p)) | frozense
 )
 
 
-def index_to_coeffs(index: int, p: int, a: int) -> tuple[int, ...]:
-    """Base-p digits of ``index``, little endian, padded to length ``a``."""
-    digits = []
-    for _ in range(a):
-        digits.append(index % p)
-        index //= p
-    return tuple(digits)
-
-
-def coeffs_to_index(coeffs: tuple[int, ...], p: int) -> int:
-    index = 0
-    for c in reversed(coeffs):
-        index = index * p + c
-    return index
-
-
-def _poly_mul(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        for j, vj in enumerate(v):
-            out[i + j] = (out[i + j] + ui * vj) % p
-    return tuple(out)
-
-
-def _poly_rem(u: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of ``u`` modulo a monic ``modulus`` over F_p."""
-    deg_m = len(modulus) - 1
-    rem = list(u)
-    for i in range(len(rem) - 1, deg_m - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        rem[i] = 0
-        for j in range(deg_m):
-            rem[i - deg_m + j] = (rem[i - deg_m + j] - c * modulus[j]) % p
-    return tuple(rem[:deg_m]) if deg_m > 0 else ()
-
-
-def poly_mul_mod(u: tuple[int, ...], v: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Product of two residue polynomials, reduced modulo ``modulus``."""
-    return _poly_rem(_poly_mul(u, v, p), modulus, p)
-
-
 class Field:
     """GF(p^a) for a supported order, operating on integer indices.
 
@@ -136,8 +91,8 @@ class Field:
         self.a = a = next(k for k in range(1, q) if p ** k == q)
         self.modulus = (0, 1) if a == 1 else _CONWAY[(p, a)]
         # Base-p digit vectors of every element, little endian: (q, a).
-        digits = np.array([index_to_coeffs(x, p, a) for x in range(self.q)], dtype=np.intp)
         weights = p ** np.arange(a)
+        digits = np.arange(q)[:, None] // weights % p
         x, y = digits[:, None, :], digits[None, :, :]
         add = ((x + y) % p) @ weights
         # Full polynomial product over the integers, then reduce each

@@ -10,9 +10,8 @@ runs the same rules on trial states packed 64 to a word, and reads only
 the error-rate table from :func:`negative_probabilities`.
 
 States and results may be stacked, one trial per row.  Pool loads and
-positive-pool counts share one trial-minor gather kernel: the trials are
-copied to the innermost axis, so each index entry moves a contiguous run
-of one byte per trial instead of a single byte.
+positive-pool counts share one gather kernel, which sums int32 rows of
+a padded copy, one index column at a time.
 
 Randomness is drawn from numpy Generators seeded through
 :class:`SeedSpec`, which derives an independent stream from a master
@@ -75,39 +74,28 @@ class SeedSpec:
 
 
 def _index_sums(values: np.ndarray, index: np.ndarray, what: str) -> np.ndarray:
-    """``out[..., i] = values[..., index[i]].sum(-1)`` for 0/1 ``values``.
+    """``out[..., i] = values[..., index[i]].sum(-1)`` in int32, for 0/1
+    ``values``.
 
-    The rows of ``values`` become the columns of a (width + 1, rows) copy
-    whose last row is zero; an index entry equal to the width is padding
-    and reads that row.  An index without padding gathers straight from
-    a bool or uint8 ``values`` whose transpose is already C-contiguous,
-    read as uint8 so that adding its rows casts nothing.
-    Sums accumulate one index column at a time, in uint8 when no index
-    row has 256 entries, which bounds every sum, and in int32 otherwise.
+    The rows of ``values`` become the columns of a (width + 1, rows)
+    int32 copy whose last row is zero; an index entry equal to the width
+    is padding and reads that row.
     """
     width = values.shape[-1]
     flat = values.reshape(-1, width)
     if flat.dtype != bool and ((flat != 0) & (flat != 1)).any():
         raise DomainError(f"{what} must be 0 or 1")
-    dtype = np.uint8 if index.shape[1] < 256 else np.int32
-    padded = index.shape[1] and (index[:, -1] == width).any()
-    if not padded and flat.dtype in (bool, np.uint8) and flat.T.flags.c_contiguous:
-        columns = flat.T.view(np.uint8)
-    else:
-        columns = np.zeros((width + 1, flat.shape[0]), dtype=dtype)
-        columns[:width] = flat.T
-    sums = np.zeros((index.shape[0], flat.shape[0]), dtype=dtype)
+    columns = np.zeros((width + 1, flat.shape[0]), dtype=np.int32)
+    columns[:width] = flat.T
+    sums = np.zeros((index.shape[0], flat.shape[0]), dtype=np.int32)
     for k in range(index.shape[1]):
         sums += columns.take(index[:, k], axis=0)
     return sums.T.reshape(values.shape[:-1] + (index.shape[0],))
 
 
 def pool_loads(matrix: PoolingMatrix, x: np.ndarray) -> np.ndarray:
-    """Number of infected items per pool; accepts (..., n) stacked 0/1 states.
-
-    Computed trial-minor; uint8 when every pool has fewer than 256 items,
-    int32 otherwise.
-    """
+    """Number of infected items per pool, in int32; accepts (..., n)
+    stacked 0/1 states."""
     x = np.asarray(x)
     if x.shape[-1] != matrix.n:
         raise DomainError(f"state has {x.shape[-1]} items, matrix expects {matrix.n}")
@@ -128,12 +116,8 @@ def negative_probabilities(loads: np.ndarray, noise: NoiseModel) -> np.ndarray:
 
 
 def positive_pool_counts(matrix: PoolingMatrix, y: np.ndarray) -> np.ndarray:
-    """Per item, how many of its pools tested positive; accepts (..., t)
-    stacked 0/1 results.
-
-    Computed trial-minor; uint8 when every item sits in fewer than 256
-    pools, int32 otherwise.
-    """
+    """Per item, how many of its pools tested positive, in int32; accepts
+    (..., t) stacked 0/1 results."""
     y = np.asarray(y)
     if y.shape[-1] != matrix.t:
         raise DomainError(f"results cover {y.shape[-1]} pools, matrix has {matrix.t}")

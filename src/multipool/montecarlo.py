@@ -540,6 +540,8 @@ _RATIO_COUNTS = {
 }
 # Each mean row's count, as its index in (I, T, T_fp, T_fn).
 _MEAN_COUNTS = {"mean_T": 1, "mean_Tfp": 2, "mean_Tfn": 3}
+# A z row fails beyond this many standard errors.
+_Z_GATE = 4.0
 
 
 def _null_se(
@@ -581,7 +583,6 @@ def _value_row(
     statistic: str,
     analytic: float | None,
     estimate: Estimate,
-    z_threshold: float,
     null_se: Callable[[str, float, Estimate], float],
 ) -> ComparisonRow:
     if analytic is None and estimate.value is None:
@@ -605,7 +606,7 @@ def _value_row(
     se = max(estimate.se, se_null)
     if se > 0.0:
         z = diff / se
-        passed = abs(z) <= z_threshold
+        passed = abs(z) <= _Z_GATE
     else:
         z = 0.0 if diff == 0.0 else None
         passed = diff == 0.0
@@ -650,12 +651,10 @@ def _bound_row(
     )
 
 
-def compare(
-    config: ExperimentConfig, threads: int = 1, z_threshold: float = 4.0
-) -> ComparisonReport:
+def compare(config: ExperimentConfig, threads: int = 1) -> ComparisonReport:
     """Run the experiment and gate every closed form against it.
 
-    Value rows fail when |empirical - analytic| exceeds z_threshold
+    Value rows fail when |empirical - analytic| exceeds ``_Z_GATE`` = 4
     standard errors, where the standard error is the larger of the one
     estimated from the trials and the one the closed form implies
     (:func:`_null_se`): on a built design (``MultipoolParams``) from the
@@ -670,20 +669,20 @@ def compare(
     report: AnalyticReport = analytic_report(scenario)
     moments = exact_moments(scenario) if isinstance(config.design, MultipoolParams) else None
     stats = run_experiment(config, threads=threads)
-    value_row = partial(
-        _value_row,
-        z_threshold=z_threshold,
-        null_se=partial(_null_se, scenario=scenario, moments=moments, trials=config.trials),
-    )
+    null_se = partial(_null_se, scenario=scenario, moments=moments, trials=config.trials)
     exact = (None, None) if moments is None else (moments.cov[1][1], moments.cov[2][2])
     rows = (
-        value_row("sens", report.sensitivity, stats.sensitivity),
-        value_row("spec", report.specificity, stats.specificity),
-        value_row("typeI", report.type_one, stats.type_one),
-        value_row("typeII", report.type_two, stats.type_two),
-        value_row("mean_T", report.expected_positives, stats.mean_positives),
-        value_row("mean_Tfp", report.expected_false_positives, stats.mean_false_positives),
-        value_row("mean_Tfn", report.expected_false_negatives, stats.mean_false_negatives),
+        _value_row("sens", report.sensitivity, stats.sensitivity, null_se),
+        _value_row("spec", report.specificity, stats.specificity, null_se),
+        _value_row("typeI", report.type_one, stats.type_one, null_se),
+        _value_row("typeII", report.type_two, stats.type_two, null_se),
+        _value_row("mean_T", report.expected_positives, stats.mean_positives, null_se),
+        _value_row(
+            "mean_Tfp", report.expected_false_positives, stats.mean_false_positives, null_se
+        ),
+        _value_row(
+            "mean_Tfn", report.expected_false_negatives, stats.mean_false_negatives, null_se
+        ),
         _bound_row("var_T", report.var_positives_bound, stats.var_positives, exact[0]),
         _bound_row(
             "var_Tfp", report.var_false_positives_bound, stats.var_false_positives, exact[1]

@@ -11,6 +11,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -42,6 +43,55 @@ def independent_irreducibility(modulus: tuple[int, ...], p: int) -> bool:
                 if np.array_equal(product, target):
                     return False
     return True
+
+
+def index_to_coeffs(index: int, p: int, a: int) -> tuple[int, ...]:
+    """Base-p digits of a GF(p^a) element index, little endian, padded to
+    length ``a``: the coefficients of its residue polynomial."""
+    digits = []
+    for _ in range(a):
+        digits.append(index % p)
+        index //= p
+    return tuple(digits)
+
+
+def coeffs_to_index(coeffs: tuple[int, ...], p: int) -> int:
+    index = 0
+    for c in reversed(coeffs):
+        index = index * p + c
+    return index
+
+
+def _poly_mul(u: tuple[int, ...], v: tuple[int, ...], p: int) -> tuple[int, ...]:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        if ui == 0:
+            continue
+        for j, vj in enumerate(v):
+            out[i + j] = (out[i + j] + ui * vj) % p
+    return tuple(out)
+
+
+def _poly_rem(u: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Remainder of ``u`` modulo a monic ``modulus`` over F_p."""
+    deg_m = len(modulus) - 1
+    rem = list(u)
+    for i in range(len(rem) - 1, deg_m - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        rem[i] = 0
+        for j in range(deg_m):
+            rem[i - deg_m + j] = (rem[i - deg_m + j] - c * modulus[j]) % p
+    return tuple(rem[:deg_m]) if deg_m > 0 else ()
+
+
+def poly_mul_mod(
+    u: tuple[int, ...], v: tuple[int, ...], modulus: tuple[int, ...], p: int
+) -> tuple[int, ...]:
+    """Product of two residue polynomials, reduced modulo ``modulus``: the
+    scalar route that the field's multiplication table is checked against."""
+    return _poly_rem(_poly_mul(u, v, p), modulus, p)
 
 
 def all_states(n: int) -> np.ndarray:
@@ -172,6 +222,92 @@ class Dyadic:
         if self.exponent >= 0:
             return Fraction(self.mantissa << self.exponent)
         return Fraction(self.mantissa, 1 << -self.exponent)
+
+
+def _exact_pool_rates(rho: Fraction, q: int, p_fp: Fraction, p_fn: Fraction):
+    """gamma_1 and p_fn * gamma_1: the chance that a pool of a healthy,
+    and of an infected, item tests negative."""
+    gamma_1 = (1 - p_fp) * (1 - (1 - p_fn) * rho) ** (q - 1)
+    return gamma_1, p_fn * gamma_1
+
+
+def exact_closed_forms(scenario: ScenarioParams, rho: Fraction | None = None) -> dict:
+    """sens, spec, typeI, typeII and, when n is set, the expected counts
+    e_T, e_Tfp and e_Tfn of a scenario, each the float nearest its exact
+    rational value.
+
+    The float parameters convert exactly; ``rho`` replaces the
+    scenario's prevalence with an exact rational.  The m pools of an item
+    test negative independently, each at its rate from
+    :func:`_exact_pool_rates`, and the decoder flags the item when at
+    least m - nc are positive.  Every statistic is one quotient of
+    integers over a common denominator, rounded once (Python's int / int
+    is correctly rounded), so no gcd is taken on the long numerators.  A
+    posterior whose conditioning event has zero mass is None, where the
+    package raises.
+    """
+    rho = Fraction(scenario.rho) if rho is None else rho
+    m, nc = scenario.m, scenario.nc
+    r, s = rho.numerator, rho.denominator
+    noise = scenario.noise
+    healthy, infected = _exact_pool_rates(
+        rho, scenario.q, Fraction(noise.p_fp), Fraction(noise.p_fn)
+    )
+
+    def flagged(negative: Fraction) -> tuple[int, int]:
+        """P(flagged) as (numerator, denominator) for a pool negative rate
+        a / b: the sum of C(m, k) (b - a)^k a^(m - k) over k >= m - nc, by
+        Horner's rule in b - a."""
+        a, b = negative.numerator, negative.denominator
+        total, a_power = 1, 1
+        for k in range(m - 1, m - nc - 1, -1):
+            a_power *= a
+            total = total * (b - a) + comb(m, k) * a_power
+        return total * (b - a) ** (m - nc), b ** m
+
+    def ratio(numerator: int, denominator: int) -> float | None:
+        return None if denominator == 0 else numerator / denominator
+
+    # P(flagged | healthy) = alarm / B and P(flagged | infected) = sens / D.
+    (alarm, big_b), (sens, big_d) = flagged(healthy), flagged(infected)
+    flagged_healthy, flagged_infected = (s - r) * alarm * big_d, r * sens * big_b
+    missed, cleared = r * (big_d - sens) * big_b, (s - r) * (big_b - alarm) * big_d
+    out = {
+        "sens": sens / big_d,
+        "spec": (big_b - alarm) / big_b,
+        "typeI": ratio(flagged_healthy, flagged_healthy + flagged_infected),
+        "typeII": ratio(missed, missed + cleared),
+    }
+    if scenario.n is not None:
+        # The four masses above share the denominator s * B * D.
+        n, mass = scenario.n, s * big_b * big_d
+        out["e_T"] = n * (flagged_infected + flagged_healthy) / mass
+        out["e_Tfp"] = n * flagged_healthy / mass
+        out["e_Tfn"] = n * missed / mass
+    return out
+
+
+def exact_min_multiplicity(
+    rho: Fraction, q: int, p_fp: Fraction, p_fn: Fraction, epsilon: Fraction
+) -> int | None:
+    """Smallest m in [1, q + 1] whose exact nc = 0 type I is at most
+    epsilon, or None when no m qualifies; a scenario in which nothing is
+    ever flagged counts as type I = 0.  Follows ``bench/oracle.py``.
+
+    With nc = 0 an item is flagged when all m of its pools are positive,
+    so type I <= epsilon reads
+        (1 - rho)(1 - epsilon) (1 - gamma_1)^m <= epsilon rho (1 - p_fn gamma_1)^m,
+    compared in integers after clearing denominators.
+    """
+    healthy, infected = (1 - rate for rate in _exact_pool_rates(rho, q, p_fp, p_fn))
+    left, right = (1 - rho) * (1 - epsilon), epsilon * rho
+    lhs, rhs = left.numerator * right.denominator, right.numerator * left.denominator
+    for m in range(1, q + 2):
+        lhs *= healthy.numerator * infected.denominator
+        rhs *= infected.numerator * healthy.denominator
+        if lhs <= rhs:
+            return m
+    return None
 
 
 def exact_pivotal_probability(

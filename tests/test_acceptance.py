@@ -116,7 +116,7 @@ def test_c5_simulation_agrees_with_closed_forms_under_noise():
                             trials=100_000,
                             master_seed=seed,
                         )
-                        report = compare(config, threads=1, z_threshold=4.0)
+                        report = compare(config, threads=1)
                         for row in report.rows:
                             if row.kind != "z":
                                 continue

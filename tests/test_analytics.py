@@ -1,6 +1,9 @@
 """Closed-form statistics: spot values, independent oracles, invariants."""
 
+import itertools
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +39,13 @@ from multipool.errors import (
 )
 from multipool.model import NOISELESS, NoiseModel
 
-from helpers import Dyadic, exact_noiseless_stats, exact_pivotal_probability
+from helpers import (
+    Dyadic,
+    exact_closed_forms,
+    exact_min_multiplicity,
+    exact_noiseless_stats,
+    exact_pivotal_probability,
+)
 
 NOISY = NoiseModel(0.02, 0.02)
 
@@ -103,12 +112,14 @@ def test_screening_paradox_at_tiny_prevalence():
     assert type_one(scenario) > 0.99
 
 
-def test_type_one_zero_when_no_false_alarms_survive():
-    # rho so small that gamma_1 rounds to exactly 1: healthy items are
-    # never flagged, infected ones still can be.
+def test_type_one_keeps_the_false_alarms_that_round_away():
+    # rho so small that gamma_1 and specificity round to exactly 1; the
+    # false alarms they hide still put type one at 2.25e-15, not at 0.
     scenario = ScenarioParams(rho=1e-17, q=16, m=2, noise=NoiseModel(0.0, 0.02))
     assert specificity(scenario) == 1.0
-    assert type_one(scenario) == 0.0
+    exact = exact_closed_forms(scenario)["typeI"]
+    assert 2e-15 < exact < 2.5e-15
+    assert type_one(scenario) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_type_one_is_one_when_nobody_is_infected():
@@ -219,6 +230,63 @@ def test_min_multiplicity_is_minimal_under_noise():
     assert result.m == first_ok
     assert result.type_one <= eps
     assert sweep[result.m - 2] > eps
+
+
+def test_min_multiplicity_meets_the_budget_in_the_far_tail():
+    # At m = 2 type one is about 4.9e-8, 49 times the budget; spec rounded
+    # to 1 there, so 1 - spec read it as 0 and tuning stopped at m = 2.
+    rho = eps = Fraction(1, 10 ** 9)
+    result = min_multiplicity(1e-9, 8, NOISELESS, 1e-9)
+    assert result.m == exact_min_multiplicity(rho, 8, Fraction(0), Fraction(0), eps) == 3
+    at_two = exact_closed_forms(ScenarioParams(rho=1e-9, q=8, m=2), rho=rho)["typeI"]
+    assert 4.8e-8 < at_two < 5.0e-8
+    at_three = exact_closed_forms(ScenarioParams(rho=1e-9, q=8, m=3), rho=rho)["typeI"]
+    assert result.type_one == pytest.approx(at_three, rel=1e-12, abs=0)
+
+
+def test_min_multiplicity_matches_the_exact_oracle_on_a_grid():
+    # The benchmark self-test's grid: rho and epsilon over the decades
+    # 1e-1 .. 1e-9, five pool sizes, exact and p_fp = p_fn = 0.02 tests.
+    decades = [Fraction(1, 10 ** e) for e in range(1, 10)]
+    rates = (Fraction(0), Fraction(2, 100))
+    points = list(itertools.product(rates, (5, 8, 16, 27, 64), decades, decades))
+    misses = []
+    for p, q, rho, eps in points:
+        noise = NoiseModel(float(p), float(p))
+        try:
+            got = min_multiplicity(float(rho), q, noise, float(eps)).m
+        except InfeasibleError:
+            got = None
+        exact = exact_min_multiplicity(rho, q, p, p, eps)
+        if got != exact:
+            misses.append((p, q, rho, eps, got, exact))
+    assert len(points) == 810
+    assert misses == []
+
+
+@pytest.mark.parametrize("noise", [NOISELESS, NOISY, NoiseModel(0.1, 0.3)])
+@pytest.mark.parametrize("q, m, nc", [(8, 2, 0), (16, 4, 1), (64, 8, 0), (64, 8, 3)])
+@pytest.mark.parametrize("decade", [3, 6, 9, 12])
+def test_closed_forms_keep_their_digits_at_small_prevalence(noise, q, m, nc, decade):
+    rho = Fraction(1, 10 ** decade)
+    scenario = ScenarioParams(rho=float(rho), q=q, m=m, nc=nc, noise=noise, n=q * q)
+    exact = exact_closed_forms(scenario, rho=rho)
+    counts = expected_counts(scenario)
+    got = {
+        "sens": sensitivity(scenario),
+        "spec": specificity(scenario),
+        "typeI": type_one(scenario),
+        "typeII": type_two(scenario),
+        "e_T": counts.positives,
+        "e_Tfp": counts.false_positives,
+        "e_Tfn": counts.false_negatives,
+    }
+    assert set(got) == set(exact)
+    for name, value in got.items():
+        if exact[name] == 0:
+            assert value == 0.0, name
+        else:
+            assert value == pytest.approx(exact[name], rel=1e-12, abs=0), name
 
 
 def test_min_multiplicity_infeasible():
@@ -391,17 +459,15 @@ def test_allowing_misses_trades_specificity_for_sensitivity(q, rho, p_fp, p_fn):
 @settings(max_examples=150, deadline=None)
 @given(scenario=scenario_boxes(interior=True))
 def test_posteriors_agree_with_bayes_rule(scenario):
-    sens = sensitivity(scenario)
-    spec = specificity(scenario)
-    rho = scenario.rho
-    flagged = (1 - rho) * (1 - spec) + rho * sens
-    cleared = rho * (1 - sens) + (1 - rho) * spec
+    # The reference is exact: one built from the floats 1 - spec and
+    # 1 - sens put type two 1.6e-12 off at (rho=0.5, q=12, m=2, nc=1,
+    # p_fn=0.25).
+    exact = exact_closed_forms(replace(scenario, n=1))
+    flagged = exact["e_T"]  # the chance that an item is flagged
     if flagged > 1e-12:
-        assert type_one(scenario) == pytest.approx(
-            (1 - rho) * (1 - spec) / flagged, abs=1e-12
-        )
-    if cleared > 1e-12:
-        assert type_two(scenario) == pytest.approx(rho * (1 - sens) / cleared, abs=1e-12)
+        assert type_one(scenario) == pytest.approx(exact["typeI"], abs=1e-12)
+    if 1 - flagged > 1e-12:
+        assert type_two(scenario) == pytest.approx(exact["typeII"], abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 from multipool import gf
 from multipool.errors import DomainError, UnsupportedFieldError
 
-from helpers import independent_irreducibility
+from helpers import coeffs_to_index, independent_irreducibility, index_to_coeffs, poly_mul_mod
 
 EXTENSION_ORDERS = sorted(p ** a for (p, a) in gf._CONWAY)
 PRIME_ORDERS = sorted(q for q in gf.SUPPORTED_ORDERS if gf.field_for_order(q).a == 1)
@@ -142,10 +142,10 @@ def test_coefficient_bijection_round_trips(q):
     f = gf.field_for_order(q)
     seen = set()
     for x in range(q):
-        coeffs = gf.index_to_coeffs(x, f.p, f.a)
+        coeffs = index_to_coeffs(x, f.p, f.a)
         assert len(coeffs) == f.a
         assert all(0 <= c < f.p for c in coeffs)
-        assert gf.coeffs_to_index(coeffs, f.p) == x
+        assert coeffs_to_index(coeffs, f.p) == x
         seen.add(coeffs)
     assert len(seen) == q
 
@@ -156,8 +156,8 @@ def test_prime_fast_path_matches_polynomial_arithmetic(p):
     # The polynomial route with modulus x: multiply degree-0 residues and
     # reduce, mirroring what the extension-field tables do.
     for x, y in itertools.product(range(p), repeat=2):
-        poly_sum = (gf.index_to_coeffs(x, p, 1)[0] + gf.index_to_coeffs(y, p, 1)[0]) % p
-        poly_product = gf.poly_mul_mod((x,), (y,), f.modulus, p)
+        poly_sum = (index_to_coeffs(x, p, 1)[0] + index_to_coeffs(y, p, 1)[0]) % p
+        poly_product = poly_mul_mod((x,), (y,), f.modulus, p)
         assert f.add(x, y) == poly_sum
         assert f.mul(x, y) == (poly_product[0] if poly_product else 0)
 
@@ -168,11 +168,11 @@ def test_tables_match_polynomial_arithmetic(q):
     # polynomials and reduce by the modulus, one pair at a time.
     f = gf.field_for_order(q)
     for x, y in itertools.product(range(q), repeat=2):
-        cx, cy = gf.index_to_coeffs(x, f.p, f.a), gf.index_to_coeffs(y, f.p, f.a)
+        cx, cy = index_to_coeffs(x, f.p, f.a), index_to_coeffs(y, f.p, f.a)
         total = tuple((u + v) % f.p for u, v in zip(cx, cy))
-        product = gf.poly_mul_mod(cx, cy, f.modulus, f.p)
-        assert f.add(x, y) == gf.coeffs_to_index(total, f.p)
-        assert f.mul(x, y) == gf.coeffs_to_index(product, f.p)
+        product = poly_mul_mod(cx, cy, f.modulus, f.p)
+        assert f.add(x, y) == coeffs_to_index(total, f.p)
+        assert f.mul(x, y) == coeffs_to_index(product, f.p)
 
 
 def test_neg_and_inv_consistency():

@@ -167,8 +167,8 @@ def test_gather_kernels_match_the_dense_reference(data):
     counts = positive_pool_counts(matrix, y)
     assert counts.shape == y.shape[:-1] + (matrix.n,)
     assert np.array_equal(counts, dense_gather_sums(y, matrix.item_membership))
-    # Trial-minor states, as the Monte Carlo batches hold them, arrive
-    # as transposed views of C-contiguous (rows, trials) arrays.
+    # A stack held as the transposed view of a C-contiguous (rows, trials)
+    # array sums like its C-contiguous copy.
     for states, kernel, rows in [
         (x, pool_loads, matrix.pools),
         (y, positive_pool_counts, matrix.item_membership),
@@ -225,7 +225,8 @@ def test_negative_probabilities_equal_np_power_bit_for_bit(dtype):
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int32])
 def test_noiseless_pool_results_are_loads_above_zero(dtype):
-    # The Monte Carlo kernel skips the pool draw of noiseless scenarios.
+    # Under exact tests a pool is negative with probability 1 at load 0
+    # and 0 above it, so results drawn against uniforms are load > 0.
     loads = np.random.default_rng(2).permutation(np.tile(np.arange(65, dtype=dtype), 8))
     loads = loads.reshape(8, 65)
     u = SeedSpec(9, 4).rng().random(loads.shape)
