@@ -85,6 +85,17 @@ def gamma(k: int, scenario: ScenarioParams) -> float:
     return (1.0 - noise.p_fp) * base ** (scenario.q - k)
 
 
+def _quiet_beta(scenario: ScenarioParams) -> tuple[float, float]:
+    """(quiet, beta): the chance quiet = (1 - rho) ** (q - 1) that the
+    other q - 1 members of a pool are all healthy, and beta = 1 - quiet.
+    Both come from (q - 1) * log1p(-rho), beta through expm1, so beta
+    keeps its digits where quiet rounds to 1."""
+    if scenario.rho == 1.0:
+        return 0.0, 1.0  # log1p(-1) would raise
+    log_quiet = (scenario.q - 1) * math.log1p(-scenario.rho)
+    return math.exp(log_quiet), -math.expm1(log_quiet)
+
+
 def _binomial_tail(m: int, counts: range, positive: float, negative: float) -> float:
     """P(the number of positive pools among m independent ones lies in
     ``counts``), each pool positive with ``positive`` and negative with
@@ -215,8 +226,8 @@ def variance_bounds(scenario: ScenarioParams) -> VarianceBounds:
         raise NotApplicableError("variance bounds hold only for noiseless tests")
     n = scenario._require_n()
     rho, q, m = scenario.rho, scenario.q, scenario.m
-    beta = 1.0 - (1.0 - rho) ** (q - 1)
-    shared_pair_term = m * (q - 1) * (1.0 - rho) ** (q - 1) * beta ** (m - 1)
+    quiet, beta = _quiet_beta(scenario)
+    shared_pair_term = m * (q - 1) * quiet * beta ** (m - 1)
     scale = n * m * q * rho * (1.0 - rho)
     return VarianceBounds(
         positives=scale * (1.0 - beta ** m + shared_pair_term),
@@ -384,9 +395,8 @@ def pivotal_probability(scenario: ScenarioParams) -> float:
     """
     if not scenario.noise.noiseless:
         raise NotApplicableError("pivotal probability is defined for noiseless tests")
-    rho, q, m = scenario.rho, scenario.q, scenario.m
-    quiet = (1.0 - rho) ** (q - 1)
-    return quiet * (1.0 - quiet) ** (m - 1)
+    quiet, beta = _quiet_beta(scenario)
+    return quiet * beta ** (scenario.m - 1)
 
 
 @dataclass(frozen=True)
@@ -576,7 +586,7 @@ def analytic_report(scenario: ScenarioParams) -> AnalyticReport:
         expected_false_negatives=expected.false_negatives if expected else None,
         var_positives_bound=bounds.positives if bounds else None,
         var_false_positives_bound=bounds.false_positives if bounds else None,
-        beta=1.0 - (1.0 - scenario.rho) ** (scenario.q - 1),
+        beta=_quiet_beta(scenario)[1],
         rho_disjunct=threshold_disjunct(scenario.q, scenario.m),
         rho_info=rho_info,
     )

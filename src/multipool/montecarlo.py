@@ -15,7 +15,10 @@ per-trial count (flagged, false positives, false negatives) a histogram
 of how many trials had each value.  Batches merge by integer addition
 and every estimate is a function of the merged integers, so results are
 bit-identical no matter how many threads process the batches, in which
-order they finish, or how the blocks group into batches.
+order they finish, or how the blocks group into batches.  With threads
+> 1 the calling thread works through the batches alongside helper
+threads from one pool that lives as long as the process
+(:class:`_Helpers`), so no call starts a thread of its own.
 
 Conditional proportions (sensitivity and friends) pool item-level events
 across trials.  Items within a trial share pools and are therefore
@@ -29,8 +32,9 @@ closed form implies (:func:`compare`).
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
@@ -112,9 +116,12 @@ def positions(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
         # moves no position and keeps the sums in int64.
         gaps = np.fmin(rng.standard_exponential(chunk) * scale, size).astype(np.int64)
         gaps += 1
-        parts.append(np.cumsum(gaps) + last)
-        last = int(parts[-1][-1])
-    found = np.concatenate(parts)
+        gaps[0] += last
+        # Summed in place, and one chunk is not copied: the positions are
+        # the largest arrays of a batch.
+        parts.append(np.cumsum(gaps, out=gaps))
+        last = int(gaps[-1])
+    found = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return found[: np.searchsorted(found, size)]
 
 
@@ -288,12 +295,18 @@ class ExperimentConfig:
 
 
 def _run_batch(
-    matrix: PoolingMatrix,
+    pool_rows: np.ndarray,
+    member_rows: np.ndarray,
     scenario: ScenarioParams,
     master_seed: int,
     blocks: list[tuple[int, int]],
 ) -> dict[str, Counter]:
     """Tally a run of consecutive whole (block index, trial count) blocks.
+
+    ``pool_rows`` and ``member_rows`` are the design's padded indexes,
+    transposed and C-contiguous: row j of ``pool_rows`` names the j-th
+    item of every pool, row j of ``member_rows`` the j-th pool of every
+    item, and t and n are their row lengths.
 
     Each block draws from its own stream: the positions of its
     infections among its count * n item-trials, trial-major, then the
@@ -318,7 +331,7 @@ def _run_batch(
     from the unpacked flags, and the missed count from the few words of
     infected but unflagged bits; no bit past the last trial is counted.
     """
-    n, t = matrix.n, matrix.t
+    n, t = member_rows.shape[1], pool_rows.shape[1]
     counts = [count for _, count in blocks]
     trials = sum(counts)
     starts = list(accumulate(counts[:-1], initial=0))
@@ -328,21 +341,27 @@ def _run_batch(
     x = np.zeros((n + 1) * span, dtype=bool)
     infected = np.empty(trials, dtype=np.int64)
     for rng, count, first in zip(rngs, counts, starts):
-        local = positions(rng, count * n, scenario.rho)
-        trial = local // n
-        item = local - trial * n
+        # The positions turn into bit indexes in place, and both arrays go
+        # before the error draw: they set the batch's peak memory.
+        item = positions(rng, count * n, scenario.rho)
+        trial = item // n
         infected[first : first + count] = np.bincount(trial, minlength=count)
-        x[item * span + trial + first] = True
+        item %= n
+        item *= span
+        item += trial
+        item += first
+        x[item] = True
+    del item, trial
     xp = np.packbits(x.reshape(n + 1, span), axis=1, bitorder="little").view(np.uint64)
 
     # Pool rows, then an all-zero pad row.
     yp = np.zeros((t + 1, xp.shape[1]), dtype=np.uint64)
-    for column in np.ascontiguousarray(matrix.pool_index.T):
+    for column in pool_rows:
         yp[:t] |= xp.take(column, axis=0)
 
     # Error rate by load, up to the widest pool; p_fn ** k falls with k,
     # so r* is the rate at load 0 or 1.
-    widest = max(1, matrix.pool_index.shape[1])
+    widest = max(1, pool_rows.shape[0])
     error = negative_probabilities(np.arange(widest + 1), scenario.noise)
     error[0] = scenario.noise.p_fp
     top = float(error[:2].max())
@@ -355,7 +374,7 @@ def _run_batch(
     pool, trial = np.concatenate(pools), np.concatenate(cols)
     if pool.size:
         load = np.zeros(pool.size, dtype=np.intp)
-        for column in np.multiply(matrix.pool_index.T, span, dtype=np.int64):
+        for column in np.multiply(pool_rows, span, dtype=np.int64):
             load += x.take(column.take(pool) + trial)
         keep = np.concatenate(draws) * top < error[load]
         pool, trial = pool[keep], trial[keep]
@@ -370,11 +389,11 @@ def _run_batch(
 
     # below[k]: the trials in which at most k of the rows read so far
     # were negative.
-    width = matrix.member_index.shape[1]
+    width = member_rows.shape[0]
     most = scenario.nc + width - scenario.m
     below = [np.full(xp[:n].shape, np.iinfo(np.uint64).max, dtype=np.uint64)
              for _ in range(most + 1)]
-    for column in np.ascontiguousarray(matrix.member_index.T):
+    for column in member_rows:
         positive = yp.take(column, axis=0)
         for k in range(most, -1, -1):
             below[k] &= below[k - 1] | positive if k else positive
@@ -411,6 +430,44 @@ def _run_batch(
     }
 
 
+class _Helpers:
+    """The helper threads that every multi-batch simulation shares.
+
+    One ``ThreadPoolExecutor``, started on first use and replaced by a
+    larger one only when a call asks for more helpers than it has.  The
+    threads live as long as the process, so each keeps one malloc arena
+    warm from call to call instead of a fresh thread filling a fresh
+    arena on every call.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._pool: ThreadPoolExecutor | None = None
+        self._size = 0
+
+    def start(self, count: int, fn: Callable[[], None]) -> list[Future]:
+        """Submit ``count`` calls of ``fn``, growing the pool to at least
+        ``count`` threads first.  Submitting under the lock keeps a
+        concurrent call from shutting the pool down in between."""
+        with self._lock:
+            if count > self._size:
+                if self._pool is not None:
+                    # Work already submitted to the old pool still runs.
+                    self._pool.shutdown(wait=False)
+                self._pool = ThreadPoolExecutor(count, thread_name_prefix="multipool")
+                self._size = count
+            return [self._pool.submit(fn) for _ in range(count)]
+
+    def shutdown(self) -> None:
+        with self._lock:
+            if self._pool is not None:
+                self._pool.shutdown()
+            self._pool, self._size = None, 0
+
+
+_HELPERS = _Helpers()
+
+
 def _simulate(
     matrix: PoolingMatrix,
     scenario: ScenarioParams,
@@ -423,8 +480,10 @@ def _simulate(
     Block b of :func:`_block_size` trials draws from the stream
     (master_seed, b).  Consecutive blocks are grouped into at least
     ``threads`` batches of about ``_BATCH_ITEM_TRIALS`` item-trials each,
-    never more batches than blocks, and the batches share out over the
-    thread pool.
+    never more batches than blocks.  When threads > 1 and there is more
+    than one batch, the calling thread and min(threads, batches) - 1 of
+    the persistent helper threads (:class:`_Helpers`) take the batches in
+    turn from one shared iterator.
     """
     block = _block_size(matrix.n, scenario.m, scenario.q)
     blocks = [
@@ -434,22 +493,52 @@ def _simulate(
     count = min(len(blocks), max(threads, -(-trials * matrix.n // _BATCH_ITEM_TRIALS)))
     cuts = [len(blocks) * k // count for k in range(count + 1)]
     batches = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    # Each batch reads the indexes row by row.
+    pool_rows = np.ascontiguousarray(matrix.pool_index.T)
+    member_rows = np.ascontiguousarray(matrix.member_index.T)
 
     def work(batch: list[tuple[int, int]]) -> dict[str, Counter]:
-        return _run_batch(matrix, scenario, master_seed, batch)
+        return _run_batch(pool_rows, member_rows, scenario, master_seed, batch)
 
     if threads == 1 or len(batches) == 1:
         return _merge(map(work, batches))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _merge(pool.map(work, batches))
+    # Each tally lands in its batch's slot, so the merge runs in batch
+    # order whichever thread ran which batch.
+    tallies: list[dict[str, Counter]] = [{}] * len(batches)
+    todo = enumerate(batches)
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                index, batch = next(todo, (None, None))
+            if batch is None:
+                return
+            tallies[index] = work(batch)
+
+    helpers = _HELPERS.start(min(threads, len(batches)) - 1, drain)
+    try:
+        drain()
+    finally:
+        # A helper still queued behind another call's work would find no
+        # batch left; one that started may still be on its last.
+        for helper in helpers:
+            helper.cancel()
+        wait(helpers)
+    for helper in helpers:
+        if not helper.cancelled():
+            helper.result()
+    return _merge(tallies)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats:
     """Simulate config.trials rounds and pool the tallies.
 
-    ``threads`` only distributes batches of blocks over a thread pool;
-    the estimates are identical for every thread count because block
-    seeding and the integer accumulations do not depend on scheduling.
+    ``threads`` only shares the batches of blocks between the calling
+    thread and up to threads - 1 helper threads, which persist from call
+    to call; the estimates are identical for every thread count because
+    block seeding and the integer accumulations do not depend on
+    scheduling.
     """
     if threads < 1:
         raise DomainError(f"thread count must be positive, got {threads}")

@@ -378,6 +378,28 @@ def test_analytic_report_none_semantics():
     assert clean.beta == pytest.approx(1 - 0.95 ** 15, rel=1e-12)
     assert clean.rho_disjunct == 3 / 256
 
+
+@pytest.mark.parametrize("rho", [1e-6, 1e-9, 1e-12])
+def test_beta_forms_keep_their_digits_at_low_prevalence(rho):
+    # 1 - (1 - rho) ** 63 by subtraction was off by 3.0e-11 relative at
+    # rho = 1e-6 and 2.9e-8 at 1e-9.
+    q, m, n = 64, 8, 4096
+    scenario = ScenarioParams(rho=rho, q=q, m=m, n=n)
+    r = Fraction(rho)
+    quiet = (1 - r) ** (q - 1)
+    beta = 1 - quiet
+    shared = m * (q - 1) * quiet * beta ** (m - 1)
+    scale = n * m * q * r * (1 - r)
+    bounds = variance_bounds(scenario)
+    assert analytic_report(scenario).beta == _exactly(beta)
+    assert bounds.positives == _exactly(scale * (1 - beta ** m + shared))
+    assert bounds.false_positives == _exactly(scale * (beta ** m + shared))
+    assert pivotal_probability(scenario) == _exactly(quiet * beta ** (m - 1))
+
+
+def _exactly(value: Fraction):
+    return pytest.approx(float(value), rel=1e-12, abs=0)
+
     silent = analytic_report(ScenarioParams(rho=0.0, q=4, m=2))
     assert silent.type_one is None
     assert silent.expected_positives is None

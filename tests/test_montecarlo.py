@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import sys
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -46,6 +48,103 @@ def test_reports_are_identical_across_reruns_and_thread_counts():
     baseline = _document_bytes(compare(config, threads=1))
     assert _document_bytes(compare(config, threads=1)) == baseline
     assert _document_bytes(compare(config, threads=4)) == baseline
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """A fresh helper pool for one test, shut down after it."""
+    fresh = montecarlo._Helpers()
+    monkeypatch.setattr(montecarlo, "_HELPERS", fresh)
+    yield fresh
+    fresh.shutdown()
+
+
+def _record_batch_threads(monkeypatch, fail_off_caller=False) -> list[int]:
+    """Route ``_run_batch`` through a wrapper that records the thread of
+    each batch, holds every batch 50 ms so that each thread in the call
+    gets the chance to take one, and with ``fail_off_caller`` raises on
+    any thread but the caller's."""
+    threads, run_batch, caller = [], montecarlo._run_batch, threading.get_ident()
+
+    def recorded(*args):
+        thread = threading.get_ident()
+        threads.append(thread)
+        time.sleep(0.05)
+        if fail_off_caller and thread != caller:
+            raise RuntimeError("batch failed on a helper")
+        return run_batch(*args)
+
+    monkeypatch.setattr(montecarlo, "_run_batch", recorded)
+    return threads
+
+
+# Three blocks of 4096 trials at n = 16, so threads = 3 runs three batches
+# on the caller and two helpers.
+_THREE_BATCHES = _config(4, 3, rho=0.07, nc=1, noise=NOISY, trials=9_000, seed=31337)
+
+
+def test_the_caller_runs_batches_and_consecutive_calls_share_one_helper(helpers, monkeypatch):
+    expected = _document_bytes(compare(_THREE_BATCHES, threads=1))
+    threads = _record_batch_threads(monkeypatch)
+    caller = threading.get_ident()
+    seen = []
+    for _ in range(2):
+        threads.clear()
+        assert _document_bytes(compare(_THREE_BATCHES, threads=2)) == expected
+        assert threads.count(caller) >= 1
+        seen.append(set(threads) - {caller})
+    # One helper at threads = 2, and the same thread in both calls.
+    assert len(seen[0]) == 1
+    assert seen[1] == seen[0]
+
+
+def test_helpers_never_outnumber_the_batches(helpers, monkeypatch):
+    threads = _record_batch_threads(monkeypatch)
+    # (16, 4) at 6552 trials is two blocks, so two batches at any thread count.
+    config = _config(16, 4, rho=0.1, nc=1, noise=NOISY, trials=6552, seed=4)
+    compare(config, threads=3)
+    assert len(threads) == 2
+    assert helpers._size == 1
+    threads.clear()
+    compare(_THREE_BATCHES, threads=3)
+    assert len(set(threads)) <= 3
+    assert helpers._size == 2
+
+
+def test_a_helper_failure_reaches_the_caller_and_the_pool_still_works(helpers, monkeypatch):
+    expected = _document_bytes(compare(_THREE_BATCHES, threads=1))
+    run_batch = montecarlo._run_batch
+    _record_batch_threads(monkeypatch, fail_off_caller=True)
+    with pytest.raises(RuntimeError, match="on a helper"):
+        compare(_THREE_BATCHES, threads=3)
+    monkeypatch.setattr(montecarlo, "_run_batch", run_batch)
+    assert _document_bytes(compare(_THREE_BATCHES, threads=3)) == expected
+
+
+def test_concurrent_calls_return_the_documents_of_sequential_calls(helpers):
+    # Four user threads on two cores, two of them at threads = 2 and two
+    # at threads = 3, so the pool grows while calls are using it; a short
+    # switch interval makes the threads interleave often.
+    expected = _document_bytes(compare(_THREE_BATCHES, threads=1))
+    start = threading.Barrier(4)
+    documents = {}
+
+    def call(user: int, threads: int) -> None:
+        start.wait(timeout=10)
+        documents[user] = _document_bytes(compare(_THREE_BATCHES, threads=threads))
+
+    users = [threading.Thread(target=call, args=(user, 2 + user % 2)) for user in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for user in users:
+            user.start()
+        for user in users:
+            user.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(user.is_alive() for user in users)
+    assert documents == dict.fromkeys(range(4), expected)
 
 
 def test_count_means_satisfy_the_tally_identity():
@@ -166,13 +265,14 @@ def test_partial_final_block_keeps_exact_trial_count():
 # sha256 of json.dumps(compare(config).to_document(), indent=2), captured
 # once the batched kernel tallied exactly like the dense per-block oracle
 # (helpers.block_tally) on the sparse position draws, and the closed
-# forms summed each decoder rate as its own tail.  A change that keeps
-# every draw, tally and report field must match byte for byte.
+# forms summed each decoder rate as its own tail and took beta through
+# expm1.  A change that keeps every draw, tally and report field must
+# match byte for byte.
 _GOLDEN_REPORTS = {
     ("dense", 1): "dc3e3f1136556bb0d9c97e9643924e63d7e7d38fa0ea8d1894b181089824d7ab",
     ("dense", 2 ** 64 - 59): "41cc6edd3cd0c9351044616adc61854ce5c803a5ddfcd50e7415ee7319cc0776",
-    ("sparse", 1): "21f543f9b5f9cde4cb0a6e4226c890615008716ac481057dc52672c7726ca455",
-    ("sparse", 2 ** 64 - 59): "437264d03e3f6491786f25f2c78d43ac02637b934094b0bef3f033eac7d432d4",
+    ("sparse", 1): "2de11f113b94a35dab8d3b91a93f39c37eb3cb49497433f923ce36cfeb754a5c",
+    ("sparse", 2 ** 64 - 59): "695cde9c6469916519a0238014e6273d75ce4b897bf398e2bd0716ae697615dc",
 }
 _GOLDEN_CONFIGS = {
     "dense": dict(q=16, m=4, nc=1, rho=0.1, noise=NOISY, trials=6552),
