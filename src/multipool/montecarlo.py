@@ -458,13 +458,6 @@ class _Helpers:
                 self._size = count
             return [self._pool.submit(fn) for _ in range(count)]
 
-    def shutdown(self) -> None:
-        with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown()
-            self._pool, self._size = None, 0
-
-
 _HELPERS = _Helpers()
 
 

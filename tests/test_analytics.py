@@ -378,6 +378,13 @@ def test_analytic_report_none_semantics():
     assert clean.beta == pytest.approx(1 - 0.95 ** 15, rel=1e-12)
     assert clean.rho_disjunct == 3 / 256
 
+    silent = analytic_report(ScenarioParams(rho=0.0, q=4, m=2))
+    assert silent.type_one is None
+    assert silent.expected_positives is None
+
+    steep = analytic_report(ScenarioParams(rho=0.1, q=3, m=4))
+    assert steep.rho_info is None
+
 
 @pytest.mark.parametrize("rho", [1e-6, 1e-9, 1e-12])
 def test_beta_forms_keep_their_digits_at_low_prevalence(rho):
@@ -399,13 +406,6 @@ def test_beta_forms_keep_their_digits_at_low_prevalence(rho):
 
 def _exactly(value: Fraction):
     return pytest.approx(float(value), rel=1e-12, abs=0)
-
-    silent = analytic_report(ScenarioParams(rho=0.0, q=4, m=2))
-    assert silent.type_one is None
-    assert silent.expected_positives is None
-
-    steep = analytic_report(ScenarioParams(rho=0.1, q=3, m=4))
-    assert steep.rho_info is None
 
 
 # --- invariants over the whole parameter box ----------------------------------

@@ -5,7 +5,6 @@ import json
 import math
 import sys
 import threading
-import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -52,30 +51,36 @@ def test_reports_are_identical_across_reruns_and_thread_counts():
 
 @pytest.fixture
 def helpers(monkeypatch):
-    """A fresh helper pool for one test, shut down after it."""
+    """A fresh helper pool for one test, its threads joined after it."""
     fresh = montecarlo._Helpers()
     monkeypatch.setattr(montecarlo, "_HELPERS", fresh)
     yield fresh
-    fresh.shutdown()
+    if fresh._pool is not None:
+        fresh._pool.shutdown()
 
 
-def _record_batch_threads(monkeypatch, fail_off_caller=False) -> list[int]:
+def _record_batch_threads(monkeypatch, fail_off_caller=False) -> tuple[list[int], threading.Event]:
     """Route ``_run_batch`` through a wrapper that records the thread of
-    each batch, holds every batch 50 ms so that each thread in the call
-    gets the chance to take one, and with ``fail_off_caller`` raises on
-    any thread but the caller's."""
-    threads, run_batch, caller = [], montecarlo._run_batch, threading.get_ident()
+    each batch, and return the record with an event that a helper's batch
+    sets.  The caller's batches wait for that event, so a call that has
+    helpers always runs a batch on one of them; clear both between calls.
+    With ``fail_off_caller`` every batch off the caller raises."""
+    threads, helper_ran = [], threading.Event()
+    run_batch, caller = montecarlo._run_batch, threading.get_ident()
 
     def recorded(*args):
         thread = threading.get_ident()
         threads.append(thread)
-        time.sleep(0.05)
-        if fail_off_caller and thread != caller:
-            raise RuntimeError("batch failed on a helper")
+        if thread == caller:
+            assert helper_ran.wait(timeout=30), "no helper took a batch"
+        else:
+            helper_ran.set()
+            if fail_off_caller:
+                raise RuntimeError("batch failed on a helper")
         return run_batch(*args)
 
     monkeypatch.setattr(montecarlo, "_run_batch", recorded)
-    return threads
+    return threads, helper_ran
 
 
 # Three blocks of 4096 trials at n = 16, so threads = 3 runs three batches
@@ -85,11 +90,12 @@ _THREE_BATCHES = _config(4, 3, rho=0.07, nc=1, noise=NOISY, trials=9_000, seed=3
 
 def test_the_caller_runs_batches_and_consecutive_calls_share_one_helper(helpers, monkeypatch):
     expected = _document_bytes(compare(_THREE_BATCHES, threads=1))
-    threads = _record_batch_threads(monkeypatch)
+    threads, helper_ran = _record_batch_threads(monkeypatch)
     caller = threading.get_ident()
     seen = []
     for _ in range(2):
         threads.clear()
+        helper_ran.clear()
         assert _document_bytes(compare(_THREE_BATCHES, threads=2)) == expected
         assert threads.count(caller) >= 1
         seen.append(set(threads) - {caller})
@@ -99,13 +105,14 @@ def test_the_caller_runs_batches_and_consecutive_calls_share_one_helper(helpers,
 
 
 def test_helpers_never_outnumber_the_batches(helpers, monkeypatch):
-    threads = _record_batch_threads(monkeypatch)
+    threads, helper_ran = _record_batch_threads(monkeypatch)
     # (16, 4) at 6552 trials is two blocks, so two batches at any thread count.
     config = _config(16, 4, rho=0.1, nc=1, noise=NOISY, trials=6552, seed=4)
     compare(config, threads=3)
     assert len(threads) == 2
     assert helpers._size == 1
     threads.clear()
+    helper_ran.clear()
     compare(_THREE_BATCHES, threads=3)
     assert len(set(threads)) <= 3
     assert helpers._size == 2
