@@ -567,7 +567,9 @@ def _or_none(error: type[Exception], statistic, *args):
         return None
 
 
+@lru_cache(maxsize=256)
 def analytic_report(scenario: ScenarioParams) -> AnalyticReport:
+    """Every closed form of ``scenario``; cached, like :func:`exact_moments`."""
     t1 = _or_none(UndefinedResultError, type_one, scenario)
     t2 = _or_none(UndefinedResultError, type_two, scenario)
     expected = bounds = None

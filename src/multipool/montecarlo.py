@@ -59,6 +59,12 @@ _BLOCK_MIN = 32
 # sim-dense-small about 40 % slower, its arrays then faulting in about
 # 2200 pages per compare call.
 _BATCH_ITEM_TRIALS = 1 << 20
+# Index rows gathered at a time by a batch's pool OR and its
+# candidate-error loads: _GATHER_ROWS, or fewer where the gathered rows
+# would pass _GATHER_BYTES, about the size of a batch's unpacked
+# infections, so that a gather does not raise the batch's peak memory.
+_GATHER_ROWS = 16
+_GATHER_BYTES = 1 << 20
 
 # glibc's malloc serves each request at or above its mmap threshold
 # (128 KiB at start) with a fresh mapping and unmaps it on free, so every
@@ -91,6 +97,11 @@ def _gap_chunk(size: int, rate: float) -> int:
     return int(mean + 4.0 * math.sqrt(mean * (1.0 - rate))) + 16
 
 
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts end to end; a lone part is not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def positions(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
     """Sorted positions of the successes among ``size`` Bernoulli(rate)
     trials, by geometric skips (Devroye 1986, ch. X).
@@ -114,14 +125,16 @@ def positions(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
     while last < size - 1:
         # Any gap past the end ends the draw, so capping gaps at ``size``
         # moves no position and keeps the sums in int64.
-        gaps = np.fmin(rng.standard_exponential(chunk) * scale, size).astype(np.int64)
+        gaps = rng.standard_exponential(chunk)
+        gaps *= scale
+        gaps = np.fmin(gaps, size, out=gaps).astype(np.int64)
         gaps += 1
         gaps[0] += last
         # Summed in place, and one chunk is not copied: the positions are
         # the largest arrays of a batch.
         parts.append(np.cumsum(gaps, out=gaps))
         last = int(gaps[-1])
-    found = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    found = _joined(parts)
     return found[: np.searchsorted(found, size)]
 
 
@@ -214,34 +227,39 @@ def _central_moments(histogram: Counter) -> tuple[int, Fraction, Fraction, Fract
     """Trial count, mean and plug-in second and fourth central moments,
     exact.
 
-    With s1 the sum of the values, each centred value is (n v - s1) / n,
-    so the centred power sums are integer sums over the histogram.
+    From the integer power sums s_k of the values over the n trials, the
+    centred values (n v - s1) / n have the integer power sums
+    n**2 s2 - n s1**2 and n**4 s4 - 4 n**3 s1 s3 + 6 n**2 s1**2 s2 - 3 n s1**4,
+    over n**2 and n**4.
     """
-    n = sum(histogram.values())
-    s1 = sum(trials * value for value, trials in histogram.items())
-    d2 = d4 = 0
+    n = s1 = s2 = s3 = s4 = 0
     for value, trials in histogram.items():
-        square = (n * value - s1) ** 2
-        d2 += trials * square
-        d4 += trials * square * square
+        n += trials
+        term = trials * value
+        s1 += term
+        term *= value
+        s2 += term
+        term *= value
+        s3 += term
+        s4 += term * value
+    d2 = n * (n * s2 - s1 * s1)
+    d4 = n * (n * (n * (n * s4 - 4 * s1 * s3) + 6 * s1 * s1 * s2) - 3 * s1 ** 4)
     return n, Fraction(s1, n), Fraction(d2, n ** 3), Fraction(d4, n ** 5)
 
 
-def _mean_estimate(histogram: Counter) -> Estimate:
-    n, mean, m2, _ = _central_moments(histogram)
+def _count_estimates(histogram: Counter) -> tuple[Estimate, Estimate]:
+    """The mean and variance estimates of one per-trial count, from one
+    pass over its histogram."""
+    n, mean, m2, m4 = _central_moments(histogram)
     sample_var = m2 * n / (n - 1) if n > 1 else 0
-    return Estimate(value=float(mean), se=math.sqrt(sample_var / n), observations=n)
-
-
-def _variance_estimate(histogram: Counter) -> Estimate:
-    n, _, m2, m4 = _central_moments(histogram)
+    mean_estimate = Estimate(value=float(mean), se=math.sqrt(sample_var / n), observations=n)
     if n < 2:
-        return Estimate(value=None, se=None, observations=n)
-    sample_var = m2 * n / (n - 1)
+        return mean_estimate, Estimate(value=None, se=None, observations=n)
     # Sampling variance of the sample variance via the plug-in fourth
     # central moment.
     se_sq = (m4 - sample_var * sample_var * (n - 3) / (n - 1)) / n
-    return Estimate(value=float(sample_var), se=math.sqrt(max(0, se_sq)), observations=n)
+    variance = Estimate(value=float(sample_var), se=math.sqrt(max(0, se_sq)), observations=n)
+    return mean_estimate, variance
 
 
 @dataclass(frozen=True)
@@ -294,6 +312,32 @@ class ExperimentConfig:
         return build_multipool(self.design)
 
 
+def _gather_step(row_bytes: int) -> int:
+    """Index rows to gather at a time when each gathered row holds
+    ``row_bytes`` bytes."""
+    return max(1, min(_GATHER_ROWS, _GATHER_BYTES // max(1, row_bytes)))
+
+
+def _candidate_loads(
+    x: np.ndarray, span: int, pool_rows: np.ndarray, pool: np.ndarray, trial: np.ndarray
+) -> np.ndarray:
+    """The load of each candidate error's pool in its trial.
+
+    ``x`` holds the infections as item-major 0/1 bytes, ``span`` to an
+    item, and a load is the column sum of the pool's index rows read
+    from it, one gather per run of rows (:func:`_gather_step`).  Below
+    256 rows the sums fit in a byte.
+    """
+    load = np.zeros(pool.size, dtype=np.uint8 if pool_rows.shape[0] < 256 else np.intp)
+    step = _gather_step(8 * pool.size)
+    for lo in range(0, pool_rows.shape[0], step):
+        index = np.multiply(pool_rows[lo : lo + step], span, dtype=np.int64)
+        index = index.take(pool, axis=1)
+        index += trial
+        load += x.take(index).sum(axis=0, dtype=load.dtype)
+    return load
+
+
 def _run_batch(
     pool_rows: np.ndarray,
     member_rows: np.ndarray,
@@ -316,76 +360,98 @@ def _run_batch(
     at load 0 and (1 - p_fp) * p_fn ** k at load k >= 1, and its result
     is (load > 0) XOR error.
 
-    Everything else runs once for the whole batch, on states packed
-    along the trials: one row per item or pool, one bit per trial, 64
-    trials to a uint64 word.  A pool's row is the OR of its items' rows.
-    Each candidate error reads its pool's load from the unpacked
-    infections, and the kept errors flip their pools' bits.  An item is
+    Everything else runs once for the whole batch, in a few whole-array
+    passes.  The blocks' infection positions, shifted to trial-major
+    positions in the batch, are indexed once: a floor division gives
+    each infection's trial, a bincount the infected count per trial, and
+    a product and a difference its bit in an item-major array of 0/1
+    bytes.  These pack along the trials, one row per item or pool, one
+    bit per trial, 64 trials to a uint64 word.  Each candidate error
+    reads its pool's load from the bytes, one gather per run of index
+    rows, summed in a byte while pools hold fewer than 256 items; at r* =
+    0 the error stage draws nothing and is skipped.  A pool's row is the
+    OR of its items' rows, one gather and one reduce per run of index
+    rows, and the kept errors flip their pools' bits.  An item is
     flagged when at least m - nc of its pools are positive, the rule of
     ``model.positive_pool_counts``: when at most nc + width - m of the
     ``width`` rows its index names are negative, which a bit-sliced
     counter of negative rows, saturating one past that, decides.  Index
     padding reads an all-zero row in both steps, as in ``model``'s
-    gathers: a healthy item and a negative pool.  Per trial, the
-    infected count comes from the infection positions, the flagged count
-    from the unpacked flags, and the missed count from the few words of
-    infected but unflagged bits; no bit past the last trial is counted.
+    gathers: a healthy item and a negative pool.  Per trial, the flagged
+    count adds the unpacked flags eight byte lanes to a uint64 word, and
+    the missed count comes from the few words of infected but unflagged
+    bits; no bit past the last trial is counted.
     """
     n, t = member_rows.shape[1], pool_rows.shape[1]
     counts = [count for _, count in blocks]
     trials = sum(counts)
     starts = list(accumulate(counts[:-1], initial=0))
     rngs = [SeedSpec(master_seed, index).rng() for index, _ in blocks]
-    # Item-major bools, (n + 1) rows of whole 64-trial words; row n pads.
+    # Item-major 0/1 bytes, (n + 1) rows of whole 64-trial words; row n
+    # pads.
     span = -(-trials // 64) * 64
-    x = np.zeros((n + 1) * span, dtype=bool)
-    infected = np.empty(trials, dtype=np.int64)
+    x = np.zeros((n + 1) * span, dtype=np.uint8)
+    # Each block's infections, shifted to trial-major positions in the
+    # batch, turn into item-major bit indexes in place: position g of
+    # trial g // n goes to (g % n) * span + g // n.  Both arrays go before
+    # the error draw: they set the batch's peak memory.
+    parts = []
     for rng, count, first in zip(rngs, counts, starts):
-        # The positions turn into bit indexes in place, and both arrays go
-        # before the error draw: they set the batch's peak memory.
-        item = positions(rng, count * n, scenario.rho)
-        trial = item // n
-        infected[first : first + count] = np.bincount(trial, minlength=count)
-        item %= n
-        item *= span
-        item += trial
-        item += first
-        x[item] = True
+        part = positions(rng, count * n, scenario.rho)
+        part += first * n
+        parts.append(part)
+    item = _joined(parts)
+    del parts, part
+    trial = item // n
+    infected = np.bincount(trial, minlength=trials)
+    item *= span
+    trial *= n * span - 1
+    item -= trial
+    x[item] = 1
     del item, trial
-    xp = np.packbits(x.reshape(n + 1, span), axis=1, bitorder="little").view(np.uint64)
-
-    # Pool rows, then an all-zero pad row.
-    yp = np.zeros((t + 1, xp.shape[1]), dtype=np.uint64)
-    for column in pool_rows:
-        yp[:t] |= xp.take(column, axis=0)
+    # Rows are whole bytes, so packing the flat array packs each row;
+    # along axis 1 numpy would pack row by row, slowly for short rows.
+    xp = np.packbits(x, bitorder="little").view(np.uint64).reshape(n + 1, span // 64)
 
     # Error rate by load, up to the widest pool; p_fn ** k falls with k,
-    # so r* is the rate at load 0 or 1.
+    # so r* is the rate at load 0 or 1.  At r* = 0 no stream is drawn
+    # from (positions at rate 0 and rng.random(0) take nothing), so the
+    # stage is skipped.
     widest = max(1, pool_rows.shape[0])
     error = negative_probabilities(np.arange(widest + 1), scenario.noise)
     error[0] = scenario.noise.p_fp
     top = float(error[:2].max())
-    pools, cols, draws = [], [], []
-    for rng, count, first in zip(rngs, counts, starts):
-        trial, pool = np.divmod(positions(rng, count * t, top), t)
-        pools.append(pool)
-        cols.append(trial + first)
-        draws.append(rng.random(pool.size))
-    pool, trial = np.concatenate(pools), np.concatenate(cols)
-    if pool.size:
-        load = np.zeros(pool.size, dtype=np.intp)
-        for column in np.multiply(pool_rows, span, dtype=np.int64):
-            load += x.take(column.take(pool) + trial)
-        keep = np.concatenate(draws) * top < error[load]
+    pool = trial = np.empty(0, dtype=np.int64)
+    if top > 0.0:
+        # Candidates as trial-major positions in the batch, as above.
+        parts, draws = [], []
+        for rng, count, first in zip(rngs, counts, starts):
+            part = positions(rng, count * t, top)
+            part += first * t
+            parts.append(part)
+            draws.append(rng.random(part.size))
+        trial, pool = np.divmod(_joined(parts), t)
+        load = _candidate_loads(x, span, pool_rows, pool, trial)
+        keep = _joined(draws) * top < error.take(load)
         pool, trial = pool[keep], trial[keep]
-        # Unbuffered, as flips share bytes; bytes, not words, because
-        # packbits puts trial j at bit j % 8 of byte j // 8.
-        np.bitwise_xor.at(
-            yp.view(np.uint8), (pool, trial >> 3), np.left_shift(1, trial & 7).astype(np.uint8)
-        )
 
     # The unpacked infections, the batch's largest array, end here.
     del x
+
+    # Pool rows, then an all-zero pad row: each run of index rows is one
+    # gather and one OR down the gathered stack.  The kept errors then
+    # flip their pools' bits: unbuffered, as flips share bytes, and in
+    # bytes, not words, because packbits puts trial j at bit j % 8 of byte
+    # j // 8.
+    yp = np.empty((t + 1, xp.shape[1]), dtype=np.uint64)
+    yp[t] = 0
+    step = _gather_step(yp[:t].nbytes)
+    np.bitwise_or.reduce(xp.take(pool_rows[:step], axis=0), axis=0, out=yp[:t])
+    for lo in range(step, pool_rows.shape[0], step):
+        yp[:t] |= np.bitwise_or.reduce(xp.take(pool_rows[lo : lo + step], axis=0), axis=0)
+    np.bitwise_xor.at(
+        yp.view(np.uint8), (pool, trial >> 3), np.left_shift(1, trial & 7).astype(np.uint8)
+    )
 
     # below[k]: the trials in which at most k of the rows read so far
     # were negative.
@@ -399,13 +465,22 @@ def _run_batch(
             below[k] &= below[k - 1] | positive if k else positive
     flags = below[most] if below else np.zeros_like(xp[:n])
 
-    # Column sums over runs of rows unpacked to about 256 KiB at a time:
-    # at most 4096 rows, so uint16 holds them.
-    rows = (1 << 18) // span or 1
+    # Per-trial flag counts, eight to a uint64 word: each unpacked byte is
+    # one item's bit of one trial, and adding unpacked rows as uint64
+    # words adds eight byte lanes at once, exact while no lane passes
+    # 255.  Rows fold into super-rows of ``fold`` rows, about 4 KiB, so
+    # that the adds run along long rows; a run of at most 255 super-rows,
+    # about 256 KiB, is unpacked at a time, zero-padded to whole
+    # super-rows, and its lanes fold back into trials as wider sums.
+    fold = max(1, 4096 // span)
+    rows = min(255, max(1, (1 << 18) // (fold * span))) * fold
     flagged = np.zeros(span, dtype=np.int64)
     for lo in range(0, n, rows):
-        bits = np.unpackbits(flags[lo : lo + rows].view(np.uint8), axis=1, bitorder="little")
-        flagged += bits.sum(axis=0, dtype=np.uint16)
+        run = flags[lo : lo + rows]
+        bits = np.unpackbits(run.view(np.uint8), count=-(-len(run) // fold) * fold * span,
+                             bitorder="little")
+        lanes = bits.view(np.uint64).reshape(-1, fold * span // 8).sum(axis=0)
+        flagged += lanes.view(np.uint8).reshape(fold, span).sum(axis=0, dtype=np.int64)
     flagged = flagged[:trials]
     # Missed infections are rare: unpack only the words that hold one.
     missed = (xp[:n] & ~flags).reshape(-1)
@@ -536,16 +611,18 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats
     if threads < 1:
         raise DomainError(f"thread count must be positive, got {threads}")
     tally = _simulate(config.matrix(), config.scenario, config.trials, config.master_seed, threads)
+    mean_positives, var_positives = _count_estimates(tally["positives"])
+    mean_false_positives, var_false_positives = _count_estimates(tally["false_positives"])
     return EmpiricalStats(
         sensitivity=_ratio_estimate(tally["sens"]),
         specificity=_ratio_estimate(tally["spec"]),
         type_one=_ratio_estimate(tally["type_one"]),
         type_two=_ratio_estimate(tally["type_two"]),
-        mean_positives=_mean_estimate(tally["positives"]),
-        mean_false_positives=_mean_estimate(tally["false_positives"]),
-        mean_false_negatives=_mean_estimate(tally["false_negatives"]),
-        var_positives=_variance_estimate(tally["positives"]),
-        var_false_positives=_variance_estimate(tally["false_positives"]),
+        mean_positives=mean_positives,
+        mean_false_positives=mean_false_positives,
+        mean_false_negatives=_count_estimates(tally["false_negatives"])[0],
+        var_positives=var_positives,
+        var_false_positives=var_false_positives,
         trials=config.trials,
         max_false_negatives=max(tally["false_negatives"]),
     )

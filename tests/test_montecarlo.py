@@ -413,8 +413,7 @@ def test_tallies_merge_to_the_same_estimates_however_trials_split(rows, data):
                 "ratio": montecarlo._ratio_sums(events, base)}
 
     def estimates(total):
-        return (montecarlo._mean_estimate(total["count"]),
-                montecarlo._variance_estimate(total["count"]),
+        return (*montecarlo._count_estimates(total["count"]),
                 montecarlo._ratio_estimate(total["ratio"]),
                 max(total["count"]))
 
@@ -497,6 +496,31 @@ def test_wide_ragged_designs_tally_like_the_per_block_pipeline(pools, n):
     assert tally == blockwise_tally(matrix, scenario, 70, 3)
 
 
+
+def test_candidate_loads_past_255_are_counted_exactly():
+    # Every item is infected, so each candidate error on the 300-item pool
+    # reads load 300 and is kept at 0.99 * 0.99 ** 300, about 0.05.  A load
+    # summed in a byte would wrap to 44 and keep it at about 0.64.  At
+    # nc = 1 each kept error there clears the 298 items in that pool only.
+    matrix = PoolingMatrix.from_pools(300, [range(300), (0, 1), ()])
+    scenario = ScenarioParams(rho=1.0, q=2, m=2, nc=1, noise=NoiseModel(0.01, 0.99), n=300)
+    tally = montecarlo._simulate(matrix, scenario, 200, 11, 1)
+    assert tally == blockwise_tally(matrix, scenario, 200, 11)
+
+
+@pytest.mark.parametrize("trials", [64, 65, 300])
+@pytest.mark.parametrize("n", [254, 255, 256, 511, 4097])
+def test_flag_counts_fold_exactly_at_their_edges(n, trials):
+    # At nc = m every item is flagged in every trial, so every byte lane of
+    # the flag count holds as many rows as the fold gives it, and a lost or
+    # double-counted row, or a padded one, moves the count.
+    matrix = PoolingMatrix.from_pools(n, [range(0, n, 2), range(1, n, 3), ()])
+    scenario = ScenarioParams(rho=0.3, q=2, m=2, nc=2, noise=NOISY, n=n)
+    tally = montecarlo._simulate(matrix, scenario, trials, 13, 1)
+    assert tally["positives"] == {n: trials}
+    assert tally == blockwise_tally(matrix, scenario, trials, 13)
+
+
 # Six items: pool 1 is empty and item 5 sits in no pool.
 _RAGGED_POOLS = [(0, 1, 2), (), (2, 3, 4), (0, 4)]
 
@@ -547,7 +571,7 @@ def test_variance_standard_error_is_exact_near_a_large_mean():
     n = 200
     sample_var = Fraction(100, 199)
     se_sq = (Fraction(1, 2) - sample_var * sample_var * (n - 3) / (n - 1)) / n
-    estimate = montecarlo._variance_estimate(histogram)
+    _, estimate = montecarlo._count_estimates(histogram)
     assert estimate.value == float(sample_var)
     assert estimate.se == pytest.approx(math.sqrt(se_sq), rel=1e-12)
     assert estimate.se == pytest.approx(0.0354, abs=1e-4)
@@ -613,6 +637,14 @@ def test_exact_moments_are_computed_once_per_scenario():
     assert exact_moments.cache_info().misses == 1
 
 
+def test_analytic_reports_are_computed_once_per_scenario():
+    config = _config(4, 3, rho=0.07, nc=1, noise=NOISY, trials=500, seed=8)
+    analytic_report.cache_clear()
+    compare(config)
+    compare(config, threads=2)
+    assert analytic_report.cache_info().misses == 1
+
+
 # sim-dense-small's seed 102, op 377 before the sparse draws: 5 misses
 # against about 17 expected.  Dividing by the standard error of those
 # same trials gave sens z = 5.55, typeII z = -5.59 and mean_Tfn z = -5.56.
@@ -637,7 +669,7 @@ def test_a_low_count_of_a_rare_outcome_passes_the_null_gate():
         montecarlo._value_row("typeII", report.type_two,
                               montecarlo._ratio_estimate(tally["type_two"]), null_se),
         montecarlo._value_row("mean_Tfn", report.expected_false_negatives,
-                              montecarlo._mean_estimate(tally["false_negatives"]), null_se),
+                              montecarlo._count_estimates(tally["false_negatives"])[0], null_se),
     ]
     for row in rows:
         assert abs((row.empirical - row.analytic) / row.se_sample) > 5.5
