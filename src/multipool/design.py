@@ -148,6 +148,18 @@ class PoolingMatrix:
         """Common number of pools per item, or None when items differ."""
         return _common_length(self.member_index, self.t)
 
+    @cached_property
+    def pool_rows(self) -> np.ndarray:
+        """``pool_index`` transposed, C-contiguous and read-only: row j
+        names the j-th item of every pool."""
+        return _transposed(self.pool_index)
+
+    @cached_property
+    def member_rows(self) -> np.ndarray:
+        """``member_index`` transposed, C-contiguous and read-only: row j
+        names the j-th pool of every item."""
+        return _transposed(self.member_index)
+
     @property
     def pools_array(self) -> np.ndarray | None:
         """Pools as a (t, q) int32 array when the pool size is constant."""
@@ -218,6 +230,12 @@ def _common_length(index: np.ndarray, pad: int) -> int | None:
     if index.shape[1] and (index[:, -1] == pad).any():
         return None
     return index.shape[1]
+
+
+def _transposed(index: np.ndarray) -> np.ndarray:
+    rows = np.ascontiguousarray(index.T)
+    rows.flags.writeable = False
+    return rows
 
 
 def _rows(index: np.ndarray, pad: int) -> tuple[tuple[int, ...], ...]:

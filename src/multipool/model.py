@@ -70,7 +70,8 @@ class SeedSpec:
 
     def rng(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
-        return np.random.default_rng(seq)
+        # What default_rng(seq) builds, without its argument dispatch.
+        return np.random.Generator(np.random.PCG64(seq))
 
 
 def _index_sums(values: np.ndarray, index: np.ndarray, what: str) -> np.ndarray:

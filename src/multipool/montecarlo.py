@@ -4,16 +4,19 @@ estimates against the closed forms.
 Blocks fix the randomness: block b holds :func:`_block_size` trials and
 draws their infections, then their pool errors, from the stream
 (master_seed, b), each as the sorted positions of the rare events
-(:func:`positions`).  Batches only group the compute: a batch is a
-run of consecutive whole blocks, about ``_BATCH_ITEM_TRIALS``
-item-trials in all, whose trials go through the pool results, the
-decode and the tally together, on states packed 64 trials to a uint64
-word (:func:`_run_batch`).  Each batch returns
-an exact tally: for each pooled ratio the integer sums of its per-trial
-events and bases, their squares and their product, and for each
-per-trial count (flagged, false positives, false negatives) a histogram
-of how many trials had each value.  Batches merge by integer addition
-and every estimate is a function of the merged integers, so results are
+(:func:`positions`).  Batches only group the compute: a batch is a run
+of consecutive whole blocks, sized so that its packed states and event
+positions take about ``_BATCH_BYTES`` (:func:`_simulate`), whose trials
+go through the pool results, the decode and the tally together
+(:func:`_run_batch`).  A batch holds only packed states: one row of
+uint64 words per item or pool, one bit per trial, into which the
+infection positions are set directly.  Each batch returns an exact
+tally: for each pooled ratio the integer sums of its per-trial events
+and bases, their squares and their product, all read from one integer
+Gram matrix of the per-trial counts, and for each per-trial count
+(flagged, false positives, false negatives) a histogram of how many
+trials had each value.  Batches merge by integer addition and every
+estimate is a function of the merged integers, so results are
 bit-identical no matter how many threads process the batches, in which
 order they finish, or how the blocks group into batches.  With threads
 > 1 the calling thread works through the batches alongside helper
@@ -36,7 +39,6 @@ import threading
 from collections import Counter, defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterable
@@ -53,18 +55,17 @@ from .model import SeedSpec, negative_probabilities, pool_loads, positive_pool_c
 _BLOCK_TARGET_ELEMENTS = 1 << 24
 _BLOCK_MAX = 4096
 _BLOCK_MIN = 32
-# Item-trials per batch, about: a batch groups whole blocks.  Both
-# benchmark workloads run in two batches of about 0.9 M item-trials.
-# One batch of all 1.7-1.8 M made sim-sparse-large 5-10 % faster but
-# sim-dense-small about 40 % slower, its arrays then faulting in about
-# 2200 pages per compare call.
-_BATCH_ITEM_TRIALS = 1 << 20
+# Bytes per batch, about: a batch groups whole blocks, and a trial
+# costs n / 8 bytes of packed item rows plus 8 for each int64 position
+# of its expected infections and candidate errors (:func:`_simulate`).
+# sim-sparse-large then runs in one batch at threads = 1 and
+# sim-dense-small in two.
+_BATCH_BYTES = 1 << 20
 # Index rows gathered at a time by a batch's pool OR and its
 # candidate-error loads: _GATHER_ROWS, or fewer where the gathered rows
-# would pass _GATHER_BYTES, about the size of a batch's unpacked
-# infections, so that a gather does not raise the batch's peak memory.
+# would pass one batch's budget, so that a gather does not raise the
+# batch's peak memory much past what the batch is sized for.
 _GATHER_ROWS = 16
-_GATHER_BYTES = 1 << 20
 
 # glibc's malloc serves each request at or above its mmap threshold
 # (128 KiB at start) with a fresh mapping and unmaps it on free, so every
@@ -161,23 +162,53 @@ class Estimate:
         return self.value is not None
 
 
-def _ratio_sums(events: np.ndarray, base: np.ndarray) -> Counter:
-    """Exact integer sums for a pooled ratio  sum(a_i) / sum(b_i).
+def _ratio_sums(
+    n: int, infected: np.ndarray, flagged: np.ndarray, missed: np.ndarray
+) -> dict[str, Counter]:
+    """Exact integer sums for each pooled ratio  sum(a_i) / sum(b_i):
+    sum(a), sum(b), sum(a**2), sum(a b), sum(b**2) and the trial count.
 
-    Every term is at most n**2 per trial.  A batch holds about
-    ``_BATCH_ITEM_TRIALS`` / n trials plus at most two blocks, and a
-    block holds at most max(32, 2**24 / n) trials, so a batch's sums stay
-    below 2**20 n + 64 n**2 + 2**25 n: exact in int64 for any n below
-    2**28.  Batches merge as Python ints.
+    Every event and base is a fixed combination of (1, I, F, F_n), the
+    trial and its infected, flagged and missed counts, so all of them
+    come from the 4 x 4 Gram matrix of those columns: three integer sums
+    and nine integer dot products, then quadratic forms in Python ints.  Every Gram entry is at
+    most n**2 per trial.  A trial costs at least n / 8 bytes of a
+    batch's budget, so a batch holds at most 8 * ``_BATCH_BYTES`` / n
+    trials plus two blocks, and a block at most max(32, 2**24 / n)
+    trials: the entries stay below 2**23 n + 64 n**2 + 2**25 n, exact in
+    int64 for any n below 2**28.  Batches merge as Python ints.
     """
-    return Counter(
-        events=int(events.sum()),
-        base=int(base.sum()),
-        events_sq=int((events * events).sum()),
-        cross=int((events * base).sum()),
-        base_sq=int((base * base).sum()),
-        trials=int(events.shape[0]),
-    )
+    # Events and base as coefficients on (1, I, F, F_n); with TP = I - F_n,
+    # FP = F - TP and TN = n - I - FP.
+    ratios = {
+        "sens": ((0, 1, 0, -1), (0, 1, 0, 0)),
+        "spec": ((n, 0, -1, -1), (n, -1, 0, 0)),
+        "type_one": ((0, -1, 1, 1), (0, 0, 1, 0)),
+        "type_two": ((0, 0, 0, 1), (n, 0, -1, 0)),
+    }
+    columns = (infected, flagged, missed)
+    sums = [int(column.sum()) for column in columns]
+    gram = [[infected.shape[0], *sums]] + [
+        [total, *(int(np.dot(column, other)) for other in columns)]
+        for total, column in zip(sums, columns)
+    ]
+
+    def form(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+        """u' G v, skipping zero coefficients."""
+        return sum(a * b * gram[i][j] for i, a in enumerate(u) if a for j, b in enumerate(v) if b)
+
+    trial = (1, 0, 0, 0)
+    return {
+        name: Counter(
+            events=form(events, trial),
+            base=form(base, trial),
+            events_sq=form(events, events),
+            cross=form(events, base),
+            base_sq=form(base, base),
+            trials=gram[0][0],
+        )
+        for name, (events, base) in ratios.items()
+    }
 
 
 def _histogram(values: np.ndarray) -> Counter:
@@ -223,14 +254,16 @@ def _ratio_estimate(sums: Counter) -> Estimate:
     )
 
 
-def _central_moments(histogram: Counter) -> tuple[int, Fraction, Fraction, Fraction]:
-    """Trial count, mean and plug-in second and fourth central moments,
-    exact.
+def _count_estimates(histogram: Counter) -> tuple[Estimate, Estimate]:
+    """The mean and variance estimates of one per-trial count, from one
+    pass over its histogram.
 
     From the integer power sums s_k of the values over the n trials, the
     centred values (n v - s1) / n have the integer power sums
-    n**2 s2 - n s1**2 and n**4 s4 - 4 n**3 s1 s3 + 6 n**2 s1**2 s2 - 3 n s1**4,
-    over n**2 and n**4.
+    d2 = n**2 s2 - n s1**2 and
+    d4 = n**4 s4 - 4 n**3 s1 s3 + 6 n**2 s1**2 s2 - 3 n s1**4, over n**2
+    and n**4.  Each estimate is one quotient of Python ints, and int / int
+    rounds correctly, so every float is the exact rational rounded once.
     """
     n = s1 = s2 = s3 = s4 = 0
     for value, trials in histogram.items():
@@ -244,21 +277,21 @@ def _central_moments(histogram: Counter) -> tuple[int, Fraction, Fraction, Fract
         s4 += term * value
     d2 = n * (n * s2 - s1 * s1)
     d4 = n * (n * (n * (n * s4 - 4 * s1 * s3) + 6 * s1 * s1 * s2) - 3 * s1 ** 4)
-    return n, Fraction(s1, n), Fraction(d2, n ** 3), Fraction(d4, n ** 5)
-
-
-def _count_estimates(histogram: Counter) -> tuple[Estimate, Estimate]:
-    """The mean and variance estimates of one per-trial count, from one
-    pass over its histogram."""
-    n, mean, m2, m4 = _central_moments(histogram)
-    sample_var = m2 * n / (n - 1) if n > 1 else 0
-    mean_estimate = Estimate(value=float(mean), se=math.sqrt(sample_var / n), observations=n)
+    # The sample variance is d2 / (n**2 (n - 1)), and the mean's sampling
+    # variance that over n.
+    se = math.sqrt(d2 / (n ** 3 * (n - 1))) if n > 1 else 0.0
+    mean_estimate = Estimate(value=s1 / n, se=se, observations=n)
     if n < 2:
         return mean_estimate, Estimate(value=None, se=None, observations=n)
     # Sampling variance of the sample variance via the plug-in fourth
-    # central moment.
-    se_sq = (m4 - sample_var * sample_var * (n - 3) / (n - 1)) / n
-    variance = Estimate(value=float(sample_var), se=math.sqrt(max(0, se_sq)), observations=n)
+    # central moment m4 = d4 / n**5:
+    # (m4 - var**2 (n - 3) / (n - 1)) / n, over one common denominator.
+    se_sq = d4 * (n - 1) ** 3 - n * (n - 3) * d2 * d2
+    variance = Estimate(
+        value=d2 / (n * n * (n - 1)),
+        se=math.sqrt(max(0, se_sq) / (n ** 6 * (n - 1) ** 3)),
+        observations=n,
+    )
     return mean_estimate, variance
 
 
@@ -315,113 +348,116 @@ class ExperimentConfig:
 def _gather_step(row_bytes: int) -> int:
     """Index rows to gather at a time when each gathered row holds
     ``row_bytes`` bytes."""
-    return max(1, min(_GATHER_ROWS, _GATHER_BYTES // max(1, row_bytes)))
+    return max(1, min(_GATHER_ROWS, _BATCH_BYTES // max(1, row_bytes)))
 
 
 def _candidate_loads(
-    x: np.ndarray, span: int, pool_rows: np.ndarray, pool: np.ndarray, trial: np.ndarray
+    xp: np.ndarray, pool_rows: np.ndarray, pool: np.ndarray, trial: np.ndarray
 ) -> np.ndarray:
     """The load of each candidate error's pool in its trial.
 
-    ``x`` holds the infections as item-major 0/1 bytes, ``span`` to an
-    item, and a load is the column sum of the pool's index rows read
-    from it, one gather per run of rows (:func:`_gather_step`).  Below
-    256 rows the sums fit in a byte.
+    ``xp`` holds the infections packed item-major, one row of uint64
+    words per item, and a load is the column sum of the pool's index
+    rows read from its bytes: the bit of trial j in a row is bit j & 7
+    of the row's byte j >> 3.  One gather of bytes per run of index rows
+    (:func:`_gather_step`); below 256 rows the sums fit in a byte.
     """
+    data = xp.reshape(-1).view(np.uint8)
+    byte, shift = trial >> 3, (trial & 7).astype(np.uint8)
     load = np.zeros(pool.size, dtype=np.uint8 if pool_rows.shape[0] < 256 else np.intp)
     step = _gather_step(8 * pool.size)
     for lo in range(0, pool_rows.shape[0], step):
-        index = np.multiply(pool_rows[lo : lo + step], span, dtype=np.int64)
+        index = np.multiply(pool_rows[lo : lo + step], xp.shape[1] * 8, dtype=np.int64)
         index = index.take(pool, axis=1)
-        index += trial
-        load += x.take(index).sum(axis=0, dtype=load.dtype)
+        index += byte
+        bits = data.take(index)
+        bits >>= shift
+        bits &= 1
+        load += bits.sum(axis=0, dtype=load.dtype)
     return load
 
 
+def _packed(rows: int, span: int, bit: np.ndarray) -> np.ndarray:
+    """(rows, span / 64) uint64 rows with the distinct flat bits ``bit``
+    set, bit b being bit b & 63 of word b >> 6.  One unbuffered add sets
+    them all: distinct bits add without a carry."""
+    words = np.zeros((rows, span // 64), dtype=np.uint64)
+    np.add.at(words.reshape(-1), bit >> 6, np.left_shift(1, (bit & 63).view(np.uint64)))
+    return words
+
+
 def _run_batch(
-    pool_rows: np.ndarray,
-    member_rows: np.ndarray,
+    matrix: PoolingMatrix,
     scenario: ScenarioParams,
+    error: np.ndarray,
     master_seed: int,
     blocks: list[tuple[int, int]],
 ) -> dict[str, Counter]:
     """Tally a run of consecutive whole (block index, trial count) blocks.
 
-    ``pool_rows`` and ``member_rows`` are the design's padded indexes,
-    transposed and C-contiguous: row j of ``pool_rows`` names the j-th
-    item of every pool, row j of ``member_rows`` the j-th pool of every
-    item, and t and n are their row lengths.
+    ``error`` is a pool's error rate by its load, up to the widest pool:
+    p_fp at load 0 and (1 - p_fp) * p_fn ** k at load k >= 1.
 
     Each block draws from its own stream: the positions of its
     infections among its count * n item-trials, trial-major, then the
     candidate pool errors among its count * t pool-trials at the largest
     error rate r*, then one uniform per candidate that keeps it with
-    probability (its pool's error rate) / r*.  A pool errs at rate p_fp
-    at load 0 and (1 - p_fp) * p_fn ** k at load k >= 1, and its result
-    is (load > 0) XOR error.
+    probability (its pool's error rate) / r*.  A pool's result is
+    (load > 0) XOR error.
 
     Everything else runs once for the whole batch, in a few whole-array
-    passes.  The blocks' infection positions, shifted to trial-major
-    positions in the batch, are indexed once: a floor division gives
-    each infection's trial, a bincount the infected count per trial, and
-    a product and a difference its bit in an item-major array of 0/1
-    bytes.  These pack along the trials, one row per item or pool, one
-    bit per trial, 64 trials to a uint64 word.  Each candidate error
-    reads its pool's load from the bytes, one gather per run of index
-    rows, summed in a byte while pools hold fewer than 256 items; at r* =
-    0 the error stage draws nothing and is skipped.  A pool's row is the
-    OR of its items' rows, one gather and one reduce per run of index
-    rows, and the kept errors flip their pools' bits.  An item is
-    flagged when at least m - nc of its pools are positive, the rule of
-    ``model.positive_pool_counts``: when at most nc + width - m of the
-    ``width`` rows its index names are negative, which a bit-sliced
-    counter of negative rows, saturating one past that, decides.  Index
-    padding reads an all-zero row in both steps, as in ``model``'s
-    gathers: a healthy item and a negative pool.  Per trial, the flagged
-    count adds the unpacked flags eight byte lanes to a uint64 word, and
-    the missed count comes from the few words of infected but unflagged
-    bits; no bit past the last trial is counted.
+    passes, on states packed along the trials: one row of uint64 words
+    per item or pool, one bit per trial, and an all-zero pad row.  The
+    blocks' infection positions, shifted to trial-major positions in the
+    batch, are indexed once: a floor division gives each infection's
+    trial, a bincount the infected count per trial, and a product and a
+    difference its bit in the item rows, which one unbuffered add sets.
+    Each candidate error reads its pool's load from the bytes of those
+    rows, one gather per run of index rows, summed in a byte while pools
+    hold fewer than 256 items; at r* = 0 the error stage draws nothing
+    and is skipped.  A pool's row is the OR of its items' rows, one
+    gather and one reduce per run of index rows, and the kept errors
+    flip their pools' bits.  An item is flagged when at least m - nc of
+    its pools are positive, the rule of ``model.positive_pool_counts``:
+    when at most nc + width - m of the ``width`` rows its index names are
+    negative, which a bit-sliced counter of negative rows, saturating
+    one past that, decides.  Index padding reads the pad row in both
+    steps, as in ``model``'s gathers: a healthy item and a negative
+    pool.  Per trial, the flagged count adds the unpacked flags eight
+    byte lanes to a uint64 word, and the missed count comes from the few
+    words of infected but unflagged bits; no bit past the last trial is
+    counted.
     """
-    n, t = member_rows.shape[1], pool_rows.shape[1]
+    pool_rows, member_rows = matrix.pool_rows, matrix.member_rows
+    n, t = matrix.n, matrix.t
     counts = [count for _, count in blocks]
     trials = sum(counts)
     starts = list(accumulate(counts[:-1], initial=0))
     rngs = [SeedSpec(master_seed, index).rng() for index, _ in blocks]
-    # Item-major 0/1 bytes, (n + 1) rows of whole 64-trial words; row n
-    # pads.
+    # Rows of whole 64-trial words.
     span = -(-trials // 64) * 64
-    x = np.zeros((n + 1) * span, dtype=np.uint8)
     # Each block's infections, shifted to trial-major positions in the
     # batch, turn into item-major bit indexes in place: position g of
-    # trial g // n goes to (g % n) * span + g // n.  Both arrays go before
-    # the error draw: they set the batch's peak memory.
+    # trial g // n goes to bit (g % n) * span + g // n of the item rows,
+    # whose row n pads.
     parts = []
     for rng, count, first in zip(rngs, counts, starts):
         part = positions(rng, count * n, scenario.rho)
         part += first * n
         parts.append(part)
-    item = _joined(parts)
+    bit = _joined(parts)
     del parts, part
-    trial = item // n
+    trial = bit // n
     infected = np.bincount(trial, minlength=trials)
-    item *= span
+    bit *= span
     trial *= n * span - 1
-    item -= trial
-    x[item] = 1
-    del item, trial
-    # Rows are whole bytes, so packing the flat array packs each row;
-    # along axis 1 numpy would pack row by row, slowly for short rows.
-    xp = np.packbits(x, bitorder="little").view(np.uint64).reshape(n + 1, span // 64)
+    bit -= trial
+    del trial
+    xp = _packed(n + 1, span, bit)
+    del bit
 
-    # Error rate by load, up to the widest pool; p_fn ** k falls with k,
-    # so r* is the rate at load 0 or 1.  At r* = 0 no stream is drawn
-    # from (positions at rate 0 and rng.random(0) take nothing), so the
-    # stage is skipped.
-    widest = max(1, pool_rows.shape[0])
-    error = negative_probabilities(np.arange(widest + 1), scenario.noise)
-    error[0] = scenario.noise.p_fp
-    top = float(error[:2].max())
-    pool = trial = np.empty(0, dtype=np.int64)
+    top = float(error.max())
+    flips = np.empty(0, dtype=np.int64)
     if top > 0.0:
         # Candidates as trial-major positions in the batch, as above.
         parts, draws = [], []
@@ -431,27 +467,22 @@ def _run_batch(
             parts.append(part)
             draws.append(rng.random(part.size))
         trial, pool = np.divmod(_joined(parts), t)
-        load = _candidate_loads(x, span, pool_rows, pool, trial)
+        load = _candidate_loads(xp, pool_rows, pool, trial)
         keep = _joined(draws) * top < error.take(load)
-        pool, trial = pool[keep], trial[keep]
-
-    # The unpacked infections, the batch's largest array, end here.
-    del x
+        # The kept errors' bits in the pool rows.
+        flips = pool[keep] * span + trial[keep]
 
     # Pool rows, then an all-zero pad row: each run of index rows is one
     # gather and one OR down the gathered stack.  The kept errors then
-    # flip their pools' bits: unbuffered, as flips share bytes, and in
-    # bytes, not words, because packbits puts trial j at bit j % 8 of byte
-    # j // 8.
+    # flip their pools' bits.
     yp = np.empty((t + 1, xp.shape[1]), dtype=np.uint64)
     yp[t] = 0
     step = _gather_step(yp[:t].nbytes)
     np.bitwise_or.reduce(xp.take(pool_rows[:step], axis=0), axis=0, out=yp[:t])
     for lo in range(step, pool_rows.shape[0], step):
         yp[:t] |= np.bitwise_or.reduce(xp.take(pool_rows[lo : lo + step], axis=0), axis=0)
-    np.bitwise_xor.at(
-        yp.view(np.uint8), (pool, trial >> 3), np.left_shift(1, trial & 7).astype(np.uint8)
-    )
+    if flips.size:
+        yp ^= _packed(t + 1, span, flips)
 
     # below[k]: the trials in which at most k of the rows read so far
     # were negative.
@@ -488,17 +519,10 @@ def _run_batch(
     bits = np.unpackbits(missed[words].view(np.uint8), bitorder="little").reshape(-1, 64)
     held, bit = np.nonzero(bits)
     false_neg = np.bincount(words[held] % (span // 64) * 64 + bit, minlength=trials)
-    true_pos = infected - false_neg
-    false_pos = flagged - true_pos
-    healthy = n - infected
-    true_neg = healthy - false_pos
-    flagged_neg = n - flagged
+    false_pos = flagged - infected + false_neg
 
     return {
-        "sens": _ratio_sums(true_pos, infected),
-        "spec": _ratio_sums(true_neg, healthy),
-        "type_one": _ratio_sums(false_pos, flagged),
-        "type_two": _ratio_sums(false_neg, flagged_neg),
+        **_ratio_sums(n, infected, flagged, false_neg),
         "positives": _histogram(flagged),
         "false_positives": _histogram(false_pos),
         "false_negatives": _histogram(false_neg),
@@ -547,26 +571,34 @@ def _simulate(
 
     Block b of :func:`_block_size` trials draws from the stream
     (master_seed, b).  Consecutive blocks are grouped into at least
-    ``threads`` batches of about ``_BATCH_ITEM_TRIALS`` item-trials each,
-    never more batches than blocks.  When threads > 1 and there is more
-    than one batch, the calling thread and min(threads, batches) - 1 of
-    the persistent helper threads (:class:`_Helpers`) take the batches in
-    turn from one shared iterator.
+    ``threads`` batches of about ``_BATCH_BYTES`` each, never more
+    batches than blocks: a trial counts n / 8 bytes for its packed item
+    rows and 8 for each infection and candidate error it is expected to
+    draw.  The error-rate table is built once per call.  When threads >
+    1 and there is more than one batch, the calling thread and
+    min(threads, batches) - 1 of the persistent helper threads
+    (:class:`_Helpers`) take the batches in turn from one shared
+    iterator.
     """
     block = _block_size(matrix.n, scenario.m, scenario.q)
     blocks = [
         (index, min(block, trials - start))
         for index, start in enumerate(range(0, trials, block))
     ]
-    count = min(len(blocks), max(threads, -(-trials * matrix.n // _BATCH_ITEM_TRIALS)))
+    # Error rate by load, up to the widest pool, and r*, the largest.
+    widest = max(1, matrix.pool_index.shape[1])
+    error = negative_probabilities(np.arange(widest + 1), scenario.noise)
+    error[0] = scenario.noise.p_fp
+    top = float(error.max())
+    # A trial's packed item rows, and its expected infections and
+    # candidate errors as int64 positions.
+    per_trial = matrix.n / 8 + 8 * (matrix.n * scenario.rho + matrix.t * top)
+    count = min(len(blocks), max(threads, math.ceil(trials * per_trial / _BATCH_BYTES)))
     cuts = [len(blocks) * k // count for k in range(count + 1)]
     batches = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    # Each batch reads the indexes row by row.
-    pool_rows = np.ascontiguousarray(matrix.pool_index.T)
-    member_rows = np.ascontiguousarray(matrix.member_index.T)
 
     def work(batch: list[tuple[int, int]]) -> dict[str, Counter]:
-        return _run_batch(pool_rows, member_rows, scenario, master_seed, batch)
+        return _run_batch(matrix, scenario, error, master_seed, batch)
 
     if threads == 1 or len(batches) == 1:
         return _merge(map(work, batches))

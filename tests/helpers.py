@@ -389,6 +389,19 @@ def dense_gather_sums(values: np.ndarray, rows) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
+def ratio_sums(events: np.ndarray, base: np.ndarray) -> Counter:
+    """The six integer sums of one pooled ratio  sum(a_i) / sum(b_i),
+    each summed directly over the trials."""
+    return Counter(
+        events=int(events.sum()),
+        base=int(base.sum()),
+        events_sq=int((events * events).sum()),
+        cross=int((events * base).sum()),
+        base_sq=int((base * base).sum()),
+        trials=int(events.shape[0]),
+    )
+
+
 def block_tally(
     matrix: PoolingMatrix,
     scenario: ScenarioParams,
@@ -434,10 +447,10 @@ def block_tally(
     flagged_neg = n - flagged
 
     return {
-        "sens": montecarlo._ratio_sums(true_pos, infected),
-        "spec": montecarlo._ratio_sums(true_neg, healthy),
-        "type_one": montecarlo._ratio_sums(false_pos, flagged),
-        "type_two": montecarlo._ratio_sums(false_neg, flagged_neg),
+        "sens": ratio_sums(true_pos, infected),
+        "spec": ratio_sums(true_neg, healthy),
+        "type_one": ratio_sums(false_pos, flagged),
+        "type_two": ratio_sums(false_neg, flagged_neg),
         "positives": montecarlo._histogram(flagged),
         "false_positives": montecarlo._histogram(false_pos),
         "false_negatives": montecarlo._histogram(false_neg),

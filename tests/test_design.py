@@ -175,6 +175,19 @@ def test_membership_is_dual_to_pools():
     assert matrix.item_membership == tuple(tuple(r) for r in rebuilt)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [build_multipool(MultipoolParams(5, 4)), PoolingMatrix.from_pools(4, [(0, 1, 2), (3,)])],
+)
+def test_index_rows_are_cached_read_only_transposes(matrix):
+    for rows, index in [(matrix.pool_rows, matrix.pool_index),
+                        (matrix.member_rows, matrix.member_index)]:
+        assert np.array_equal(rows, index.T)
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+    assert matrix.pool_rows is matrix.pool_rows
+    assert matrix.member_rows is matrix.member_rows
+
+
 def test_dense_view_matches_pools():
     matrix = build_multipool(MultipoolParams(4, 3))
     dense = matrix.to_dense()

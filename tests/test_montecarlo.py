@@ -8,6 +8,7 @@ import threading
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from multipool.errors import DomainError
 from multipool.model import NOISELESS, NoiseModel, SeedSpec, pool_loads, positive_pool_counts
 from multipool.montecarlo import ComparisonReport, ExperimentConfig, compare, run_experiment
 
-from helpers import blockwise_tally, exact_noiseless_stats, fano_matrix
+from helpers import blockwise_tally, exact_noiseless_stats, fano_matrix, ratio_sums
 
 NOISY = NoiseModel(0.02, 0.02)
 
@@ -59,28 +60,37 @@ def helpers(monkeypatch):
         fresh._pool.shutdown()
 
 
-def _record_batch_threads(monkeypatch, fail_off_caller=False) -> tuple[list[int], threading.Event]:
+def _record_batch_threads(monkeypatch, fail_off_caller=False) -> tuple[list[int], Callable]:
     """Route ``_run_batch`` through a wrapper that records the thread of
-    each batch, and return the record with an event that a helper's batch
-    sets.  The caller's batches wait for that event, so a call that has
-    helpers always runs a batch on one of them; clear both between calls.
-    With ``fail_off_caller`` every batch off the caller raises."""
-    threads, helper_ran = [], threading.Event()
+    each batch, and return the record with a function that resets it for
+    the next call.  A batch on the caller sets one event and waits for a
+    helper's batch to set the other; a helper's batch sets that one and
+    waits for the caller's.  A call that has helpers therefore always
+    runs a batch on the caller and one on a helper.  With
+    ``fail_off_caller`` every batch off the caller raises."""
+    threads, caller_ran, helper_ran = [], threading.Event(), threading.Event()
     run_batch, caller = montecarlo._run_batch, threading.get_ident()
 
     def recorded(*args):
         thread = threading.get_ident()
         threads.append(thread)
         if thread == caller:
+            caller_ran.set()
             assert helper_ran.wait(timeout=30), "no helper took a batch"
         else:
             helper_ran.set()
+            assert caller_ran.wait(timeout=30), "the caller took no batch"
             if fail_off_caller:
                 raise RuntimeError("batch failed on a helper")
         return run_batch(*args)
 
+    def reset() -> None:
+        threads.clear()
+        caller_ran.clear()
+        helper_ran.clear()
+
     monkeypatch.setattr(montecarlo, "_run_batch", recorded)
-    return threads, helper_ran
+    return threads, reset
 
 
 # Three blocks of 4096 trials at n = 16, so threads = 3 runs three batches
@@ -90,12 +100,11 @@ _THREE_BATCHES = _config(4, 3, rho=0.07, nc=1, noise=NOISY, trials=9_000, seed=3
 
 def test_the_caller_runs_batches_and_consecutive_calls_share_one_helper(helpers, monkeypatch):
     expected = _document_bytes(compare(_THREE_BATCHES, threads=1))
-    threads, helper_ran = _record_batch_threads(monkeypatch)
+    threads, reset = _record_batch_threads(monkeypatch)
     caller = threading.get_ident()
     seen = []
     for _ in range(2):
-        threads.clear()
-        helper_ran.clear()
+        reset()
         assert _document_bytes(compare(_THREE_BATCHES, threads=2)) == expected
         assert threads.count(caller) >= 1
         seen.append(set(threads) - {caller})
@@ -105,14 +114,13 @@ def test_the_caller_runs_batches_and_consecutive_calls_share_one_helper(helpers,
 
 
 def test_helpers_never_outnumber_the_batches(helpers, monkeypatch):
-    threads, helper_ran = _record_batch_threads(monkeypatch)
+    threads, reset = _record_batch_threads(monkeypatch)
     # (16, 4) at 6552 trials is two blocks, so two batches at any thread count.
     config = _config(16, 4, rho=0.1, nc=1, noise=NOISY, trials=6552, seed=4)
     compare(config, threads=3)
     assert len(threads) == 2
     assert helpers._size == 1
-    threads.clear()
-    helper_ran.clear()
+    reset()
     compare(_THREE_BATCHES, threads=3)
     assert len(set(threads)) <= 3
     assert helpers._size == 2
@@ -410,7 +418,7 @@ def test_tallies_merge_to_the_same_estimates_however_trials_split(rows, data):
 
     def tally(values, events, base):
         return {"count": montecarlo._histogram(values),
-                "ratio": montecarlo._ratio_sums(events, base)}
+                "ratio": ratio_sums(events, base)}
 
     def estimates(total):
         return (*montecarlo._count_estimates(total["count"]),
@@ -436,6 +444,25 @@ def test_tallies_merge_to_the_same_estimates_however_trials_split(rows, data):
         exact = m2 * trials / (trials - 1)
         tolerance = 8 * sys.float_info.epsilon * raw_second * trials / (trials - 1)
         assert abs(variance.value - float(exact)) <= tolerance
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.one_of(st.integers(1, 40), st.integers(1, 1 << 27)), data=st.data())
+def test_ratio_sums_from_the_gram_match_the_direct_sums(n, data):
+    # Per trial: I infected, F_n of them missed, FP of the n - I healthy
+    # items flagged, so F = I - F_n + FP.
+    count = st.integers(0, n)
+    infected = np.array(data.draw(st.lists(count, min_size=1, max_size=40)), dtype=np.int64)
+    missed = np.array([data.draw(st.integers(0, i)) for i in infected.tolist()], dtype=np.int64)
+    false_pos = np.array([data.draw(st.integers(0, n - i)) for i in infected.tolist()],
+                         dtype=np.int64)
+    flagged = infected - missed + false_pos
+    assert montecarlo._ratio_sums(n, infected, flagged, missed) == {
+        "sens": ratio_sums(infected - missed, infected),
+        "spec": ratio_sums(n - infected - false_pos, n - infected),
+        "type_one": ratio_sums(false_pos, flagged),
+        "type_two": ratio_sums(missed, n - flagged),
+    }
 
 
 @st.composite
@@ -475,7 +502,7 @@ def test_batches_tally_exactly_like_the_per_block_pipeline(
     matrix, scenario = simulation
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_BLOCK_TARGET_ELEMENTS", target)
-        patch.setattr(montecarlo, "_BATCH_ITEM_TRIALS", batch)
+        patch.setattr(montecarlo, "_BATCH_BYTES", batch)
         tally = montecarlo._simulate(matrix, scenario, trials, seed, threads)
         expected = blockwise_tally(matrix, scenario, trials, seed)
     assert tally == expected
