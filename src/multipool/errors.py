@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the lower-bound check
-that most parameter validation goes through."""
+"""Exception types shared across the package, and the lower-bound and
+integer checks that most parameter validation goes through."""
+
+import numbers
 
 
 class MultipoolError(Exception):
@@ -58,3 +60,11 @@ def require_at_least(what: str, value: int, least: int):
     """Raise DomainError unless ``value`` is at least ``least``."""
     if value < least:
         raise DomainError(f"{what} must be at least {least}, got {value}")
+
+
+def require_integer(what: str, value) -> int:
+    """``value`` as a Python int; raise DomainError unless it is a Python
+    or numpy integer.  A bool is not a count, so it is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)

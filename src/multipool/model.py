@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import PoolingMatrix
-from .errors import DomainError
+from .errors import DomainError, require_integer
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ class SeedSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.master_seed < 2 ** 64:
+        if not 0 <= require_integer("master_seed", self.master_seed) < 2 ** 64:
             raise DomainError("master_seed must be a 64-bit unsigned integer")
-        if self.stream_id < 0:
+        if require_integer("stream_id", self.stream_id) < 0:
             raise DomainError("stream_id must be non-negative")
 
     def rng(self) -> np.random.Generator:

@@ -18,10 +18,12 @@ Gram matrix of the per-trial counts, and for each per-trial count
 trials had each value.  Batches merge by integer addition and every
 estimate is a function of the merged integers, so results are
 bit-identical no matter how many threads process the batches, in which
-order they finish, or how the blocks group into batches.  With threads
-> 1 the calling thread works through the batches alongside helper
-threads from one pool that lives as long as the process
-(:class:`_Helpers`), so no call starts a thread of its own.
+order they finish, or how the blocks group into batches.  The grouping
+depends on the design, the scenario and the trial count, never on the
+thread count.  With threads > 1 the calling thread works through the
+batches alongside helper threads from one executor that lives as long
+as the process (``_HELPERS``), so a call starts a thread only when no
+helper is idle.
 
 Conditional proportions (sensitivity and friends) pool item-level events
 across trials.  Items within a trial share pools and are therefore
@@ -35,9 +37,10 @@ closed form implies (:func:`compare`).
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import Counter, defaultdict
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import accumulate
@@ -47,7 +50,7 @@ import numpy as np
 
 from .analytics import AnalyticReport, Moments, ScenarioParams, analytic_report, exact_moments
 from .design import MultipoolParams, PoolingMatrix, build_multipool
-from .errors import DomainError
+from .errors import DomainError, require_integer
 # pool_loads and positive_pool_counts, the dense reference kernels, are
 # not called here; bench/tracing.py wraps them under these names.
 from .model import SeedSpec, negative_probabilities, pool_loads, positive_pool_counts  # noqa: F401
@@ -58,8 +61,8 @@ _BLOCK_MIN = 32
 # Bytes per batch, about: a batch groups whole blocks, and a trial
 # costs n / 8 bytes of packed item rows plus 8 for each int64 position
 # of its expected infections and candidate errors (:func:`_simulate`).
-# sim-sparse-large then runs in one batch at threads = 1 and
-# sim-dense-small in two.
+# sim-sparse-large then runs in one batch and sim-dense-small in two, at
+# every thread count.
 _BATCH_BYTES = 1 << 20
 # Index rows gathered at a time by a batch's pool OR and its
 # candidate-error loads: _GATHER_ROWS, or fewer where the gathered rows
@@ -162,30 +165,40 @@ class Estimate:
         return self.value is not None
 
 
+# Each ratio row of the report: its key in a batch's tally, then its
+# event and base counts as coefficients on (n, I, T, T_fp, T_fn), the
+# item count and a trial's infected, flagged, falsely flagged and missed
+# counts: sens = TP / I, spec = TN / (n - I), typeI = T_fp / T and
+# typeII = T_fn / (n - T), with TP = I - T_fn and TN = n - I - T_fp.
+# T_fp = T - I + T_fn, so four coordinates would do for the integer
+# sums, but the null errors sum floats over the exact moments of
+# (I, T, T_fp, T_fn), whose last bits depend on which of them are used.
+_RATIOS = {
+    "sens": ("sens", (0, 1, 0, 0, -1), (0, 1, 0, 0, 0)),
+    "spec": ("spec", (1, -1, 0, -1, 0), (1, -1, 0, 0, 0)),
+    "typeI": ("type_one", (0, 0, 0, 1, 0), (0, 0, 1, 0, 0)),
+    "typeII": ("type_two", (0, 0, 0, 0, 1), (1, 0, -1, 0, 0)),
+}
+
+
 def _ratio_sums(
     n: int, infected: np.ndarray, flagged: np.ndarray, missed: np.ndarray
 ) -> dict[str, Counter]:
     """Exact integer sums for each pooled ratio  sum(a_i) / sum(b_i):
     sum(a), sum(b), sum(a**2), sum(a b), sum(b**2) and the trial count.
 
-    Every event and base is a fixed combination of (1, I, F, F_n), the
-    trial and its infected, flagged and missed counts, so all of them
-    come from the 4 x 4 Gram matrix of those columns: three integer sums
-    and nine integer dot products, then quadratic forms in Python ints.  Every Gram entry is at
-    most n**2 per trial.  A trial costs at least n / 8 bytes of a
-    batch's budget, so a batch holds at most 8 * ``_BATCH_BYTES`` / n
-    trials plus two blocks, and a block at most max(32, 2**24 / n)
-    trials: the entries stay below 2**23 n + 64 n**2 + 2**25 n, exact in
-    int64 for any n below 2**28.  Batches merge as Python ints.
+    Every event and base is a fixed combination of (n, I, T, T_fp, T_fn)
+    (``_RATIOS``), and T_fp = T - I + T_fn, so all of them come from the
+    4 x 4 Gram matrix of the columns (1, I, T, T_fn), the trial and its
+    infected, flagged and missed counts: three integer sums and nine
+    integer dot products, then quadratic forms in Python ints.  Every
+    Gram entry is at most n**2 per trial.  A trial costs at least n / 8
+    bytes of a batch's budget, so a batch holds at most
+    8 * ``_BATCH_BYTES`` / n trials plus two blocks, and a block at most
+    max(32, 2**24 / n) trials: the entries stay below
+    2**23 n + 64 n**2 + 2**25 n, exact in int64 for any n below 2**28.
+    Batches merge as Python ints.
     """
-    # Events and base as coefficients on (1, I, F, F_n); with TP = I - F_n,
-    # FP = F - TP and TN = n - I - FP.
-    ratios = {
-        "sens": ((0, 1, 0, -1), (0, 1, 0, 0)),
-        "spec": ((n, 0, -1, -1), (n, -1, 0, 0)),
-        "type_one": ((0, -1, 1, 1), (0, 0, 1, 0)),
-        "type_two": ((0, 0, 0, 1), (n, 0, -1, 0)),
-    }
     columns = (infected, flagged, missed)
     sums = [int(column.sum()) for column in columns]
     gram = [[infected.shape[0], *sums]] + [
@@ -197,9 +210,12 @@ def _ratio_sums(
         """u' G v, skipping zero coefficients."""
         return sum(a * b * gram[i][j] for i, a in enumerate(u) if a for j, b in enumerate(v) if b)
 
-    trial = (1, 0, 0, 0)
-    return {
-        name: Counter(
+    tally, trial = {}, (1, 0, 0, 0)
+    for key, *counts in _RATIOS.values():
+        # On the Gram's columns: n is n times the trial column, and T_fp
+        # is T - I + T_fn.
+        events, base = ((n * c[0], c[1] - c[3], c[2] + c[3], c[4] + c[3]) for c in counts)
+        tally[key] = Counter(
             events=form(events, trial),
             base=form(base, trial),
             events_sq=form(events, events),
@@ -207,8 +223,7 @@ def _ratio_sums(
             base_sq=form(base, base),
             trials=gram[0][0],
         )
-        for name, (events, base) in ratios.items()
-    }
+    return tally
 
 
 def _histogram(values: np.ndarray) -> Counter:
@@ -322,6 +337,9 @@ class ExperimentConfig:
     master_seed: int
 
     def __post_init__(self):
+        # Held as Python ints, which the report serializes as JSON numbers.
+        object.__setattr__(self, "trials", require_integer("trial count", self.trials))
+        object.__setattr__(self, "master_seed", require_integer("master_seed", self.master_seed))
         if self.trials < 1:
             raise DomainError(f"trial count must be positive, got {self.trials}")
         SeedSpec(self.master_seed)  # raises on a seed outside [0, 2**64)
@@ -529,35 +547,13 @@ def _run_batch(
     }
 
 
-class _Helpers:
-    """The helper threads that every multi-batch simulation shares.
-
-    One ``ThreadPoolExecutor``, started on first use and replaced by a
-    larger one only when a call asks for more helpers than it has.  The
-    threads live as long as the process, so each keeps one malloc arena
-    warm from call to call instead of a fresh thread filling a fresh
-    arena on every call.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
-        self._size = 0
-
-    def start(self, count: int, fn: Callable[[], None]) -> list[Future]:
-        """Submit ``count`` calls of ``fn``, growing the pool to at least
-        ``count`` threads first.  Submitting under the lock keeps a
-        concurrent call from shutting the pool down in between."""
-        with self._lock:
-            if count > self._size:
-                if self._pool is not None:
-                    # Work already submitted to the old pool still runs.
-                    self._pool.shutdown(wait=False)
-                self._pool = ThreadPoolExecutor(count, thread_name_prefix="multipool")
-                self._size = count
-            return [self._pool.submit(fn) for _ in range(count)]
-
-_HELPERS = _Helpers()
+# The helper threads that every multi-batch simulation shares.  The
+# executor starts a thread only when a call submits work and no thread
+# is idle, so creating it starts none, and its threads live as long as
+# the process: each keeps one malloc arena warm from call to call.
+# ``max_workers`` is a cap no call reaches: a call asks for at most
+# threads - 1 helpers, and never for more than it has batches.
+_HELPERS = ThreadPoolExecutor(max_workers=sys.maxsize, thread_name_prefix="multipool")
 
 
 def _simulate(
@@ -570,15 +566,15 @@ def _simulate(
     """The merged tally of ``trials`` trials.
 
     Block b of :func:`_block_size` trials draws from the stream
-    (master_seed, b).  Consecutive blocks are grouped into at least
-    ``threads`` batches of about ``_BATCH_BYTES`` each, never more
-    batches than blocks: a trial counts n / 8 bytes for its packed item
-    rows and 8 for each infection and candidate error it is expected to
-    draw.  The error-rate table is built once per call.  When threads >
-    1 and there is more than one batch, the calling thread and
-    min(threads, batches) - 1 of the persistent helper threads
-    (:class:`_Helpers`) take the batches in turn from one shared
-    iterator.
+    (master_seed, b).  Consecutive blocks are grouped into batches of
+    about ``_BATCH_BYTES`` each, never more batches than blocks: a trial
+    counts n / 8 bytes for its packed item rows and 8 for each infection
+    and candidate error it is expected to draw.  The batches depend on
+    the design, the scenario and the trial count only; ``threads`` only
+    decides who runs them.  The error-rate table is built once per call.
+    When threads > 1 and there is more than one batch, the calling
+    thread and min(threads, batches) - 1 helper threads of ``_HELPERS``
+    take the batches in turn from one shared iterator.
     """
     block = _block_size(matrix.n, scenario.m, scenario.q)
     blocks = [
@@ -593,7 +589,7 @@ def _simulate(
     # A trial's packed item rows, and its expected infections and
     # candidate errors as int64 positions.
     per_trial = matrix.n / 8 + 8 * (matrix.n * scenario.rho + matrix.t * top)
-    count = min(len(blocks), max(threads, math.ceil(trials * per_trial / _BATCH_BYTES)))
+    count = min(len(blocks), math.ceil(trials * per_trial / _BATCH_BYTES))
     cuts = [len(blocks) * k // count for k in range(count + 1)]
     batches = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
@@ -616,7 +612,7 @@ def _simulate(
                 return
             tallies[index] = work(batch)
 
-    helpers = _HELPERS.start(min(threads, len(batches)) - 1, drain)
+    helpers = [_HELPERS.submit(drain) for _ in range(min(threads, len(batches)) - 1)]
     try:
         drain()
     finally:
@@ -640,7 +636,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats
     block seeding and the integer accumulations do not depend on
     scheduling.
     """
-    if threads < 1:
+    if require_integer("thread count", threads) < 1:
         raise DomainError(f"thread count must be positive, got {threads}")
     tally = _simulate(config.matrix(), config.scenario, config.trials, config.master_seed, threads)
     mean_positives, var_positives = _count_estimates(tally["positives"])
@@ -719,16 +715,6 @@ class ComparisonReport:
         }
 
 
-# Each ratio row's event and base counts as coefficients on
-# (I, T, T_fp, T_fn), and the base's constant term in units of n:
-# sens = TP / I, spec = TN / (n - I), typeI = T_fp / T and
-# typeII = T_fn / (n - T), with TP = I - T_fn and TN = n - I - T_fp.
-_RATIO_COUNTS = {
-    "sens": ((1, 0, 0, -1), (1, 0, 0, 0), 0),
-    "spec": ((-1, 0, -1, 0), (-1, 0, 0, 0), 1),
-    "typeI": ((0, 0, 1, 0), (0, 1, 0, 0), 0),
-    "typeII": ((0, 0, 0, 1), (0, -1, 0, 0), 1),
-}
 # Each mean row's count, as its index in (I, T, T_fp, T_fn).
 _MEAN_COUNTS = {"mean_T": 1, "mean_Tfp": 2, "mean_Tfn": 3}
 # A z row fails beyond this many standard errors.
@@ -759,11 +745,12 @@ def _null_se(
         return math.sqrt(max(0.0, moments.cov[index][index]) / trials)
     if moments is None:
         return math.sqrt(max(0.0, analytic * (1.0 - analytic)) / estimate.observations)
-    events, base, offset = _RATIO_COUNTS[statistic]
-    mean_base = offset * scenario.n + sum(c * mu for c, mu in zip(base, moments.mean))
+    _, events, base = _RATIOS[statistic]
+    mean_base = base[0] * scenario.n + sum(c * mu for c, mu in zip(base[1:], moments.mean))
     if mean_base <= 0.0:
         return 0.0
-    residual = [a - analytic * b for a, b in zip(events, base)]
+    # The n terms are constants, which add nothing to the variance.
+    residual = [a - analytic * b for a, b in zip(events[1:], base[1:])]
     variance = sum(
         residual[i] * residual[j] * moments.cov[i][j] for i in range(4) for j in range(4)
     )

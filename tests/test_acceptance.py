@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from multipool import analytics
+from multipool import analytics, montecarlo
 from multipool.analytics import ScenarioParams
 from multipool.cli import main as cli_main
 from multipool.design import MultipoolParams, build_multipool, max_pools_bound, validate_multipool
@@ -226,7 +226,12 @@ def test_c9_tuned_multiplicity_is_minimal():
     _gate("C9", "tuning-minimality", check)
 
 
-def test_c10_simulation_reports_are_bit_stable(tmp_path):
+def test_c10_simulation_reports_are_bit_stable(tmp_path, monkeypatch):
+    # A 128 KiB batch budget splits the (8, 3) call's 20000 trials, about
+    # 749 KB by the budget's count, into five batches, one per block, so
+    # threads = 4 runs them on the caller and three helpers.
+    monkeypatch.setattr(montecarlo, "_BATCH_BYTES", 1 << 17)
+
     def check():
         runner = CliRunner()
         args = [

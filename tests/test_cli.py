@@ -5,6 +5,7 @@ import json
 
 from click.testing import CliRunner
 
+from multipool import montecarlo
 from multipool.cli import main
 
 runner = CliRunner()
@@ -220,7 +221,10 @@ def test_simulate_gates_and_reports(tmp_path):
     assert len(doc["rows"]) == 9
 
 
-def test_simulate_reports_are_byte_identical(tmp_path):
+def test_simulate_reports_are_byte_identical(tmp_path, monkeypatch):
+    # A 128 KiB batch budget splits these 20000 trials into five batches,
+    # so --threads 4 runs them on the caller and three helpers.
+    monkeypatch.setattr(montecarlo, "_BATCH_BYTES", 1 << 17)
     paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
     assert runner.invoke(main, SIMULATE_ARGS + ["--output", str(paths[0])]).exit_code == 0
     assert runner.invoke(main, SIMULATE_ARGS + ["--output", str(paths[1])]).exit_code == 0

@@ -43,6 +43,12 @@ def test_seed_spec_validation():
         SeedSpec(2 ** 64)
     with pytest.raises(DomainError):
         SeedSpec(0, stream_id=-1)
+    # Seeds and stream ids are integers: a float or a bool is refused,
+    # a numpy integer gives the stream of the equal Python int.
+    for seed, stream in ((1.5, 0), (2.0, 0), (True, 0), (0, 1.5), (0, 3.0), (0, True)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            SeedSpec(seed, stream_id=stream)
+    assert SeedSpec(np.uint64(7), np.int64(3)).rng().random() == SeedSpec(7, 3).rng().random()
 
 
 def test_pool_loads_hand_example():

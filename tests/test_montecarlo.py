@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -41,8 +42,17 @@ def _document_bytes(report: ComparisonReport) -> bytes:
     return json.dumps(report.to_document(), sort_keys=True).encode()
 
 
+@pytest.fixture
+def small_batches(monkeypatch):
+    """A 32 KiB batch budget: _THREE_BATCHES' 9000 trials take about
+    116 KB by the budget's count, so each of its three blocks is a batch
+    of its own."""
+    monkeypatch.setattr(montecarlo, "_BATCH_BYTES", 1 << 15)
+
+
+@pytest.mark.usefixtures("small_batches")
 def test_reports_are_identical_across_reruns_and_thread_counts():
-    # 9000 trials split into several blocks, so the thread pool actually
+    # 9000 trials split into several batches, so the thread pool actually
     # has something to schedule.
     config = _config(4, 3, rho=0.07, nc=1, noise=NOISY, trials=9_000, seed=31337)
     baseline = _document_bytes(compare(config, threads=1))
@@ -50,14 +60,22 @@ def test_reports_are_identical_across_reruns_and_thread_counts():
     assert _document_bytes(compare(config, threads=4)) == baseline
 
 
+_TEST_HELPERS = "multipool-test"
+
+
 @pytest.fixture
 def helpers(monkeypatch):
-    """A fresh helper pool for one test, its threads joined after it."""
-    fresh = montecarlo._Helpers()
+    """A fresh helper executor for one test, built like the module's, its
+    threads joined after it."""
+    fresh = ThreadPoolExecutor(max_workers=sys.maxsize, thread_name_prefix=_TEST_HELPERS)
     monkeypatch.setattr(montecarlo, "_HELPERS", fresh)
     yield fresh
-    if fresh._pool is not None:
-        fresh._pool.shutdown()
+    fresh.shutdown()
+
+
+def _helper_threads() -> int:
+    """The live threads of the ``helpers`` fixture's executor."""
+    return sum(thread.name.startswith(_TEST_HELPERS + "_") for thread in threading.enumerate())
 
 
 def _record_batch_threads(monkeypatch, fail_off_caller=False) -> tuple[list[int], Callable]:
@@ -93,11 +111,12 @@ def _record_batch_threads(monkeypatch, fail_off_caller=False) -> tuple[list[int]
     return threads, reset
 
 
-# Three blocks of 4096 trials at n = 16, so threads = 3 runs three batches
-# on the caller and two helpers.
+# Three blocks of at most 4096 trials at n = 16, so under small_batches
+# threads = 3 runs three batches on the caller and two helpers.
 _THREE_BATCHES = _config(4, 3, rho=0.07, nc=1, noise=NOISY, trials=9_000, seed=31337)
 
 
+@pytest.mark.usefixtures("small_batches")
 def test_the_caller_runs_batches_and_consecutive_calls_share_one_helper(helpers, monkeypatch):
     expected = _document_bytes(compare(_THREE_BATCHES, threads=1))
     threads, reset = _record_batch_threads(monkeypatch)
@@ -113,19 +132,21 @@ def test_the_caller_runs_batches_and_consecutive_calls_share_one_helper(helpers,
     assert seen[1] == seen[0]
 
 
+@pytest.mark.usefixtures("small_batches")
 def test_helpers_never_outnumber_the_batches(helpers, monkeypatch):
     threads, reset = _record_batch_threads(monkeypatch)
     # (16, 4) at 6552 trials is two blocks, so two batches at any thread count.
     config = _config(16, 4, rho=0.1, nc=1, noise=NOISY, trials=6552, seed=4)
     compare(config, threads=3)
     assert len(threads) == 2
-    assert helpers._size == 1
+    assert _helper_threads() == 1
     reset()
     compare(_THREE_BATCHES, threads=3)
     assert len(set(threads)) <= 3
-    assert helpers._size == 2
+    assert _helper_threads() == 2
 
 
+@pytest.mark.usefixtures("small_batches")
 def test_a_helper_failure_reaches_the_caller_and_the_pool_still_works(helpers, monkeypatch):
     expected = _document_bytes(compare(_THREE_BATCHES, threads=1))
     run_batch = montecarlo._run_batch
@@ -136,6 +157,7 @@ def test_a_helper_failure_reaches_the_caller_and_the_pool_still_works(helpers, m
     assert _document_bytes(compare(_THREE_BATCHES, threads=3)) == expected
 
 
+@pytest.mark.usefixtures("small_batches")
 def test_concurrent_calls_return_the_documents_of_sequential_calls(helpers):
     # Four user threads on two cores, two of them at threads = 2 and two
     # at threads = 3, so the pool grows while calls are using it; a short
@@ -160,6 +182,33 @@ def test_concurrent_calls_return_the_documents_of_sequential_calls(helpers):
         sys.setswitchinterval(interval)
     assert not any(user.is_alive() for user in users)
     assert documents == dict.fromkeys(range(4), expected)
+
+
+def _batch_plan(config: ExperimentConfig, threads: int, monkeypatch) -> list:
+    """The blocks of every batch that ``compare`` runs, in sorted order."""
+    plan, run_batch = [], montecarlo._run_batch
+
+    def recorded(matrix, scenario, error, master_seed, blocks):
+        plan.append(blocks)
+        return run_batch(matrix, scenario, error, master_seed, blocks)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_run_batch", recorded)
+        compare(config, threads=threads)
+    return sorted(plan)
+
+
+def test_the_batch_plan_is_the_same_at_every_thread_count(monkeypatch):
+    # sim-sparse-large's (64, 8) at 448 trials is one batch by the budget;
+    # _THREE_BATCHES under a 32 KiB budget is three.
+    sparse = _config(**_GOLDEN_CONFIGS["sparse"], seed=1)
+    plans = [_batch_plan(sparse, threads, monkeypatch) for threads in (1, 2, 4)]
+    assert len(plans[0]) == 1
+    assert plans[1] == plans[0] and plans[2] == plans[0]
+    monkeypatch.setattr(montecarlo, "_BATCH_BYTES", 1 << 15)
+    plans = [_batch_plan(_THREE_BATCHES, threads, monkeypatch) for threads in (1, 2, 4)]
+    assert len(plans[0]) == 3
+    assert plans[1] == plans[0] and plans[2] == plans[0]
 
 
 def test_count_means_satisfy_the_tally_identity():
@@ -269,6 +318,22 @@ def test_config_validation():
         )
     with pytest.raises(DomainError):
         run_experiment(_config(3, 2, rho=0.1, trials=100), threads=0)
+    # Trial counts, seeds and thread counts are integers: a float or a
+    # bool is refused before anything runs.
+    for trials, seed in ((10.0, 0), (True, 0), (10, 1.5), (10, 2.0), (10, False)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            ExperimentConfig(scenario=scenario, design=MultipoolParams(4, 3), trials=trials,
+                             master_seed=seed)
+    for threads in (2.0, True):
+        with pytest.raises(DomainError, match="must be an integer"):
+            run_experiment(_config(3, 2, rho=0.1, trials=100), threads=threads)
+    # numpy integers are accepted and held as Python ints, so the report
+    # serializes them as JSON numbers.
+    config = ExperimentConfig(scenario=ScenarioParams(rho=0.1, q=3, m=2, n=9),
+                              design=MultipoolParams(3, 2), trials=np.int64(100),
+                              master_seed=np.uint64(5))
+    document = json.loads(json.dumps(compare(config, threads=np.int64(2)).to_document()))
+    assert (document["trials"], document["master_seed"]) == (100, 5)
 
 
 def test_partial_final_block_keeps_exact_trial_count():
