@@ -30,7 +30,7 @@ from .errors import (
     NoSolutionError,
     NotApplicableError,
     UndefinedResultError,
-    require_at_least,
+    require_integer,
 )
 from .model import NOISELESS, NoiseModel
 
@@ -53,12 +53,13 @@ class ScenarioParams:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"prevalence must lie in [0, 1], got {self.rho}")
-        require_at_least("pool size", self.q, 2)
-        require_at_least("multiplicity", self.m, 1)
+        object.__setattr__(self, "q", require_integer("pool size", self.q, 2))
+        object.__setattr__(self, "m", require_integer("multiplicity", self.m, 1))
+        object.__setattr__(self, "nc", require_integer("nc", self.nc))
         if not 0 <= self.nc <= self.m:
             raise DomainError(f"nc must lie in [0, {self.m}], got {self.nc}")
-        if self.n is not None and self.n < 1:
-            raise DomainError(f"item count must be positive, got {self.n}")
+        if self.n is not None:
+            object.__setattr__(self, "n", require_integer("item count", self.n, 1))
 
     def _require_n(self) -> int:
         if self.n is None:
@@ -432,10 +433,10 @@ def min_multiplicity(
         raise DomainError(f"prevalence must lie strictly inside (0, 1), got {rho}")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie strictly inside (0, 1), got {epsilon}")
-    require_at_least("pool size", q, 2)
+    require_integer("pool size", q, 2)
     if cap is None:
         cap = q + 1
-    require_at_least("cap", cap, 1)
+    require_integer("cap", cap, 1)
 
     # With one pool, the flag rates are the pool's positive rates
     # 1 - p_fn * gamma_1 and 1 - gamma_1.
@@ -464,8 +465,8 @@ def min_multiplicity(
 def threshold_disjunct(q: int, m: int) -> float:
     """Prevalence below which expected infections stay under the design's
     guaranteed-exact decoding capacity: (m - 1) / q**2."""
-    require_at_least("pool size", q, 2)
-    require_at_least("multiplicity", m, 1)
+    require_integer("pool size", q, 2)
+    require_integer("multiplicity", m, 1)
     return (m - 1) / (q * q)
 
 
@@ -484,8 +485,8 @@ def threshold_info(q: int, m: int) -> float:
 
     Solved by bisection; no solution exists when m/q exceeds 1.
     """
-    require_at_least("pool size", q, 2)
-    require_at_least("multiplicity", m, 1)
+    require_integer("pool size", q, 2)
+    require_integer("multiplicity", m, 1)
     target = m / q
     if target > 1.0:
         raise NoSolutionError(f"m/q = {m}/{q} exceeds 1 bit; H(x) cannot reach it")

@@ -19,15 +19,16 @@ the same report.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from . import gf
-from .errors import DesignBoundError, DomainError, MatrixFormatError, require_at_least
+from .errors import DesignBoundError, DomainError, MatrixFormatError, require_binary, require_integer
 
 FORMAT_VERSION = 1
 
@@ -51,8 +52,8 @@ class MultipoolParams:
     m: int
 
     def __post_init__(self):
-        require_at_least("pool size", self.q, 2)
-        require_at_least("multiplicity", self.m, 1)
+        object.__setattr__(self, "q", require_integer("pool size", self.q, 2))
+        object.__setattr__(self, "m", require_integer("multiplicity", self.m, 1))
         if self.m > self.q + 1:
             raise DesignBoundError(
                 f"multiplicity {self.m} exceeds the maximum {self.q + 1} "
@@ -101,16 +102,22 @@ class PoolingMatrix:
     def from_pools(
         cls,
         n: int,
-        pools: Sequence[Iterable[int]],
+        pools: Sequence[Collection[int]],
         labels: Sequence[PoolLabel] | None = None,
     ) -> "PoolingMatrix":
-        if n < 1:
-            raise DomainError(f"item count must be positive, got {n}")
+        n = require_integer("item count", n, 1)
         if len(pools) < 1:
             raise DomainError("a design needs at least one pool")
         canonical: list[list[int]] = []
         for i, pool in enumerate(pools):
-            items = sorted(int(j) for j in pool)
+            # operator.index takes Python and numpy integers and nothing
+            # else but bools, which it reads as 0 and 1.
+            try:
+                items = sorted(map(operator.index, pool))
+            except TypeError:
+                items = None
+            if items is None or bool in map(type, pool):
+                raise DomainError(f"pool {i} contains a non-integer entry")
             if items and (items[0] < 0 or items[-1] >= n):
                 raise DomainError(f"pool {i} contains an item index outside [0, {n})")
             if any(a == b for a, b in zip(items, items[1:])):
@@ -135,6 +142,7 @@ class PoolingMatrix:
             raise DomainError(f"item count must be positive, got {n}")
         if t < 1:
             raise DomainError("a design needs at least one pool")
+        require_binary("dense design entries", arr)
         pool_index = _padded(*np.nonzero(arr), t, n)
         return cls(n, pool_index, _member_index(pool_index, n), None)
 
@@ -275,8 +283,8 @@ def max_pools_bound(q: int, n: int) -> int:
     Every pool contains q*(q-1)/2 item pairs and no pair may repeat, so
     the count is at most n*(n-1) / (q*(q-1)), rounded down.
     """
-    require_at_least("pool size", q, 2)
-    if n < q:
+    require_integer("pool size", q, 2)
+    if require_integer("item count", n) < q:
         raise DomainError(f"need at least q={q} items, got {n}")
     return (n * (n - 1)) // (q * (q - 1))
 
@@ -398,8 +406,6 @@ def matrix_from_document(doc: object) -> MatrixFile:
     _require(len(pools) == t, f"expected {t} pools, found {len(pools)}")
     for i, pool in enumerate(pools):
         _require(isinstance(pool, list), f"pool {i} must be an array")
-        for j in pool:
-            _require(_is_int(j), f"pool {i} contains a non-integer entry")
     labels_doc = doc.get("labels")
     labels: list[PoolLabel] | None = None
     if labels_doc is not None:

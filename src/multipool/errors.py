@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the lower-bound and
-integer checks that most parameter validation goes through."""
+"""Exception types shared across the package, and the integer and 0/1
+checks that most parameter validation goes through."""
 
 import numbers
 
@@ -56,15 +56,19 @@ class MatrixFormatError(MultipoolError, ValueError):
         self.column = column
 
 
-def require_at_least(what: str, value: int, least: int):
-    """Raise DomainError unless ``value`` is at least ``least``."""
-    if value < least:
-        raise DomainError(f"{what} must be at least {least}, got {value}")
-
-
-def require_integer(what: str, value) -> int:
+def require_integer(what: str, value, least: int | None = None) -> int:
     """``value`` as a Python int; raise DomainError unless it is a Python
-    or numpy integer.  A bool is not a count, so it is rejected."""
+    or numpy integer, and at least ``least`` when that is given.  A bool
+    is not a count, so it is rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{what} must be at least {least}, got {value}")
     return int(value)
+
+
+def require_binary(what: str, values) -> None:
+    """Raise DomainError unless every entry of the array ``values`` is 0
+    or 1."""
+    if values.dtype != bool and ((values != 0) & (values != 1)).any():
+        raise DomainError(f"{what} must be 0 or 1")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import PoolingMatrix
-from .errors import DomainError, require_integer
+from .errors import DomainError, require_binary, require_integer
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,7 @@ def _index_sums(values: np.ndarray, index: np.ndarray, what: str) -> np.ndarray:
     """
     width = values.shape[-1]
     flat = values.reshape(-1, width)
-    if flat.dtype != bool and ((flat != 0) & (flat != 1)).any():
-        raise DomainError(f"{what} must be 0 or 1")
+    require_binary(what, flat)
     columns = np.zeros((width + 1, flat.shape[0]), dtype=np.int32)
     columns[:width] = flat.T
     sums = np.zeros((index.shape[0], flat.shape[0]), dtype=np.int32)

@@ -20,9 +20,10 @@ estimate is a function of the merged integers, so results are
 bit-identical no matter how many threads process the batches, in which
 order they finish, or how the blocks group into batches.  The grouping
 depends on the design, the scenario and the trial count, never on the
-thread count.  With threads > 1 the calling thread works through the
-batches alongside helper threads from one executor that lives as long
-as the process (``_HELPERS``), so a call starts a thread only when no
+thread count.  With k = min(threads, batches) > 1 the batches are dealt
+out in turn to k stripes: the calling thread runs stripe 0 and helper
+threads from one executor that lives as long as the process
+(``_HELPERS``) run the others, so a call starts a thread only when no
 helper is idle.
 
 Conditional proportions (sensitivity and friends) pool item-level events
@@ -38,12 +39,11 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable
 
 import numpy as np
@@ -548,11 +548,13 @@ def _run_batch(
 
 
 # The helper threads that every multi-batch simulation shares.  The
-# executor starts a thread only when a call submits work and no thread
-# is idle, so creating it starts none, and its threads live as long as
-# the process: each keeps one malloc arena warm from call to call.
-# ``max_workers`` is a cap no call reaches: a call asks for at most
-# threads - 1 helpers, and never for more than it has batches.
+# executor starts a thread only when a call submits a stripe and no
+# thread is idle, so creating it starts none, and its threads live as
+# long as the process: each keeps one malloc arena warm from call to
+# call.  ``max_workers`` is a cap no call reaches: a call submits
+# min(threads, batches) - 1 stripes.  It stays unbounded because a
+# caller waits for each of its stripes, so a stripe queued behind other
+# calls' work would hold the caller up.
 _HELPERS = ThreadPoolExecutor(max_workers=sys.maxsize, thread_name_prefix="multipool")
 
 
@@ -572,9 +574,13 @@ def _simulate(
     and candidate error it is expected to draw.  The batches depend on
     the design, the scenario and the trial count only; ``threads`` only
     decides who runs them.  The error-rate table is built once per call.
-    When threads > 1 and there is more than one batch, the calling
-    thread and min(threads, batches) - 1 helper threads of ``_HELPERS``
-    take the batches in turn from one shared iterator.
+    Batch s belongs to stripe s mod k, k = min(threads, batches).  The
+    stripes 1..k-1 go to ``_HELPERS`` before the calling thread runs
+    stripe 0, so the caller keeps its share of the work: a caller left
+    idle while helpers ran every batch peaked higher in memory and ran
+    fewer trials per second.
+    A failure in any stripe reaches the caller; after one in stripe 0
+    the helpers finish their stripes and their tallies are dropped.
     """
     block = _block_size(matrix.n, scenario.m, scenario.q)
     blocks = [
@@ -593,48 +599,25 @@ def _simulate(
     cuts = [len(blocks) * k // count for k in range(count + 1)]
     batches = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
-    def work(batch: list[tuple[int, int]]) -> dict[str, Counter]:
-        return _run_batch(matrix, scenario, error, master_seed, batch)
+    def stripe(first: int) -> list[dict[str, Counter]]:
+        return [
+            _run_batch(matrix, scenario, error, master_seed, batch)
+            for batch in batches[first::stripes]
+        ]
 
-    if threads == 1 or len(batches) == 1:
-        return _merge(map(work, batches))
-    # Each tally lands in its batch's slot, so the merge runs in batch
-    # order whichever thread ran which batch.
-    tallies: list[dict[str, Counter]] = [{}] * len(batches)
-    todo = enumerate(batches)
-    lock = threading.Lock()
-
-    def drain() -> None:
-        while True:
-            with lock:
-                index, batch = next(todo, (None, None))
-            if batch is None:
-                return
-            tallies[index] = work(batch)
-
-    helpers = [_HELPERS.submit(drain) for _ in range(min(threads, len(batches)) - 1)]
-    try:
-        drain()
-    finally:
-        # A helper still queued behind another call's work would find no
-        # batch left; one that started may still be on its last.
-        for helper in helpers:
-            helper.cancel()
-        wait(helpers)
-    for helper in helpers:
-        if not helper.cancelled():
-            helper.result()
-    return _merge(tallies)
+    stripes = min(threads, len(batches))
+    helpers = _HELPERS.map(stripe, range(1, stripes))
+    return _merge(chain(stripe(0), *helpers))
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats:
     """Simulate config.trials rounds and pool the tallies.
 
-    ``threads`` only shares the batches of blocks between the calling
-    thread and up to threads - 1 helper threads, which persist from call
-    to call; the estimates are identical for every thread count because
-    block seeding and the integer accumulations do not depend on
-    scheduling.
+    ``threads`` only deals the batches of blocks out in turn to the
+    calling thread and up to threads - 1 helper threads, which persist
+    from call to call; the estimates are identical for every thread
+    count because block seeding and the integer accumulations do not
+    depend on scheduling.
     """
     if require_integer("thread count", threads) < 1:
         raise DomainError(f"thread count must be positive, got {threads}")

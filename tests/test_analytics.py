@@ -167,6 +167,20 @@ def test_count_statistics_need_n():
         variance_bounds(scenario)
 
 
+@pytest.mark.parametrize("field, value", [("q", 4.0), ("m", 2.5), ("m", True), ("nc", 0.5), ("n", 16.0)])
+def test_scenario_sizes_must_be_integers(field, value):
+    fields = dict(rho=0.05, q=4, m=3, nc=1, n=16)
+    fields[field] = value
+    with pytest.raises(DomainError, match="must be an integer"):
+        ScenarioParams(**fields)
+
+
+def test_numpy_scenario_sizes_are_held_as_python_ints():
+    scenario = ScenarioParams(rho=0.05, q=np.int64(4), m=np.int32(3), nc=np.uint8(1), n=np.int64(16))
+    assert [type(value) for value in (scenario.q, scenario.m, scenario.nc, scenario.n)] == [int] * 4
+    assert scenario == ScenarioParams(rho=0.05, q=4, m=3, nc=1, n=16)
+
+
 def test_variance_bounds_vanish_at_degenerate_prevalence():
     for rho in (0.0, 1.0):
         bounds = variance_bounds(ScenarioParams(rho=rho, q=8, m=3, n=64))
@@ -311,6 +325,13 @@ def test_min_multiplicity_validation():
 
 
 # --- prevalence thresholds ---------------------------------------------------
+
+@pytest.mark.parametrize("function", [threshold_info, threshold_disjunct])
+def test_thresholds_take_only_integer_sizes(function):
+    for q, m in ((4.5, 2), (4, 2.0), (4, True)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            function(q, m)
+
 
 def test_threshold_disjunct_exact_fractions():
     assert threshold_disjunct(16, 3) == 2 / 256

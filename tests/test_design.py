@@ -98,6 +98,26 @@ def test_parameter_errors_are_domain_errors():
         threshold_info(2, 3)
 
 
+@pytest.mark.parametrize("q, m", [(4, True), (4.0, 3), (4, 3.0)])
+def test_design_parameters_must_be_integers(q, m):
+    # A bool would build the m = 1 design, and a float would pass the
+    # range checks and fail deep inside the builder.
+    with pytest.raises(DomainError, match="must be an integer"):
+        MultipoolParams(q, m)
+
+
+def test_numpy_design_parameters_are_held_as_python_ints():
+    params = MultipoolParams(np.int64(4), np.uint8(3))
+    assert (type(params.q), type(params.m)) == (int, int)
+    assert params == MultipoolParams(4, 3)
+
+
+@pytest.mark.parametrize("q, n", [(3, 9.5), (3.0, 9), (True, 9)])
+def test_max_pools_bound_takes_only_integer_sizes(q, n):
+    with pytest.raises(DomainError, match="must be an integer"):
+        max_pools_bound(q, n)
+
+
 def test_multiplicity_above_q_plus_one_is_rejected():
     for q in (2, 3, 7, 8):
         with pytest.raises(DesignBoundError):
@@ -164,6 +184,28 @@ def test_from_pools_rejects_bad_input():
         PoolingMatrix.from_pools(4, [(1, 1)])
     with pytest.raises(DomainError):
         PoolingMatrix.from_pools(4, [])
+    for n in (4.5, True):
+        with pytest.raises(DomainError, match="item count must be an integer"):
+            PoolingMatrix.from_pools(n, [(0,)])
+
+
+@pytest.mark.parametrize("entry", [1.5, True, "2", np.float64(1.0)])
+def test_from_pools_rejects_entries_that_are_not_integers(entry):
+    with pytest.raises(DomainError, match="pool 1 contains a non-integer entry"):
+        PoolingMatrix.from_pools(4, [(0, 3), (0, entry)])
+
+
+def test_from_pools_takes_numpy_integers():
+    pools = [np.array([3, 0]), (np.int32(1), np.uint64(2))]
+    assert PoolingMatrix.from_pools(4, pools).pools == ((0, 3), (1, 2))
+
+
+@pytest.mark.parametrize("entry", [-1, 0.5, 2])
+def test_from_dense_rejects_entries_other_than_0_and_1(entry):
+    dense = np.array([[1, 0, 1], [0, 1, 1]], dtype=type(entry))
+    dense[1, 0] = entry
+    with pytest.raises(DomainError, match="must be 0 or 1"):
+        PoolingMatrix.from_dense(dense)
 
 
 def test_membership_is_dual_to_pools():

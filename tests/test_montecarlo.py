@@ -5,7 +5,7 @@ import json
 import math
 import sys
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import partial
@@ -78,14 +78,15 @@ def _helper_threads() -> int:
     return sum(thread.name.startswith(_TEST_HELPERS + "_") for thread in threading.enumerate())
 
 
-def _record_batch_threads(monkeypatch, fail_off_caller=False) -> tuple[list[int], Callable]:
+def _record_batch_threads(monkeypatch, fail_on: str | None = None) -> tuple[list[int], Callable]:
     """Route ``_run_batch`` through a wrapper that records the thread of
     each batch, and return the record with a function that resets it for
     the next call.  A batch on the caller sets one event and waits for a
     helper's batch to set the other; a helper's batch sets that one and
     waits for the caller's.  A call that has helpers therefore always
-    runs a batch on the caller and one on a helper.  With
-    ``fail_off_caller`` every batch off the caller raises."""
+    runs a batch on the caller and one on a helper.  With ``fail_on``
+    "the caller" or "a helper", every batch there raises after its
+    wait."""
     threads, caller_ran, helper_ran = [], threading.Event(), threading.Event()
     run_batch, caller = montecarlo._run_batch, threading.get_ident()
 
@@ -93,13 +94,15 @@ def _record_batch_threads(monkeypatch, fail_off_caller=False) -> tuple[list[int]
         thread = threading.get_ident()
         threads.append(thread)
         if thread == caller:
+            where = "the caller"
             caller_ran.set()
             assert helper_ran.wait(timeout=30), "no helper took a batch"
         else:
+            where = "a helper"
             helper_ran.set()
             assert caller_ran.wait(timeout=30), "the caller took no batch"
-            if fail_off_caller:
-                raise RuntimeError("batch failed on a helper")
+        if where == fail_on:
+            raise RuntimeError(f"batch failed on {where}")
         return run_batch(*args)
 
     def reset() -> None:
@@ -150,11 +153,64 @@ def test_helpers_never_outnumber_the_batches(helpers, monkeypatch):
 def test_a_helper_failure_reaches_the_caller_and_the_pool_still_works(helpers, monkeypatch):
     expected = _document_bytes(compare(_THREE_BATCHES, threads=1))
     run_batch = montecarlo._run_batch
-    _record_batch_threads(monkeypatch, fail_off_caller=True)
+    _record_batch_threads(monkeypatch, fail_on="a helper")
     with pytest.raises(RuntimeError, match="on a helper"):
         compare(_THREE_BATCHES, threads=3)
     monkeypatch.setattr(montecarlo, "_run_batch", run_batch)
     assert _document_bytes(compare(_THREE_BATCHES, threads=3)) == expected
+
+
+@pytest.mark.usefixtures("small_batches")
+def test_a_caller_failure_reaches_the_caller_and_the_pool_still_works(helpers, monkeypatch):
+    expected = _document_bytes(compare(_THREE_BATCHES, threads=1))
+    run_batch = montecarlo._run_batch
+    _record_batch_threads(monkeypatch, fail_on="the caller")
+    with pytest.raises(RuntimeError, match="on the caller"):
+        compare(_THREE_BATCHES, threads=3)
+    monkeypatch.setattr(montecarlo, "_run_batch", run_batch)
+    assert _document_bytes(compare(_THREE_BATCHES, threads=3)) == expected
+
+
+def _record_stripes(monkeypatch, threads: int) -> dict[int, list[int]]:
+    """Route ``_run_batch`` through a wrapper that records the blocks
+    each thread runs.  The first batches of the threads - 1 helpers wait
+    for each other, so no helper can run two stripes, and the caller's
+    first batch waits until they have returned, so a helper that took
+    batches from a shared queue would take the caller's next one."""
+    ran: dict[int, list[int]] = defaultdict(list)
+    helpers_met, helpers_done = threading.Barrier(threads - 1), threading.Semaphore(0)
+    run_batch, caller = montecarlo._run_batch, threading.get_ident()
+
+    def recorded(matrix, scenario, error, master_seed, blocks):
+        thread = threading.get_ident()
+        first = not ran[thread]
+        ran[thread].extend(index for index, _ in blocks)
+        if thread == caller:
+            for _ in range(threads - 1 if first else 0):
+                assert helpers_done.acquire(timeout=30), "a helper stripe never ran"
+            return run_batch(matrix, scenario, error, master_seed, blocks)
+        if first:
+            helpers_met.wait(timeout=30)
+        tally = run_batch(matrix, scenario, error, master_seed, blocks)
+        helpers_done.release()
+        return tally
+
+    monkeypatch.setattr(montecarlo, "_run_batch", recorded)
+    return ran
+
+
+@pytest.mark.usefixtures("small_batches")
+@pytest.mark.parametrize(
+    "threads, caller_blocks, helper_blocks", [(2, [0, 2], [[1]]), (3, [0], [[1], [2]])]
+)
+def test_stripes_take_batch_s_on_stripe_s_mod_k_and_the_caller_takes_stripe_0(
+    helpers, monkeypatch, threads, caller_blocks, helper_blocks
+):
+    expected = _document_bytes(compare(_THREE_BATCHES, threads=1))
+    ran = _record_stripes(monkeypatch, threads)
+    assert _document_bytes(compare(_THREE_BATCHES, threads=threads)) == expected
+    assert ran.pop(threading.get_ident()) == caller_blocks
+    assert sorted(ran.values()) == helper_blocks
 
 
 @pytest.mark.usefixtures("small_batches")
@@ -334,6 +390,14 @@ def test_config_validation():
                               master_seed=np.uint64(5))
     document = json.loads(json.dumps(compare(config, threads=np.int64(2)).to_document()))
     assert (document["trials"], document["master_seed"]) == (100, 5)
+
+
+def test_a_scenario_of_numpy_integers_reaches_the_report_as_json_numbers():
+    scenario = ScenarioParams(rho=0.1, q=np.int64(3), m=np.int64(2), nc=np.int64(1), n=np.int64(9))
+    config = ExperimentConfig(scenario=scenario, design=MultipoolParams(3, 2), trials=100,
+                              master_seed=5)
+    expected = _document_bytes(compare(_config(3, 2, 0.1, nc=1, trials=100, seed=5)))
+    assert _document_bytes(compare(config)) == expected
 
 
 def test_partial_final_block_keeps_exact_trial_count():
