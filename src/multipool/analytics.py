@@ -312,37 +312,38 @@ def _line_design_moments(scenario: ScenarioParams, number: Callable[[float], obj
     # P(N <= nc) = sum over s of c_s times the s-th binomial moment of N.
     inverse = [sum((-1) ** (s - k) * math.comb(s, k) for k in range(min(nc, s) + 1))
                for s in range(m + 1)]
+
+    def placed(free: int, a: int, b: int):
+        """Sum over the ways to place a pools of i and b of j among ``free``
+        directions, c of them shared, of g1**once * g2**twice: the two
+        pools of one direction are parallel, of two directions they meet
+        in one other item."""
+        total = 0
+        for c in range(max(0, a + b - free), min(a, b) + 1):
+            twice = a * b - c
+            ways = math.comb(free, a) * math.comb(a, c) * math.comb(free - a, b - c)
+            total += ways * g1_pow[(a + b) * (q - 1) - 2 * twice] * g2_pow[twice]
+        return total
+
     shared = m * (q - 1)
     pair_types = []
     if n - 1 - shared > 0:
-        # A pair sharing no pool: i's and j's pools of one direction are
-        # parallel, of two directions they meet in one other item.
-        moments = {}
-        for a in range(m + 1):
-            for b in range(m + 1):
-                total = 0
-                for c in range(max(0, a + b - m), min(a, b) + 1):
-                    twice = a * b - c
-                    ways = math.comb(m, a) * math.comb(a, c) * math.comb(m - a, b - c)
-                    total += ways * g1_pow[(a + b) * (q - 1) - 2 * twice] * g2_pow[twice]
-                moments[a, b, a, b] = total * keep_pow[a + b]
+        # A pair sharing no pool.
+        moments = {(a, b, a, b): placed(m, a, b) * keep_pow[a + b]
+                   for a in range(m + 1) for b in range(m + 1)}
         pair_types.append((n - 1 - shared, moments))
     # A pair sharing pool P: P covers both and q - 2 others once; the
     # other m - 1 pools of each are placed as in the disjoint case.
     moments = {}
     for a in range(m):
         for b in range(m):
+            others = placed(m - 1, a, b)
             for in_a in (0, 1):
                 for in_b in (0, 1):
                     with_p = in_a | in_b
-                    total = 0
-                    for c in range(max(0, a + b - m + 1), min(a, b) + 1):
-                        twice = a * b - c
-                        once = (q - 2) * with_p + (a + b) * (q - 1) - 2 * twice
-                        ways = math.comb(m - 1, a) * math.comb(a, c) * math.comb(m - 1 - a, b - c)
-                        total += ways * g1_pow[once] * g2_pow[twice]
                     key = (a + in_a, b + in_b, a + with_p, b + with_p)
-                    moments[key] = moments.get(key, 0) + total * keep_pow[a + b + with_p]
+                    term = others * g1_pow[(q - 2) * with_p] * keep_pow[a + b + with_p]
+                    moments[key] = moments.get(key, 0) + term
     pair_types.append((shared, moments))
 
     # The per-item indicators x, z and xz are x**e z**d for (e, d) in

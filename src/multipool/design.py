@@ -482,7 +482,8 @@ def parse_matrix_csv(text: str) -> PoolingMatrix:
             raise _row_error(text.split("\n")[line_no - 1], line_no, width)
         digits.append(row[0::2])
     dense = np.frombuffer("".join(digits).encode("ascii"), dtype=np.uint8) - ord("0")
-    return PoolingMatrix.from_dense(dense.reshape(len(rows), width))
+    # Every digit is checked by now, and from_dense scans no bool array.
+    return PoolingMatrix.from_dense(dense.reshape(len(rows), width).view(bool))
 
 
 def _row_error(line: str, line_no: int, width: int) -> MatrixFormatError:

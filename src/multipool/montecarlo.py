@@ -43,7 +43,7 @@ from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
@@ -64,10 +64,11 @@ _BLOCK_MIN = 32
 # sim-sparse-large then runs in one batch and sim-dense-small in two, at
 # every thread count.
 _BATCH_BYTES = 1 << 20
-# Index rows gathered at a time by a batch's pool OR and its
-# candidate-error loads: _GATHER_ROWS, or fewer where the gathered rows
-# would pass one batch's budget, so that a gather does not raise the
-# batch's peak memory much past what the batch is sized for.
+# Index rows per run of a batch's one gather pass, which ORs the pool
+# rows and sums the candidate-error loads: _GATHER_ROWS, or fewer where
+# a run's gathered rows or candidate bits would pass one batch's budget,
+# so that a run does not raise the batch's peak memory much past what
+# the batch is sized for.
 _GATHER_ROWS = 16
 
 # glibc's malloc serves each request at or above its mmap threshold
@@ -363,38 +364,6 @@ class ExperimentConfig:
         return build_multipool(self.design)
 
 
-def _gather_step(row_bytes: int) -> int:
-    """Index rows to gather at a time when each gathered row holds
-    ``row_bytes`` bytes."""
-    return max(1, min(_GATHER_ROWS, _BATCH_BYTES // max(1, row_bytes)))
-
-
-def _candidate_loads(
-    xp: np.ndarray, pool_rows: np.ndarray, pool: np.ndarray, trial: np.ndarray
-) -> np.ndarray:
-    """The load of each candidate error's pool in its trial.
-
-    ``xp`` holds the infections packed item-major, one row of uint64
-    words per item, and a load is the column sum of the pool's index
-    rows read from its bytes: the bit of trial j in a row is bit j & 7
-    of the row's byte j >> 3.  One gather of bytes per run of index rows
-    (:func:`_gather_step`); below 256 rows the sums fit in a byte.
-    """
-    data = xp.reshape(-1).view(np.uint8)
-    byte, shift = trial >> 3, (trial & 7).astype(np.uint8)
-    load = np.zeros(pool.size, dtype=np.uint8 if pool_rows.shape[0] < 256 else np.intp)
-    step = _gather_step(8 * pool.size)
-    for lo in range(0, pool_rows.shape[0], step):
-        index = np.multiply(pool_rows[lo : lo + step], xp.shape[1] * 8, dtype=np.int64)
-        index = index.take(pool, axis=1)
-        index += byte
-        bits = data.take(index)
-        bits >>= shift
-        bits &= 1
-        load += bits.sum(axis=0, dtype=load.dtype)
-    return load
-
-
 def _packed(rows: int, span: int, bit: np.ndarray) -> np.ndarray:
     """(rows, span / 64) uint64 rows with the distinct flat bits ``bit``
     set, bit b being bit b & 63 of word b >> 6.  One unbuffered add sets
@@ -430,41 +399,47 @@ def _run_batch(
     batch, are indexed once: a floor division gives each infection's
     trial, a bincount the infected count per trial, and a product and a
     difference its bit in the item rows, which one unbuffered add sets.
-    Each candidate error reads its pool's load from the bytes of those
-    rows, one gather per run of index rows, summed in a byte while pools
-    hold fewer than 256 items; at r* = 0 the error stage draws nothing
-    and is skipped.  A pool's row is the OR of its items' rows, one
-    gather and one reduce per run of index rows, and the kept errors
-    flip their pools' bits.  An item is flagged when at least m - nc of
-    its pools are positive, the rule of ``model.positive_pool_counts``:
-    when at most nc + width - m of the ``width`` rows its index names are
-    negative, which a bit-sliced counter of negative rows, saturating
-    one past that, decides.  Index padding reads the pad row in both
-    steps, as in ``model``'s gathers: a healthy item and a negative
-    pool.  Per trial, the flagged count adds the unpacked flags eight
-    byte lanes to a uint64 word, and the missed count comes from the few
-    words of infected but unflagged bits; no bit past the last trial is
-    counted.
+    One pass over runs of index rows then gathers each run of item rows
+    once: a pool's row is the OR of its items' rows, and each candidate
+    error's load is the sum of its trial's bits in its pool's rows,
+    summed in a byte while pools hold fewer than 256 items.  The kept
+    errors flip their pools' bits; at r* = 0 no candidate is drawn or
+    read.  An item is flagged when at least m - nc of its pools are
+    positive, the rule of ``model.positive_pool_counts``: when at most
+    nc + width - m of the ``width`` rows its index names are negative,
+    which a bit-sliced counter of negative rows, saturating one past
+    that, decides.  Index padding reads the pad row in both gathers, as
+    in ``model``'s: a healthy item and a negative pool.  Per trial, the
+    flagged count adds the unpacked flags eight byte lanes to a uint64
+    word, and the missed count comes from the few words of infected but
+    unflagged bits; no bit past the last trial is counted.
     """
     pool_rows, member_rows = matrix.pool_rows, matrix.member_rows
     n, t = matrix.n, matrix.t
-    counts = [count for _, count in blocks]
-    trials = sum(counts)
-    starts = list(accumulate(counts[:-1], initial=0))
-    rngs = [SeedSpec(master_seed, index).rng() for index, _ in blocks]
-    # Rows of whole 64-trial words.
-    span = -(-trials // 64) * 64
-    # Each block's infections, shifted to trial-major positions in the
-    # batch, turn into item-major bit indexes in place: position g of
-    # trial g // n goes to bit (g % n) * span + g // n of the item rows,
-    # whose row n pads.
-    parts = []
-    for rng, count, first in zip(rngs, counts, starts):
+    top = float(error.max())
+    # Each block's stream: its infections, then, at r* > 0, its candidate
+    # errors and one uniform per candidate; positions are trial-major in
+    # the batch.
+    infections, candidates, draws, trials = [], [], [], 0
+    for index, count in blocks:
+        rng = SeedSpec(master_seed, index).rng()
         part = positions(rng, count * n, scenario.rho)
-        part += first * n
-        parts.append(part)
-    bit = _joined(parts)
-    del parts, part
+        part += trials * n
+        infections.append(part)
+        if top > 0.0:
+            part = positions(rng, count * t, top)
+            part += trials * t
+            candidates.append(part)
+            draws.append(rng.random(part.size))
+        trials += count
+    # Rows of whole 64-trial words.
+    words = -(-trials // 64)
+    span = words * 64
+    # The infections turn into item-major bit indexes in place: position
+    # g of trial g // n goes to bit (g % n) * span + g // n of the item
+    # rows, whose row n pads.
+    bit = _joined(infections)
+    del infections
     trial = bit // n
     infected = np.bincount(trial, minlength=trials)
     bit *= span
@@ -474,33 +449,35 @@ def _run_batch(
     xp = _packed(n + 1, span, bit)
     del bit
 
-    top = float(error.max())
-    flips = np.empty(0, dtype=np.int64)
+    # Pool rows, then an all-zero pad row, in one pass over runs of index
+    # rows: each run is gathered once and ORed into the pool rows, and
+    # each candidate adds its bit of the run, at word
+    # pool * words + trial // 64 of a row, to its load.
+    yp = np.zeros((t + 1, words), dtype=np.uint64)
+    row_bytes = yp[:t].nbytes
     if top > 0.0:
-        # Candidates as trial-major positions in the batch, as above.
-        parts, draws = [], []
-        for rng, count, first in zip(rngs, counts, starts):
-            part = positions(rng, count * t, top)
-            part += first * t
-            parts.append(part)
-            draws.append(rng.random(part.size))
-        trial, pool = np.divmod(_joined(parts), t)
-        load = _candidate_loads(xp, pool_rows, pool, trial)
+        trial, pool = np.divmod(_joined(candidates), t)
+        word = pool * words + (trial >> 6)
+        shift = (trial & 63).view(np.uint64)
+        del candidates, trial, pool
+        load = np.zeros(word.size, dtype=np.uint8 if pool_rows.shape[0] < 256 else np.intp)
+        row_bytes = max(row_bytes, 8 * word.size)
+    step = min(_GATHER_ROWS, max(1, _BATCH_BYTES // row_bytes))
+    for lo in range(0, pool_rows.shape[0], step):
+        rows = xp.take(pool_rows[lo : lo + step], axis=0)
+        yp[:t] |= np.bitwise_or.reduce(rows, axis=0)
+        if top > 0.0:
+            bits = rows.reshape(rows.shape[0], -1).take(word, axis=1)
+            bits >>= shift
+            bits &= 1
+            load += bits.sum(axis=0, dtype=load.dtype)
+        # Freed so that the next run's gather reuses its memory: held, it
+        # cost about 1 % of a (64, 8) batch on a 2-vCPU Xeon.
+        del rows
+    if top > 0.0:
+        # The kept errors flip their pools' bits.
         keep = _joined(draws) * top < error.take(load)
-        # The kept errors' bits in the pool rows.
-        flips = pool[keep] * span + trial[keep]
-
-    # Pool rows, then an all-zero pad row: each run of index rows is one
-    # gather and one OR down the gathered stack.  The kept errors then
-    # flip their pools' bits.
-    yp = np.empty((t + 1, xp.shape[1]), dtype=np.uint64)
-    yp[t] = 0
-    step = _gather_step(yp[:t].nbytes)
-    np.bitwise_or.reduce(xp.take(pool_rows[:step], axis=0), axis=0, out=yp[:t])
-    for lo in range(step, pool_rows.shape[0], step):
-        yp[:t] |= np.bitwise_or.reduce(xp.take(pool_rows[lo : lo + step], axis=0), axis=0)
-    if flips.size:
-        yp ^= _packed(t + 1, span, flips)
+        np.bitwise_xor.at(yp.reshape(-1), word[keep], np.left_shift(1, shift[keep]))
 
     # below[k]: the trials in which at most k of the rows read so far
     # were negative.

@@ -264,6 +264,21 @@ def test_csv_round_trip():
     assert design.dump_matrix_csv(loaded) == text
 
 
+def test_csv_cells_are_checked_for_0_and_1_once(monkeypatch):
+    # The row check has read every digit, so from_dense must not scan the
+    # matrix again: it gets bools, on which require_binary returns at once.
+    scanned, check = [], design.require_binary
+
+    def spy(what, values):
+        scanned.append(values.dtype)
+        check(what, values)
+
+    monkeypatch.setattr(design, "require_binary", spy)
+    matrix = build_multipool(MultipoolParams(4, 5))
+    assert design.parse_matrix_csv(design.dump_matrix_csv(matrix)).pools == matrix.pools
+    assert scanned and all(dtype == bool for dtype in scanned)
+
+
 def test_load_design_reads_json_after_leading_whitespace_and_csv_otherwise():
     matrix = build_multipool(MultipoolParams(3, 2))
     loaded = design.load_design(" \n\t" + design.dump_matrix_json(matrix, 3, 2))

@@ -637,23 +637,32 @@ def test_batches_tally_exactly_like_the_per_block_pipeline(
     assert tally == expected
 
 
+# Runs of one, seven and sixteen index rows: loads summed across the
+# runs' boundaries, and a last run shorter than the others.
+_GATHER_ROWS_CASES = pytest.mark.parametrize("gather_rows", [1, 7, 16])
+
+
+@_GATHER_ROWS_CASES
 @pytest.mark.parametrize(
     "pools,n",
     [
         ([range(300), (0, 1), ()], 300),  # a pool of 300 items: int32 loads
         ([(0, 1)] * 260 + [(2,)], 3),  # items in 260 pools: int32 counts
+        ([(), ()], 3),  # no index row: every pool ORs zero rows
     ],
 )
-def test_wide_ragged_designs_tally_like_the_per_block_pipeline(pools, n):
+def test_wide_ragged_designs_tally_like_the_per_block_pipeline(pools, n, gather_rows, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_GATHER_ROWS", gather_rows)
     matrix = PoolingMatrix.from_pools(n, pools)
-    m = max(map(len, matrix.item_membership))
+    m = max(1, max(map(len, matrix.item_membership)))
     scenario = ScenarioParams(rho=0.5, q=2, m=m, nc=1, noise=NOISY, n=n)
     tally = montecarlo._simulate(matrix, scenario, 70, 3, 2)
     assert tally == blockwise_tally(matrix, scenario, 70, 3)
 
 
-
-def test_candidate_loads_past_255_are_counted_exactly():
+@_GATHER_ROWS_CASES
+def test_candidate_loads_past_255_are_counted_exactly(gather_rows, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_GATHER_ROWS", gather_rows)
     # Every item is infected, so each candidate error on the 300-item pool
     # reads load 300 and is kept at 0.99 * 0.99 ** 300, about 0.05.  A load
     # summed in a byte would wrap to 44 and keep it at about 0.64.  At
