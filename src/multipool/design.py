@@ -215,9 +215,15 @@ def _member_index(pool_index: np.ndarray, n: int) -> np.ndarray:
     owners = np.repeat(np.arange(t, dtype=np.int32), width)
     real = items < n
     items, owners = items[real], owners[real]
+    del real
     # Owners run in increasing order, and a stable sort by item keeps it.
+    # Each array is dropped once it is used, which keeps a large build's
+    # peak memory down.
     order = np.argsort(items, kind="stable")
-    return _padded(items[order], owners[order], n, t)
+    items = items[order]
+    owners = owners[order]
+    del order
+    return _padded(items, owners, n, t)
 
 
 def _padded(rows: np.ndarray, values: np.ndarray, count: int, pad: int) -> np.ndarray:
@@ -226,7 +232,9 @@ def _padded(rows: np.ndarray, values: np.ndarray, count: int, pad: int) -> np.nd
     the (row, value) pairs come sorted by row, then value."""
     counts = np.bincount(rows, minlength=count)
     index = np.full((count, counts.max()), pad, dtype=np.int32)
-    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # Each pair's place in its row, formed in the buffer of the repeat.
+    rank = np.repeat(np.cumsum(counts) - counts, counts)
+    np.subtract(np.arange(rows.size), rank, out=rank)
     index[rows, rank] = values
     return index
 

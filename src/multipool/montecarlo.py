@@ -62,7 +62,10 @@ _BLOCK_MIN = 32
 # costs n / 8 bytes of packed item rows plus 8 for each int64 position
 # of its expected infections and candidate errors (:func:`_simulate`).
 # sim-sparse-large then runs in one batch and sim-dense-small in two, at
-# every thread count.
+# every thread count.  The passes over a batch's events write into
+# buffers they already hold, so a batch's traced peak stays near this:
+# 1.49 MiB on sim-dense-small and 1.22 MiB on sim-sparse-large.  On
+# (64, 65) under noise the gather run sets it, at 4.05 MiB.
 _BATCH_BYTES = 1 << 20
 # Index rows per run of a batch's one gather pass, which ORs the pool
 # rows and sums the candidate-error loads: _GATHER_ROWS, or fewer where
@@ -77,9 +80,9 @@ _GATHER_ROWS = 16
 # compare call on sim-dense-small, which made the call about 40 %
 # slower (sim-sparse-large faulted no page either way).  Freeing one
 # mapped block raises the threshold to that block's size, and batch
-# arrays below it (about 1 MiB each at most on both workloads) then
-# reuse heap memory.  Elsewhere this costs one allocation that is never
-# touched.
+# arrays below it (under 0.7 MiB each on both workloads, whose batches
+# peak at 1.49 and 1.22 MiB in all) then reuse heap memory.  Elsewhere
+# this costs one allocation that is never touched.
 np.empty(4 << 20, dtype=np.uint8)
 
 
@@ -129,10 +132,14 @@ def positions(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
     parts, last = [], -1
     while last < size - 1:
         # Any gap past the end ends the draw, so capping gaps at ``size``
-        # moves no position and keeps the sums in int64.
-        gaps = rng.standard_exponential(chunk)
-        gaps *= scale
-        gaps = np.fmin(gaps, size, out=gaps).astype(np.int64)
+        # moves no position and keeps the sums in int64.  The capped gaps
+        # turn into int64 in the exponentials' own buffer: element i is
+        # read before it is written, so no second chunk is allocated.
+        draws = rng.standard_exponential(chunk)
+        draws *= scale
+        np.fmin(draws, size, out=draws)
+        gaps = draws.view(np.int64)
+        gaps[...] = draws
         gaps += 1
         gaps[0] += last
         # Summed in place, and one chunk is not copied: the positions are
@@ -367,9 +374,16 @@ class ExperimentConfig:
 def _packed(rows: int, span: int, bit: np.ndarray) -> np.ndarray:
     """(rows, span / 64) uint64 rows with the distinct flat bits ``bit``
     set, bit b being bit b & 63 of word b >> 6.  One unbuffered add sets
-    them all: distinct bits add without a carry."""
+    them all: distinct bits add without a carry.
+
+    Consumes ``bit``: it is shifted in place into word indexes, and the
+    one-hot words take the one scratch array of its size that the pass
+    allocates."""
     words = np.zeros((rows, span // 64), dtype=np.uint64)
-    np.add.at(words.reshape(-1), bit >> 6, np.left_shift(1, (bit & 63).view(np.uint64)))
+    one = np.bitwise_and(bit, 63).view(np.uint64)
+    np.left_shift(1, one, out=one)
+    bit >>= 6
+    np.add.at(words.reshape(-1), bit, one)
     return words
 
 
@@ -413,6 +427,15 @@ def _run_batch(
     flagged count adds the unpacked flags eight byte lanes to a uint64
     word, and the missed count comes from the few words of infected but
     unflagged bits; no bit past the last trial is counted.
+
+    Each pass over the event arrays writes into a buffer it already
+    holds: :func:`positions` casts its gaps in the exponentials' buffer,
+    :func:`_packed` consumes the infection bits, and the missed mask is
+    formed over the flags once they are counted.  Traced, a batch peaks at
+    1.49 MiB on sim-dense-small's (16, 4) and 1.22 MiB on
+    sim-sparse-large's (64, 8), against a ``_BATCH_BYTES`` of 1 MiB, and
+    at 4.05 MiB on (64, 65) under noise, where the gather run's rows and
+    candidate bits, each capped at the budget, set the peak.
     """
     pool_rows, member_rows = matrix.pool_rows, matrix.member_rows
     n, t = matrix.n, matrix.t
@@ -509,7 +532,10 @@ def _run_batch(
         flagged += lanes.view(np.uint8).reshape(fold, span).sum(axis=0, dtype=np.int64)
     flagged = flagged[:trials]
     # Missed infections are rare: unpack only the words that hold one.
-    missed = (xp[:n] & ~flags).reshape(-1)
+    # The flags are read by now, so the mask is formed over them.
+    missed = np.invert(flags, out=flags)
+    missed &= xp[:n]
+    missed = missed.reshape(-1)
     words = np.flatnonzero(missed)
     bits = np.unpackbits(missed[words].view(np.uint8), bitorder="little").reshape(-1, 64)
     held, bit = np.nonzero(bits)

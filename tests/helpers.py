@@ -8,10 +8,12 @@ independent computational routes.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, log1p
+from typing import Callable
 
 import numpy as np
 
@@ -378,6 +380,41 @@ def parse_matrix_csv_per_cell(text: str) -> PoolingMatrix:
         return PoolingMatrix.from_dense(np.asarray(rows, dtype=np.uint8))
     except DomainError as exc:
         raise MatrixFormatError(str(exc)) from exc
+
+
+def traced_peak(call: Callable[[], object]) -> tuple[object, int]:
+    """``call()``'s result and the most bytes it held at once, past what
+    was live when it started, as tracemalloc counts them; numpy reports
+    its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def reference_positions(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
+    """Reference for :func:`montecarlo.positions`: the same geometric
+    skips, with each chunk's capped gaps cast to int64 by a copy
+    (``astype``) rather than in the exponentials' own buffer.  It takes
+    its chunk size from ``montecarlo._gap_chunk``, so a test that patches
+    the chunk patches both."""
+    if rate <= 0.0 or size <= 0:
+        return np.empty(0, dtype=np.int64)
+    if rate >= 1.0:
+        return np.arange(size, dtype=np.int64)
+    scale = -1.0 / log1p(-rate)
+    chunk = montecarlo._gap_chunk(size, rate)
+    parts, last = [], -1
+    while last < size - 1:
+        gaps = rng.standard_exponential(chunk) * scale
+        gaps = np.fmin(gaps, size).astype(np.int64) + 1
+        gaps[0] += last
+        parts.append(np.cumsum(gaps))
+        last = int(parts[-1][-1])
+    found = np.concatenate(parts)
+    return found[: np.searchsorted(found, size)]
 
 
 def dense_gather_sums(values: np.ndarray, rows) -> np.ndarray:

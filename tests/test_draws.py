@@ -8,6 +8,8 @@ import pytest
 from multipool import montecarlo
 from multipool.model import SeedSpec
 
+from helpers import reference_positions
+
 RATES = (1e-4, 0.01, 0.1, 0.5, 0.9)
 # Standard normal quantile of 0.9995 and of 0.999.
 Z_TWO_SIDED = 3.2905
@@ -97,3 +99,35 @@ def test_tiny_rates_stay_inside_int64():
     for rate in (1e-300, 5e-324):
         found = _draw(rate, 1 << 40)
         assert found.size == 0
+
+
+def _same_draw(rate: float, size: int, seed: int) -> np.ndarray:
+    """The package's draw, after checking it bit for bit, and the stream
+    state it leaves, against the reference's from the same stream."""
+    rng, reference = SeedSpec(seed, 0).rng(), SeedSpec(seed, 0).rng()
+    found = montecarlo.positions(rng, size, rate)
+    expected = reference_positions(reference, size, rate)
+    assert found.dtype == expected.dtype == np.int64
+    np.testing.assert_array_equal(found, expected)
+    assert rng.random() == reference.random()
+    return found
+
+
+@pytest.mark.parametrize("rate", RATES)
+def test_positions_match_the_copying_cast_bit_for_bit(rate):
+    # The capped gaps turn into int64 in the exponentials' own buffer;
+    # the reference casts them by a copy.
+    _same_draw(rate, math.ceil(3000 / rate), seed=5)
+
+
+@pytest.mark.parametrize("rate", RATES)
+def test_positions_match_the_copying_cast_across_many_chunks(rate, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_gap_chunk", lambda size, rate: 7)
+    assert _same_draw(rate, math.ceil(300 / rate), seed=6).size > 7
+
+
+def test_positions_match_the_copying_cast_where_the_cap_binds():
+    # At rate 1e-6 nearly every gap passes size = 1000 and is capped at
+    # it, so the cast reads the cap itself.
+    for seed in range(8):
+        assert _same_draw(1e-6, 1000, seed).size <= 1
