@@ -31,6 +31,7 @@ from .errors import (
     NotApplicableError,
     UndefinedResultError,
     require_integer,
+    require_probability,
 )
 from .model import NOISELESS, NoiseModel
 
@@ -51,13 +52,10 @@ class ScenarioParams:
     n: int | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise DomainError(f"prevalence must lie in [0, 1], got {self.rho}")
+        object.__setattr__(self, "rho", require_probability("prevalence", self.rho))
         object.__setattr__(self, "q", require_integer("pool size", self.q, 2))
         object.__setattr__(self, "m", require_integer("multiplicity", self.m, 1))
-        object.__setattr__(self, "nc", require_integer("nc", self.nc))
-        if not 0 <= self.nc <= self.m:
-            raise DomainError(f"nc must lie in [0, {self.m}], got {self.nc}")
+        object.__setattr__(self, "nc", require_integer("nc", self.nc, 0, self.m))
         if self.n is not None:
             object.__setattr__(self, "n", require_integer("item count", self.n, 1))
 
@@ -79,8 +77,7 @@ def gamma(k: int, scenario: ScenarioParams) -> float:
 
         gamma_k = (1 - p_fp) * (1 - (1 - p_fn) * rho) ** (q - k)
     """
-    if not 0 <= k <= scenario.q:
-        raise DomainError(f"k must lie in [0, {scenario.q}], got {k}")
+    k = require_integer("k", k, 0, scenario.q)
     noise = scenario.noise
     base = 1.0 - (1.0 - noise.p_fn) * scenario.rho
     return (1.0 - noise.p_fp) * base ** (scenario.q - k)
@@ -430,14 +427,10 @@ def min_multiplicity(
     that misses the budget.  Raises InfeasibleError when no m up to
     ``cap`` (default q + 1) suffices.
     """
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"prevalence must lie strictly inside (0, 1), got {rho}")
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie strictly inside (0, 1), got {epsilon}")
-    require_integer("pool size", q, 2)
-    if cap is None:
-        cap = q + 1
-    require_integer("cap", cap, 1)
+    rho = require_probability("prevalence", rho, open=True)
+    epsilon = require_probability("epsilon", epsilon, open=True)
+    q = require_integer("pool size", q, 2)
+    cap = require_integer("cap", q + 1 if cap is None else cap, 1)
 
     # With one pool, the flag rates are the pool's positive rates
     # 1 - p_fn * gamma_1 and 1 - gamma_1.
@@ -473,8 +466,7 @@ def threshold_disjunct(q: int, m: int) -> float:
 
 def binary_entropy(x: float) -> float:
     """H(x) = -x log2(x) - (1 - x) log2(1 - x), with H(0) = H(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"entropy argument must lie in [0, 1], got {x}")
+    x = require_probability("entropy argument", x)
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -521,9 +513,10 @@ def confusion_stats(
     false_positives: int,
     true_negatives: int,
 ) -> ConfusionStats:
-    counts = (true_positives, false_negatives, false_positives, true_negatives)
-    if any(c < 0 for c in counts):
-        raise DomainError(f"confusion counts must be non-negative, got {counts}")
+    true_positives, false_negatives, false_positives, true_negatives = (
+        require_integer("confusion count", c, 0)
+        for c in (true_positives, false_negatives, false_positives, true_negatives)
+    )
 
     def ratio(num: int, den: int) -> float | None:
         return num / den if den > 0 else None

@@ -241,9 +241,6 @@ def cmd_analyze(statistic, sweep, start, stop, step, values, rho, q, m, nc, pfp,
                 noise=noise,
                 n=params["n"],
             )
-        except DomainError as exc:
-            _invalid(f"invalid grid point {sweep}={point}: {exc}")
-        try:
             value = evaluate(scenario)
         except NotApplicableError as exc:
             _failure(str(exc))

@@ -291,9 +291,8 @@ def max_pools_bound(q: int, n: int) -> int:
     Every pool contains q*(q-1)/2 item pairs and no pair may repeat, so
     the count is at most n*(n-1) / (q*(q-1)), rounded down.
     """
-    require_integer("pool size", q, 2)
-    if require_integer("item count", n) < q:
-        raise DomainError(f"need at least q={q} items, got {n}")
+    q = require_integer("pool size", q, 2)
+    n = require_integer("item count", n, q)
     return (n * (n - 1)) // (q * (q - 1))
 
 
@@ -338,8 +337,8 @@ def _pair_codes(pool_index: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray
 def validate_multipool(matrix: PoolingMatrix, q: int, m: int) -> ValidationReport:
     """Check that every pool has size q, every item sits in m pools, and
     no two items share more than one pool."""
-    if q < 1 or m < 1:
-        raise DomainError("q and m must be positive")
+    q = require_integer("pool size", q, 1)
+    m = require_integer("multiplicity", m, 1)
     sizes = (matrix.pool_index < matrix.n).sum(axis=1)
     row_sums = tuple(sizes.tolist())
     col_sums = tuple((matrix.member_index < matrix.t).sum(axis=1).tolist())

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer and 0/1
-checks that most parameter validation goes through."""
+"""Exception types shared across the package, and the integer,
+probability and 0/1 checks that every parameter check goes through."""
 
 import numbers
 
@@ -56,15 +56,33 @@ class MatrixFormatError(MultipoolError, ValueError):
         self.column = column
 
 
-def require_integer(what: str, value, least: int | None = None) -> int:
+def require_integer(what: str, value, least: int | None = None, most: int | None = None) -> int:
     """``value`` as a Python int; raise DomainError unless it is a Python
-    or numpy integer, and at least ``least`` when that is given.  A bool
-    is not a count, so it is rejected."""
+    or numpy integer other than a bool, at least ``least`` when that is
+    given, and in [least, most] when ``most`` is given too."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if most is not None and not least <= value <= most:
+        raise DomainError(f"{what} must lie in [{least}, {most}], got {value}")
     if least is not None and value < least:
-        raise DomainError(f"{what} must be at least {least}, got {value}")
-    return int(value)
+        rule = {0: "be non-negative", 1: "be positive"}.get(least, f"be at least {least}")
+        raise DomainError(f"{what} must {rule}, got {value}")
+    return value
+
+
+def require_probability(what: str, value, open: bool = False) -> float:
+    """``value`` as a Python float; raise DomainError unless it is a
+    Python or numpy real number in [0, 1], or in (0, 1) when ``open``.
+    Bools and NaN are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    # Compared before the float conversion, which a huge int would
+    # overflow, and after it, which may round a tiny fraction to 0.
+    if 0 <= value <= 1 and (not open or 0.0 < float(value) < 1.0):
+        return float(value)
+    interval = "strictly inside (0, 1)" if open else "in [0, 1]"
+    raise DomainError(f"{what} must lie {interval}, got {value}")
 
 
 def require_binary(what: str, values) -> None:

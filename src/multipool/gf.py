@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedFieldError
+from .errors import UnsupportedFieldError, require_integer
 
 
 def _is_prime(k: int) -> bool:
@@ -109,9 +109,7 @@ class Field:
         self.mul_table = _frozen(mul)
 
     def _check(self, x: int) -> int:
-        if not 0 <= x < self.q:
-            raise DomainError(f"element index {x} out of range for GF({self.q})")
-        return x
+        return require_integer(f"GF({self.q}) element index", x, 0, self.q - 1)
 
     def add(self, x: int, y: int) -> int:
         return int(self.add_table[self._check(x), self._check(y)])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import PoolingMatrix
-from .errors import DomainError, require_binary, require_integer
+from .errors import DomainError, require_binary, require_integer, require_probability
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,8 @@ class NoiseModel:
     p_fn: float
 
     def __post_init__(self):
-        for name, value in (("p_fp", self.p_fp), ("p_fn", self.p_fn)):
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {value}")
+        object.__setattr__(self, "p_fp", require_probability("p_fp", self.p_fp))
+        object.__setattr__(self, "p_fn", require_probability("p_fn", self.p_fn))
 
     @property
     def noiseless(self) -> bool:
@@ -63,10 +62,9 @@ class SeedSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not 0 <= require_integer("master_seed", self.master_seed) < 2 ** 64:
-            raise DomainError("master_seed must be a 64-bit unsigned integer")
-        if require_integer("stream_id", self.stream_id) < 0:
-            raise DomainError("stream_id must be non-negative")
+        seed = require_integer("master_seed", self.master_seed, 0, 2 ** 64 - 1)
+        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "stream_id", require_integer("stream_id", self.stream_id, 0))
 
     def rng(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))

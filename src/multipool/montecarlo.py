@@ -76,9 +76,10 @@ _GATHER_ROWS = 16
 
 # glibc's malloc serves each request at or above its mmap threshold
 # (128 KiB at start) with a fresh mapping and unmaps it on free, so every
-# batch would fault its arrays in anew: about 1650 page faults per
-# compare call on sim-dense-small, which made the call about 40 %
-# slower (sim-sparse-large faulted no page either way).  Freeing one
+# batch would fault its arrays in anew.  Over 200 threads = 1 compare
+# calls (getrusage; 2 vCPU, numpy 2.4.6) a call took 1204 minor faults
+# on sim-dense-small and 208 on sim-sparse-large without this line, 0.1
+# and 0 with it, and ran 13-39 % and up to 20 % slower.  Freeing one
 # mapped block raises the threshold to that block's size, and batch
 # arrays below it (under 0.7 MiB each on both workloads, whose batches
 # peak at 1.49 and 1.22 MiB in all) then reuse heap memory.  Elsewhere
@@ -346,11 +347,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Held as Python ints, which the report serializes as JSON numbers.
-        object.__setattr__(self, "trials", require_integer("trial count", self.trials))
-        object.__setattr__(self, "master_seed", require_integer("master_seed", self.master_seed))
-        if self.trials < 1:
-            raise DomainError(f"trial count must be positive, got {self.trials}")
-        SeedSpec(self.master_seed)  # raises on a seed outside [0, 2**64)
+        object.__setattr__(self, "trials", require_integer("trial count", self.trials, 1))
+        object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
         scenario = self.scenario
         if scenario.n is None:
             raise DomainError("simulation needs the item count n in the scenario")
@@ -622,8 +620,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats
     count because block seeding and the integer accumulations do not
     depend on scheduling.
     """
-    if require_integer("thread count", threads) < 1:
-        raise DomainError(f"thread count must be positive, got {threads}")
+    threads = require_integer("thread count", threads, 1)
     tally = _simulate(config.matrix(), config.scenario, config.trials, config.master_seed, threads)
     mean_positives, var_positives = _count_estimates(tally["positives"])
     mean_false_positives, var_false_positives = _count_estimates(tally["false_positives"])

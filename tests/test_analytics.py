@@ -62,6 +62,9 @@ def test_gamma_matches_the_direct_expression():
         gamma(-1, scenario)
     with pytest.raises(DomainError):
         gamma(17, scenario)
+    for k in (1.5, 1.0, True):
+        with pytest.raises(DomainError, match="must be an integer"):
+            gamma(k, scenario)
 
 
 def test_gamma_against_binomial_mixture_sampling():
@@ -173,6 +176,23 @@ def test_scenario_sizes_must_be_integers(field, value):
     fields[field] = value
     with pytest.raises(DomainError, match="must be an integer"):
         ScenarioParams(**fields)
+
+
+@pytest.mark.parametrize("rho", [True, False, "0.1", None, float("nan"), -0.1, 1.5,
+                                 pytest.param(10 ** 400, id="10**400")])
+def test_scenario_prevalence_must_be_a_rate(rho):
+    with pytest.raises(DomainError, match="prevalence must"):
+        ScenarioParams(rho=rho, q=4, m=3)
+
+
+def test_numpy_scenario_rates_are_held_as_python_floats():
+    noise = NoiseModel(np.float32(0.5), np.float64(0.25))
+    scenario = ScenarioParams(rho=np.float64(0.1), q=4, m=3, noise=noise)
+    python = ScenarioParams(rho=0.1, q=4, m=3, noise=NoiseModel(0.5, 0.25))
+    assert type(scenario.rho) is float
+    assert scenario == python and hash(scenario) == hash(python)
+    # An int rate is held as the equal float.
+    assert ScenarioParams(rho=1, q=4, m=3) == ScenarioParams(rho=1.0, q=4, m=3)
 
 
 def test_numpy_scenario_sizes_are_held_as_python_ints():
@@ -322,6 +342,14 @@ def test_min_multiplicity_validation():
         min_multiplicity(0.1, 10, NOISELESS, 1.0)
     with pytest.raises(DomainError):
         min_multiplicity(0.1, 10, NoiseModel(0.0, 1.0), 0.01)
+    for bad in (True, "0.1", float("nan")):
+        with pytest.raises(DomainError):
+            min_multiplicity(bad, 10, NOISELESS, 0.01)
+        with pytest.raises(DomainError):
+            min_multiplicity(0.1, 10, NOISELESS, bad)
+    # A fraction that rounds to 0 as a float leaves the open interval.
+    with pytest.raises(DomainError, match="strictly inside"):
+        min_multiplicity(Fraction(1, 10 ** 400), 10, NOISELESS, 0.01)
 
 
 # --- prevalence thresholds ---------------------------------------------------
@@ -347,6 +375,9 @@ def test_binary_entropy_shape():
         assert binary_entropy(x) == pytest.approx(binary_entropy(1 - x), rel=1e-15)
     with pytest.raises(DomainError):
         binary_entropy(-0.1)
+    for x in (True, "0.5", float("nan"), 1.5):
+        with pytest.raises(DomainError):
+            binary_entropy(x)
 
 
 def test_threshold_info_solves_the_entropy_equation():
@@ -383,6 +414,10 @@ def test_confusion_stats_empty_classes_are_none():
     assert nobody_sick.type_two == 0.0
     with pytest.raises(DomainError):
         confusion_stats(-1, 0, 0, 0)
+    for bad in (1.0, True, "1"):
+        with pytest.raises(DomainError, match="must be an integer"):
+            confusion_stats(19, 1, bad, 960)
+    assert confusion_stats(np.int64(19), 1, 20, np.uint16(960)) == confusion_stats(19, 1, 20, 960)
 
 
 # --- combined report ----------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from multipool import montecarlo
@@ -245,6 +246,41 @@ def test_simulate_parameter_errors(tmp_path):
         ["simulate", "--q", "4", "--m", "2", "--rho", "0.1", "--trials", "10", "--n", "20"],
     )
     assert wrong_n.exit_code == 2
+
+
+_ANALYZE = ["analyze", "--statistic", "sens", "--sweep", "rho", "--q", "4", "--m", "2"]
+
+
+@pytest.mark.parametrize("args, gate, code, message", [
+    # The grid rules of analyze.
+    (_ANALYZE + ["--values", "0.1", "--start", "0"], None, 2, "not both"),
+    (_ANALYZE + ["--values", "0.1,x"], None, 2, "could not parse --values"),
+    (_ANALYZE + ["--values", ","], None, 2, "--values is empty"),
+    (_ANALYZE + ["--start", "0.1", "--stop", "0.2"], None, 2, "all of --start/--stop/--step"),
+    (_ANALYZE + ["--start", "0.1", "--stop", "0.2", "--step", "0"], None, 2,
+     "--step must be positive"),
+    (_ANALYZE + ["--start", "0.2", "--stop", "0.1", "--step", "0.05"], None, 2,
+     "--stop 0.1 is below --start 0.2"),
+    # Parameters outside their domain, and a statistic undefined at a point.
+    (_ANALYZE + ["--values", "0.1", "--pfp", "1.5"], None, 2, "p_fp must lie in [0, 1]"),
+    (_ANALYZE + ["--values", "0.1,1.5"], None, 2,
+     "invalid grid point rho=1.5: prevalence must lie in [0, 1]"),
+    (["analyze", "--statistic", "typeI", "--sweep", "rho", "--q", "4", "--m", "2",
+      "--values", "0"], None, 1, "typeI at rho=0.0: nothing is ever flagged positive"),
+    # A simulation that fails its gate: with no tolerance, every row whose
+    # estimate misses its closed form fails.
+    (["simulate", "--q", "4", "--m", "2", "--rho", "0.1", "--trials", "100"], 0.0, 1,
+     "FAIL spec"),
+])
+def test_error_exits(tmp_path, monkeypatch, args, gate, code, message):
+    if gate is not None:
+        monkeypatch.setattr(montecarlo, "_Z_GATE", gate)
+    if args[0] == "analyze":
+        args = args + ["--output", str(tmp_path / "curve.csv")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert message in result.stderr + result.stdout
+    assert not (tmp_path / "curve.csv").exists()
 
 
 def test_simulate_rejects_a_zero_thread_count():

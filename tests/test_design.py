@@ -123,6 +123,12 @@ def test_numpy_design_parameters_are_held_as_python_ints():
     assert params == MultipoolParams(4, 3)
 
 
+@pytest.mark.parametrize("q, m", [(4.0, 2), (4, True), (True, 2), (4, 2.5), (0, 2), (4, 0)])
+def test_validation_takes_only_positive_integer_sizes(q, m):
+    with pytest.raises(DomainError):
+        validate_multipool(build_multipool(MultipoolParams(4, 2)), q, m)
+
+
 @pytest.mark.parametrize("q, n", [(3, 9.5), (3.0, 9), (True, 9)])
 def test_max_pools_bound_takes_only_integer_sizes(q, n):
     with pytest.raises(DomainError, match="must be an integer"):
@@ -198,6 +204,28 @@ def test_from_pools_rejects_bad_input():
     for n in (4.5, True):
         with pytest.raises(DomainError, match="item count must be an integer"):
             PoolingMatrix.from_pools(n, [(0,)])
+
+
+def test_design_inputs_of_the_wrong_shape_are_rejected():
+    with pytest.raises(DomainError, match="labels must match the number of pools"):
+        PoolingMatrix.from_pools(4, [(0, 1), (2, 3)], labels=[PoolLabel(0, 0)])
+    with pytest.raises(DomainError, match="must be a 2-d array"):
+        PoolingMatrix.from_dense(np.ones(4, dtype=np.uint8))
+    with pytest.raises(DomainError, match="item count must be positive, got 0"):
+        PoolingMatrix.from_dense(np.ones((2, 0), dtype=np.uint8))
+    with pytest.raises(DomainError, match="at least one pool"):
+        PoolingMatrix.from_dense(np.ones((0, 4), dtype=np.uint8))
+
+
+def test_validation_summary_lists_the_first_twenty_violations():
+    # Checked as pools of 3 with one pool per item, every one of the 8
+    # pools and 16 items of the (4, 2) design is a violation.
+    report = validate_multipool(build_multipool(MultipoolParams(4, 2)), 3, 1)
+    assert len(report.violations) == 24
+    lines = report.summary().splitlines()
+    kind, indices = report.violations[19]
+    assert lines[-2:] == [f"violation: {kind} at {indices}", "... and 4 more violations"]
+    assert sum(line.startswith("violation: ") for line in lines) == 20
 
 
 @pytest.mark.parametrize("entry", [1.5, True, "2", np.float64(1.0)])

@@ -26,6 +26,19 @@ def test_noise_model_validation():
         NoiseModel(-0.01, 0.0)
     with pytest.raises(DomainError):
         NoiseModel(0.0, 1.5)
+    # A rate is a real number: a bool, a string or NaN is refused.
+    for rate in (True, "0.1", float("nan"), None):
+        with pytest.raises(DomainError):
+            NoiseModel(rate, 0.0)
+        with pytest.raises(DomainError):
+            NoiseModel(0.0, rate)
+
+
+def test_numpy_error_rates_are_held_as_python_floats():
+    noise = NoiseModel(np.float32(0.015625), np.float64(0.25))
+    assert (type(noise.p_fp), type(noise.p_fn)) == (float, float)
+    assert noise == NoiseModel(0.015625, 0.25)
+    assert hash(noise) == hash(NoiseModel(0.015625, 0.25))
 
 
 def test_seed_spec_reproduces_streams():
@@ -49,6 +62,8 @@ def test_seed_spec_validation():
         with pytest.raises(DomainError, match="must be an integer"):
             SeedSpec(seed, stream_id=stream)
     assert SeedSpec(np.uint64(7), np.int64(3)).rng().random() == SeedSpec(7, 3).rng().random()
+    spec = SeedSpec(np.uint64(2 ** 64 - 1), np.int64(3))
+    assert (type(spec.master_seed), type(spec.stream_id)) == (int, int)
 
 
 def test_pool_loads_hand_example():

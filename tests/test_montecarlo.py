@@ -393,11 +393,33 @@ def test_config_validation():
 
 
 def test_a_scenario_of_numpy_integers_reaches_the_report_as_json_numbers():
-    scenario = ScenarioParams(rho=0.1, q=np.int64(3), m=np.int64(2), nc=np.int64(1), n=np.int64(9))
+    # numpy floats too: the error rates are exact in float32, so the
+    # scenario holds the same Python floats as the reference.
+    noise = NoiseModel(np.float32(0.015625), np.float32(0.03125))
+    scenario = ScenarioParams(rho=np.float64(0.1), q=np.int64(3), m=np.int64(2), nc=np.int64(1),
+                              n=np.int64(9), noise=noise)
     config = ExperimentConfig(scenario=scenario, design=MultipoolParams(3, 2), trials=100,
                               master_seed=5)
-    expected = _document_bytes(compare(_config(3, 2, 0.1, nc=1, trials=100, seed=5)))
+    reference = _config(3, 2, 0.1, nc=1, noise=NoiseModel(0.015625, 0.03125), trials=100, seed=5)
+    expected = _document_bytes(compare(reference))
     assert _document_bytes(compare(config)) == expected
+
+
+def test_report_rows_for_outcomes_the_closed_forms_rule_out():
+    seen = montecarlo.Estimate(value=0.5, se=0.1, observations=4)
+    unseen = montecarlo.Estimate(value=None, se=None, observations=0)
+    # A conditional whose closed form has zero mass, yet observed, fails.
+    row = montecarlo._value_row("typeI", None, seen, null_se=None)
+    assert (row.status, row.passed, row.empirical, row.observations) == ("undefined", False, 0.5, 4)
+    # A bound with no sample variance to hold against it passes unchecked.
+    row = montecarlo._bound_row("var_T", 10.0, unseen, exact=2.0)
+    assert (row.status, row.passed, row.bound, row.exact) == ("unavailable", True, 10.0, 2.0)
+    # With no infection ever expected, sensitivity's base has mean 0 and
+    # its null standard error is 0.
+    scenario = ScenarioParams(rho=0.0, q=3, m=2, n=9)
+    moments = exact_moments(scenario)
+    assert montecarlo._null_se("sens", 1.0, seen, scenario=scenario, moments=moments,
+                               trials=10) == 0.0
 
 
 def test_partial_final_block_keeps_exact_trial_count():
