@@ -30,6 +30,7 @@ from .errors import (
     NoSolutionError,
     NotApplicableError,
     UndefinedResultError,
+    require_instance,
     require_integer,
     require_probability,
 )
@@ -56,6 +57,7 @@ class ScenarioParams:
         object.__setattr__(self, "q", require_integer("pool size", self.q, 2))
         object.__setattr__(self, "m", require_integer("multiplicity", self.m, 1))
         object.__setattr__(self, "nc", require_integer("nc", self.nc, 0, self.m))
+        require_instance("noise", self.noise, NoiseModel)
         if self.n is not None:
             object.__setattr__(self, "n", require_integer("item count", self.n, 1))
 

@@ -37,8 +37,6 @@ def _failure(message: str):
 
 
 def _format_value(value: float | int) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, int):
         return str(value)
     return repr(float(value))

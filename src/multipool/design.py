@@ -77,10 +77,11 @@ class PoolingMatrix:
     j in increasing order.  Both are int32 and exactly as wide as their
     longest row; shorter rows, which only ragged external designs have,
     are padded at the end with one past the largest valid index (n in
-    ``pool_index``, t in ``member_index``), so a gather reads the padding
-    from an appended zero row.  ``pools`` and ``item_membership`` are the
-    same lists as tuples of tuples, derived on first use.  Instances are
-    immutable after construction and safe to share across threads.
+    ``pool_index``, t in ``member_index``), so ``model``'s gathers read
+    the padding from an appended zero row; simulation takes no padded
+    design.  ``pools`` and ``item_membership`` are the same lists as
+    tuples of tuples, derived on first use.  Instances are immutable
+    after construction and safe to share across threads.
     """
 
     def __init__(
@@ -167,16 +168,6 @@ class PoolingMatrix:
         """``member_index`` transposed, C-contiguous and read-only: row j
         names the j-th pool of every item."""
         return _transposed(self.member_index)
-
-    @property
-    def pools_array(self) -> np.ndarray | None:
-        """Pools as a (t, q) int32 array when the pool size is constant."""
-        return None if self.pool_size is None else self.pool_index
-
-    @property
-    def membership_array(self) -> np.ndarray | None:
-        """Membership as an (n, m) int32 array when multiplicity is constant."""
-        return None if self.multiplicity is None else self.member_index
 
     @cached_property
     def pools(self) -> tuple[tuple[int, ...], ...]:

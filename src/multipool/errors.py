@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer,
+"""Exception types shared across the package, and the type, integer,
 probability and 0/1 checks that every parameter check goes through."""
 
 import numbers
@@ -54,6 +54,12 @@ class MatrixFormatError(MultipoolError, ValueError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def require_instance(what: str, value, kind: type) -> None:
+    """Raise DomainError unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{what} must be a {kind.__name__}, got {value!r}")
 
 
 def require_integer(what: str, value, least: int | None = None, most: int | None = None) -> int:

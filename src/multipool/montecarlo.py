@@ -357,6 +357,11 @@ class ExperimentConfig:
             shape = (design.q, design.m, design.n)
         else:
             shape = (design.pool_size, design.multiplicity, design.n)
+            uneven = [what for what, common in zip(("pool sizes", "item multiplicities"), shape)
+                      if common is None]
+            if uneven:
+                raise DomainError("simulation needs every pool to hold q items and every item to "
+                                  f"sit in m pools; the design's {' and '.join(uneven)} differ")
         if shape != (scenario.q, scenario.m, scenario.n):
             raise DomainError(
                 f"design has (q, m, n) = {shape}, scenario has "
@@ -394,8 +399,10 @@ def _run_batch(
 ) -> dict[str, Counter]:
     """Tally a run of consecutive whole (block index, trial count) blocks.
 
-    ``error`` is a pool's error rate by its load, up to the widest pool:
-    p_fp at load 0 and (1 - p_fp) * p_fn ** k at load k >= 1.
+    ``error`` is a pool's error rate by its load k = 0..q: p_fp at load
+    0 and (1 - p_fp) * p_fn ** k at load k >= 1.  The design is regular,
+    as ``ExperimentConfig`` requires, so neither index has padding: a
+    ragged design fails the gathers on its pad index with ``IndexError``.
 
     Each block draws from its own stream: the positions of its
     infections among its count * n item-trials, trial-major, then the
@@ -406,25 +413,23 @@ def _run_batch(
 
     Everything else runs once for the whole batch, in a few whole-array
     passes, on states packed along the trials: one row of uint64 words
-    per item or pool, one bit per trial, and an all-zero pad row.  The
-    blocks' infection positions, shifted to trial-major positions in the
-    batch, are indexed once: a floor division gives each infection's
-    trial, a bincount the infected count per trial, and a product and a
-    difference its bit in the item rows, which one unbuffered add sets.
+    per item or pool, one bit per trial.  The blocks' infection
+    positions, shifted to trial-major positions in the batch, are indexed
+    once: a floor division gives each infection's trial, a bincount the
+    infected count per trial, and a product and a difference its bit in
+    the item rows, which one unbuffered add sets.
     One pass over runs of index rows then gathers each run of item rows
     once: a pool's row is the OR of its items' rows, and each candidate
     error's load is the sum of its trial's bits in its pool's rows,
     summed in a byte while pools hold fewer than 256 items.  The kept
     errors flip their pools' bits; at r* = 0 no candidate is drawn or
-    read.  An item is flagged when at least m - nc of its pools are
-    positive, the rule of ``model.positive_pool_counts``: when at most
-    nc + width - m of the ``width`` rows its index names are negative,
-    which a bit-sliced counter of negative rows, saturating one past
-    that, decides.  Index padding reads the pad row in both gathers, as
-    in ``model``'s: a healthy item and a negative pool.  Per trial, the
-    flagged count adds the unpacked flags eight byte lanes to a uint64
-    word, and the missed count comes from the few words of infected but
-    unflagged bits; no bit past the last trial is counted.
+    read.  An item is flagged when at least m - nc of its m pools are
+    positive, the rule of ``model.positive_pool_counts``: when at most nc
+    of them are negative, which a bit-sliced counter of negative rows,
+    saturating one past nc, decides.  Per trial, the flagged count adds
+    the unpacked flags eight byte lanes to a uint64 word, and the missed
+    count comes from the few words of infected but unflagged bits; no bit
+    past the last trial is counted.
 
     Each pass over the event arrays writes into a buffer it already
     holds: :func:`positions` casts its gaps in the exponentials' buffer,
@@ -457,8 +462,7 @@ def _run_batch(
     words = -(-trials // 64)
     span = words * 64
     # The infections turn into item-major bit indexes in place: position
-    # g of trial g // n goes to bit (g % n) * span + g // n of the item
-    # rows, whose row n pads.
+    # g of trial g // n goes to bit (g % n) * span + g // n of the rows.
     bit = _joined(infections)
     del infections
     trial = bit // n
@@ -467,15 +471,14 @@ def _run_batch(
     trial *= n * span - 1
     bit -= trial
     del trial
-    xp = _packed(n + 1, span, bit)
+    xp = _packed(n, span, bit)
     del bit
 
-    # Pool rows, then an all-zero pad row, in one pass over runs of index
-    # rows: each run is gathered once and ORed into the pool rows, and
-    # each candidate adds its bit of the run, at word
-    # pool * words + trial // 64 of a row, to its load.
-    yp = np.zeros((t + 1, words), dtype=np.uint64)
-    row_bytes = yp[:t].nbytes
+    # Pool rows, in one pass over runs of index rows: each run is gathered
+    # once and ORed into the pool rows, and each candidate adds its bit of
+    # the run, at word pool * words + trial // 64 of a row, to its load.
+    yp = np.zeros((t, words), dtype=np.uint64)
+    row_bytes = yp.nbytes
     if top > 0.0:
         trial, pool = np.divmod(_joined(candidates), t)
         word = pool * words + (trial >> 6)
@@ -486,7 +489,7 @@ def _run_batch(
     step = min(_GATHER_ROWS, max(1, _BATCH_BYTES // row_bytes))
     for lo in range(0, pool_rows.shape[0], step):
         rows = xp.take(pool_rows[lo : lo + step], axis=0)
-        yp[:t] |= np.bitwise_or.reduce(rows, axis=0)
+        yp |= np.bitwise_or.reduce(rows, axis=0)
         if top > 0.0:
             bits = rows.reshape(rows.shape[0], -1).take(word, axis=1)
             bits >>= shift
@@ -502,15 +505,13 @@ def _run_batch(
 
     # below[k]: the trials in which at most k of the rows read so far
     # were negative.
-    width = member_rows.shape[0]
-    most = scenario.nc + width - scenario.m
-    below = [np.full(xp[:n].shape, np.iinfo(np.uint64).max, dtype=np.uint64)
-             for _ in range(most + 1)]
+    nc = scenario.nc
+    below = [np.full(xp.shape, np.iinfo(np.uint64).max, dtype=np.uint64) for _ in range(nc + 1)]
     for column in member_rows:
         positive = yp.take(column, axis=0)
-        for k in range(most, -1, -1):
+        for k in range(nc, -1, -1):
             below[k] &= below[k - 1] | positive if k else positive
-    flags = below[most] if below else np.zeros_like(xp[:n])
+    flags = below[nc]
 
     # Per-trial flag counts, eight to a uint64 word: each unpacked byte is
     # one item's bit of one trial, and adding unpacked rows as uint64
@@ -532,7 +533,7 @@ def _run_batch(
     # Missed infections are rare: unpack only the words that hold one.
     # The flags are read by now, so the mask is formed over them.
     missed = np.invert(flags, out=flags)
-    missed &= xp[:n]
+    missed &= xp
     missed = missed.reshape(-1)
     words = np.flatnonzero(missed)
     bits = np.unpackbits(missed[words].view(np.uint8), bitorder="little").reshape(-1, 64)
@@ -588,9 +589,8 @@ def _simulate(
         (index, min(block, trials - start))
         for index, start in enumerate(range(0, trials, block))
     ]
-    # Error rate by load, up to the widest pool, and r*, the largest.
-    widest = max(1, matrix.pool_index.shape[1])
-    error = negative_probabilities(np.arange(widest + 1), scenario.noise)
+    # Error rate by load, and r*, the largest.
+    error = negative_probabilities(np.arange(scenario.q + 1), scenario.noise)
     error[0] = scenario.noise.p_fp
     top = float(error.max())
     # A trial's packed item rows, and its expected infections and

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multipool.analytics import ScenarioParams
 from multipool.design import MultipoolParams, PoolingMatrix, build_multipool
 from multipool.errors import DomainError
 from multipool.model import (
@@ -32,6 +33,11 @@ def test_noise_model_validation():
             NoiseModel(rate, 0.0)
         with pytest.raises(DomainError):
             NoiseModel(0.0, rate)
+    # A scenario's noise is a NoiseModel: a pair of rates, None or one
+    # rate is refused when the scenario is built.
+    for noise in ((0.02, 0.02), None, 0.02):
+        with pytest.raises(DomainError, match="noise must be a NoiseModel"):
+            ScenarioParams(rho=0.1, q=4, m=2, noise=noise)
 
 
 def test_numpy_error_rates_are_held_as_python_floats():
@@ -201,8 +207,8 @@ def test_gather_kernels_match_the_dense_reference(data):
 
 def test_ragged_design_with_an_empty_pool_and_an_uncovered_item():
     matrix = PoolingMatrix.from_pools(5, [(0, 1, 2), (), (2, 3)])
-    assert matrix.pool_size is None and matrix.pools_array is None
-    assert matrix.multiplicity is None and matrix.membership_array is None
+    assert matrix.pool_size is None
+    assert matrix.multiplicity is None
     assert matrix.pools == ((0, 1, 2), (), (2, 3))
     assert matrix.item_membership == ((0,), (0,), (0, 2), (2,), ())
     x = np.ones((2, 5), dtype=np.uint8)

@@ -372,6 +372,16 @@ def test_config_validation():
             trials=10,
             master_seed=0,
         )
+    # Simulation takes only regular designs, and says which rule fails.
+    for pools, uneven in (
+        ([(0, 1, 2), (3, 4), (5,)], "pool sizes differ"),
+        ([(0, 1, 2), (3, 4, 5), (0, 1, 3)], "item multiplicities differ"),
+        ([(0, 1, 2), (), (2, 3, 4), (0, 4)], "pool sizes and item multiplicities differ"),
+    ):
+        with pytest.raises(DomainError, match=f"every pool to hold q items and every item to "
+                                              f"sit in m pools; the design's {uneven}"):
+            ExperimentConfig(scenario=ScenarioParams(rho=0.1, q=3, m=2, n=6),
+                             design=PoolingMatrix.from_pools(6, pools), trials=10, master_seed=0)
     with pytest.raises(DomainError):
         run_experiment(_config(3, 2, rho=0.1, trials=100), threads=0)
     # Trial counts, seeds and thread counts are integers: a float or a
@@ -493,6 +503,25 @@ def test_external_design_report_matches_the_dense_gather_pipeline():
     assert _sha256(compare(config).to_document()) == (
         "9dc60cbcd3ec664e22b12cc2aaffc47586e503bdadb466be75e5e9a573f67bc3"
     )
+
+
+def test_a_large_external_design_reports_alike_at_every_thread_count_and_batch_size(
+    monkeypatch,
+):
+    # Three random partitions of 2**16 items into pools of 64, far more
+    # items than the q * q = 4096 of a built design.  Its 256 trials are
+    # eight blocks of 32, which the byte budget groups into four batches,
+    # and the small budget into eight.
+    n, q, m = 1 << 16, 64, 3
+    rng = np.random.default_rng(2026)
+    pools = np.concatenate([rng.permutation(n).reshape(-1, q) for _ in range(m)])
+    scenario = ScenarioParams(rho=0.01, q=q, m=m, nc=1, noise=NOISY, n=n)
+    config = ExperimentConfig(scenario=scenario, design=PoolingMatrix.from_pools(n, pools),
+                              trials=256, master_seed=17)
+    baseline = _document_bytes(compare(config, threads=1))
+    assert _document_bytes(compare(config, threads=3)) == baseline
+    monkeypatch.setattr(montecarlo, "_BATCH_BYTES", 1 << 15)
+    assert _document_bytes(compare(config, threads=1)) == baseline
 
 
 # sha256 of the merged tally of montecarlo._simulate, every histogram and
@@ -643,20 +672,19 @@ def test_ratio_sums_from_the_gram_match_the_direct_sums(n, data):
 
 @st.composite
 def _simulations(draw):
-    """A design and a scenario on it: a built line design, or a ragged
-    external one whose pools may be empty and whose items may sit in no
-    pool, decoded against its widest membership."""
+    """A design and a scenario on it: a built line design, or an external
+    one of m random partitions of n = q k items into pools of q."""
     noise = draw(st.sampled_from([NOISELESS, NOISY, NoiseModel(0.3, 0.1)]))
     rho = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
     if draw(st.booleans()):
         q, m = draw(st.sampled_from([(2, 1), (3, 4), (4, 2), (5, 3), (7, 2)]))
         matrix = build_multipool(MultipoolParams(q, m))
     else:
-        n = draw(st.integers(1, 30))
-        pools = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=12))
-        matrix = PoolingMatrix.from_pools(n, pools)
-        q = draw(st.integers(2, 6))
-        m = max(1, max(map(len, matrix.item_membership)))
+        q, k, m = draw(st.integers(2, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+        n = q * k
+        orders = [draw(st.permutations(range(n))) for _ in range(m)]
+        matrix = PoolingMatrix.from_pools(n, [order[lo : lo + q] for order in orders
+                                              for lo in range(0, n, q)])
     nc = draw(st.integers(0, m))
     return matrix, ScenarioParams(rho=rho, q=q, m=m, nc=nc, noise=noise, n=matrix.n)
 
@@ -693,16 +721,17 @@ _GATHER_ROWS_CASES = pytest.mark.parametrize("gather_rows", [1, 7, 16])
 @pytest.mark.parametrize(
     "pools,n",
     [
-        ([range(300), (0, 1), ()], 300),  # a pool of 300 items: int32 loads
-        ([(0, 1)] * 260 + [(2,)], 3),  # items in 260 pools: int32 counts
-        ([(), ()], 3),  # no index row: every pool ORs zero rows
+        ([range(300)], 300),  # a pool of 300 items: int32 loads
+        ([(0, 1), (1, 2), (0, 2)] * 130, 3),  # items in 260 pools: int32 counts
     ],
 )
 def test_wide_ragged_designs_tally_like_the_per_block_pipeline(pools, n, gather_rows, monkeypatch):
+    # Designs too wide for a byte, in pool size or in multiplicity.  Where
+    # an item sits in more than one pool, nc = 1 makes the decode count.
     monkeypatch.setattr(montecarlo, "_GATHER_ROWS", gather_rows)
     matrix = PoolingMatrix.from_pools(n, pools)
-    m = max(1, max(map(len, matrix.item_membership)))
-    scenario = ScenarioParams(rho=0.5, q=2, m=m, nc=1, noise=NOISY, n=n)
+    q, m = matrix.pool_size, matrix.multiplicity
+    scenario = ScenarioParams(rho=0.5, q=q, m=m, nc=min(1, m - 1), noise=NOISY, n=n)
     tally = montecarlo._simulate(matrix, scenario, 70, 3, 2)
     assert tally == blockwise_tally(matrix, scenario, 70, 3)
 
@@ -712,10 +741,10 @@ def test_candidate_loads_past_255_are_counted_exactly(gather_rows, monkeypatch):
     monkeypatch.setattr(montecarlo, "_GATHER_ROWS", gather_rows)
     # Every item is infected, so each candidate error on the 300-item pool
     # reads load 300 and is kept at 0.99 * 0.99 ** 300, about 0.05.  A load
-    # summed in a byte would wrap to 44 and keep it at about 0.64.  At
-    # nc = 1 each kept error there clears the 298 items in that pool only.
-    matrix = PoolingMatrix.from_pools(300, [range(300), (0, 1), ()])
-    scenario = ScenarioParams(rho=1.0, q=2, m=2, nc=1, noise=NoiseModel(0.01, 0.99), n=300)
+    # summed in a byte would wrap to 44 and keep it at about 0.64.  Each
+    # kept error clears all 300 items of the one pool.
+    matrix = PoolingMatrix.from_pools(300, [range(300)])
+    scenario = ScenarioParams(rho=1.0, q=300, m=1, nc=0, noise=NoiseModel(0.01, 0.99), n=300)
     tally = montecarlo._simulate(matrix, scenario, 200, 11, 1)
     assert tally == blockwise_tally(matrix, scenario, 200, 11)
 
@@ -726,43 +755,45 @@ def test_flag_counts_fold_exactly_at_their_edges(n, trials):
     # At nc = m every item is flagged in every trial, so every byte lane of
     # the flag count holds as many rows as the fold gives it, and a lost or
     # double-counted row, or a padded one, moves the count.
-    matrix = PoolingMatrix.from_pools(n, [range(0, n, 2), range(1, n, 3), ()])
-    scenario = ScenarioParams(rho=0.3, q=2, m=2, nc=2, noise=NOISY, n=n)
+    matrix = PoolingMatrix.from_pools(n, [range(n)])
+    scenario = ScenarioParams(rho=0.3, q=n, m=1, nc=1, noise=NOISY, n=n)
     tally = montecarlo._simulate(matrix, scenario, trials, 13, 1)
     assert tally["positives"] == {n: trials}
     assert tally == blockwise_tally(matrix, scenario, trials, 13)
 
 
-# Six items: pool 1 is empty and item 5 sits in no pool.
-_RAGGED_POOLS = [(0, 1, 2), (), (2, 3, 4), (0, 4)]
+_DESIGNS = {
+    "built": build_multipool(MultipoolParams(3, 2)),
+    # Six items in two partitions into pools of three.
+    "partitions": PoolingMatrix.from_pools(6, [(0, 1, 2), (3, 4, 5), (0, 3, 4), (1, 2, 5)]),
+    # Six items: pool 1 is empty and item 5 sits in no pool.
+    "ragged": PoolingMatrix.from_pools(6, [(0, 1, 2), (), (2, 3, 4), (0, 4)]),
+}
 
 
 @pytest.mark.parametrize("trials", [1, 63, 64, 65, 127, 128, 129])
-@pytest.mark.parametrize("design", ["built", "ragged"])
+@pytest.mark.parametrize("design", ["built", "partitions", "ragged"])
 def test_no_bit_past_the_last_trial_and_no_pad_row_is_counted(design, trials):
     # Packed states hold whole 64-trial words: the last word's spare bits
-    # and the index padding must never reach a count.
-    if design == "built":
-        matrix = build_multipool(MultipoolParams(3, 2))
-    else:
-        matrix = PoolingMatrix.from_pools(6, _RAGGED_POOLS)
-    n, m = matrix.n, max(map(len, matrix.item_membership))
+    # must never reach a count, and the pad index of a ragged design, which
+    # ExperimentConfig refuses, must never be read as a row.
+    matrix = _DESIGNS[design]
+    n = matrix.n
+    if design == "ragged":
+        with pytest.raises(IndexError):
+            montecarlo._simulate(matrix, ScenarioParams(rho=0.3, q=3, m=2, n=n), trials, 7, 1)
+        return
     # nc = m flags every item in every trial.
-    flag_all = ScenarioParams(rho=0.3, q=3, m=m, nc=m, noise=NOISY, n=n)
+    flag_all = ScenarioParams(rho=0.3, q=3, m=2, nc=2, noise=NOISY, n=n)
     tally = montecarlo._simulate(matrix, flag_all, trials, 7, 1)
     assert tally["positives"] == {n: trials}
     assert tally == blockwise_tally(matrix, flag_all, trials, 7)
-    # Every item infected, nc = 0: an item is flagged when all m of its
-    # pools are positive, so only the items in m pools are.
-    all_infected = ScenarioParams(rho=1.0, q=3, m=m, nc=0, noise=NOISELESS, n=n)
+    # Every item infected, nc = 0: an item is flagged when both of its
+    # pools are positive, which they all are.
+    all_infected = ScenarioParams(rho=1.0, q=3, m=2, nc=0, noise=NOISELESS, n=n)
     tally = montecarlo._simulate(matrix, all_infected, trials, 7, 1)
-    full = sum(len(pools) == m for pools in matrix.item_membership)
-    assert tally["positives"] == {full: trials}
+    assert tally["positives"] == {n: trials}
     assert tally == blockwise_tally(matrix, all_infected, trials, 7)
-    # The padding of a pool below the widest reads a healthy item.
-    some = ScenarioParams(rho=0.3, q=3, m=m, nc=0, noise=NOISY, n=n)
-    tally = montecarlo._simulate(matrix, some, trials, 7, 1)
-    assert tally == blockwise_tally(matrix, some, trials, 7)
 
 
 def test_counts_past_uint16_are_tallied_exactly():

@@ -7,7 +7,6 @@ kernels and the design builder through its own module names.
 """
 
 from multipool import analytics, design, gf, model, montecarlo
-from multipool.design import MultipoolParams, PoolingMatrix
 
 
 def test_montecarlo_calls_its_layers_through_module_names():
@@ -26,11 +25,3 @@ def test_traced_methods_are_defined_on_their_classes():
     assert callable(model.SeedSpec.__dict__["rng"])
     assert callable(gf.Field.__dict__["add"])
     assert callable(gf.Field.__dict__["mul"])
-
-
-def test_gather_byte_counts_find_the_dense_index_arrays():
-    assert isinstance(PoolingMatrix.__dict__["pools_array"], property)
-    assert isinstance(PoolingMatrix.__dict__["membership_array"], property)
-    matrix = design.build_multipool(MultipoolParams(4, 3))
-    assert matrix.pools_array is matrix.pool_index
-    assert matrix.membership_array is matrix.member_index
