@@ -18,12 +18,14 @@ for the ones built in this package.
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
+import numpy as np
+
+from .design import MultipoolParams
 from .errors import (
     DomainError,
     InfeasibleError,
@@ -34,6 +36,7 @@ from .errors import (
     require_integer,
     require_probability,
 )
+from .gf import field_for_order
 from .model import NOISELESS, NoiseModel
 
 
@@ -243,10 +246,19 @@ class Moments(NamedTuple):
     cov: tuple[tuple[float, ...], ...]
 
 
-# Digits of the first decimal pass of exact_moments.  The inclusion-
-# exclusion sums alternate in sign and cancel: on (64, 8) noiseless,
-# 50 digits broke down at rho = 1e-9, and 80 digits at rho = 1e-10.
-_MOMENT_DIGITS = 80
+# The log of probability 0: finite, so that a count of 0 times it is 0
+# and not NaN, and so far below any real log-probability that exp of a
+# sum holding it is 0.
+_LOG_ZERO = -1e300
+
+
+def _log(p: float, complement: float) -> float:
+    """log p, from p and 1 - p each to full relative precision: through
+    log1p(-complement) where p is near 1, so a small complement keeps its
+    digits."""
+    if p == 0.0:
+        return _LOG_ZERO
+    return math.log1p(-complement) if p > 0.5 else math.log(p)
 
 
 @lru_cache(maxsize=256)
@@ -256,133 +268,108 @@ def exact_moments(scenario: ScenarioParams) -> Moments:
 
     Holds for that design only, under noise and for any nc: every two of
     its non-parallel pools meet in one item, so the joint law of two
-    items' decodes depends only on whether they share a pool.  Computed
-    in ``decimal`` from the exact values of the float parameters, at 80
-    digits and then at twice as many, doubling until two passes round to
-    the same floats, so the far tails keep their digits.
+    items' decodes depends only on whether they share a pool.  Every
+    probability is a sum of non-negative float terms, each complement of
+    a product is -expm1 of a sum of logs, and each covariance is taken on
+    the rarer of a class of items and its complement, so one pass keeps
+    the digits far into the tails.
     """
     n = scenario._require_n()
-    if n != scenario.q * scenario.q:
-        raise DomainError(f"a line design has q*q = {scenario.q ** 2} items, got n = {n}")
-    digits, previous = _MOMENT_DIGITS, None
-    while True:
-        with decimal.localcontext() as context:
-            context.prec = digits
-            mean, cov = _line_design_moments(scenario, decimal.Decimal)
-        moments = Moments(
-            mean=tuple(float(v) for v in mean),
-            cov=tuple(tuple(float(v) for v in row) for row in cov),
-        )
-        if moments == previous:
-            return moments
-        digits, previous = 2 * digits, moments
+    q, m, nc = scenario.q, scenario.m, scenario.nc
+    if n != q * q:
+        raise DomainError(f"a line design has q*q = {q ** 2} items, got n = {n}")
+    MultipoolParams(q, m)  # DesignBoundError past m = q + 1
+    field_for_order(q)  # UnsupportedFieldError where there is no GF(q)
+    rho, p_fp, p_fn = scenario.rho, scenario.noise.p_fp, scenario.noise.p_fn
+    # Another item shows in a given pool when it is infected and not
+    # diluted out; it hides from one pool, or from both of two pools.
+    shows = rho * (1.0 - p_fn)
+    hides = (1.0 - rho) + rho * p_fn
+    hides_twice = (1.0 - rho) + rho * p_fn * p_fn
+    once = rho * p_fn * (1.0 - p_fn)  # hides - hides_twice
+    log_keep, log_fn = _log(1.0 - p_fp, p_fp), _log(p_fn, 1.0 - p_fn)
+    log_hides = _log(hides, shows)
+    # It hides from a second pool given that it hid from the first.
+    log_again = _log(hides_twice / hides, once / hides) if once else 0.0
+    prior, status = np.array([1.0 - rho, rho]), np.arange(2)
 
+    # An item's m pools share only the item, so its count of negative
+    # pools is Binomial(m, alpha_x) given its status x.
+    flag = np.zeros((2, 2))  # P(z | x), z = 1 when at most nc pools are negative
+    for x in (0, 1):
+        log_alpha = log_keep + x * log_fn + (q - 1) * log_hides
+        alpha, beta = math.exp(log_alpha), -math.expm1(log_alpha)
+        for k in range(m + 1):
+            flag[x, int(k <= nc)] += math.comb(m, k) * alpha ** k * beta ** (m - k)
 
-def _line_design_moments(scenario: ScenarioParams, number: Callable[[float], object]):
-    """Means and covariance matrix of (I, T, T_fp, T_fn) in the number
-    type that ``number`` converts the float parameters to: ``Decimal``
-    here, an exact type in the tests.
+    def negatives(steps: int) -> np.ndarray:
+        """law[x_i, x_j, a, b]: the chance that items i and j, of statuses
+        x_i and x_j, have a and b negative pools among their pools in
+        ``steps`` directions, where the two pools of each direction are
+        parallel.  Pool d of i meets pool e != d of j in one cross item,
+        and each pool holds q - steps items that no other of these pools
+        holds.  The law is built one direction at a time."""
+        size = steps + 1
+        old = np.arange(size)[:, None]  # a: old pools of the other item still negative
+        kept = np.arange(size)  # j: those of them that stay negative
+        turned = np.maximum(old - kept, 0)
+        # A new pool meets each old pool of the other item in one cross
+        # item; a - j of the a cross items show in their old pool.
+        comb = np.array([[math.comb(a, j) for j in range(size)] for a in range(size)], float)
+        turn = comb * shows ** turned * hides ** kept
+        # Given that, the new pool is negative when its own items hide, and
+        # the cross items of the turned pools (each with p_fn), of the kept
+        # pools (hides_twice / hides) and of the k - a positive old pools.
+        own = log_keep + status * log_fn + (q - steps) * log_hides
+        settled = own[:, None, None] + turned * log_fn + kept * log_again
+        law = np.ones((2, 2, 1, 1))
+        for k in range(steps):
+            s = k + 1
+            quiet = (settled + np.maximum(k - old, 0) * log_hides)[:, :s, :s]
+            # kernel[x, v, a, j] for a new pool of an item of status x,
+            # which is negative when v = 1.
+            kernel = np.stack([-np.expm1(quiet), np.exp(quiet)], axis=1) * turn[:s, :s]
+            # j's new pool turns i's old pools (v), and i's new pool j's (w).
+            left = np.matmul(kernel.swapaxes(-1, -2)[None], law[:, :, None])
+            both = np.matmul(left[:, :, :, None], kernel[:, None, None])
+            law = np.zeros((2, 2, s + 1, s + 1))
+            for v in (0, 1):
+                for w in (0, 1):
+                    law[:, :, w : w + s, v : v + s] += both[:, :, v, w]
+        return law
 
-    A pool set S is all negative with probability, given the statuses of
-    the items held fixed, (1 - p_fp)^|S| * p_fn^(pools of S over fixed
-    infected items) * g1^once * g2^twice, where once and twice count the
-    other items that S covers once and twice, g1 = 1 - rho (1 - p_fn) and
-    g2 = 1 - rho (1 - p_fn^2).  Summing over the pool subsets A of item
-    i and B of item j, grouped by their sizes and their c shared
-    directions, gives the binomial moments S_ab of the two negative-pool
-    counts, and P(N_i <= nc, N_j <= nc) = sum c_a c_b S_ab inverts them.
-    """
-    q, m, nc, n = scenario.q, scenario.m, scenario.nc, scenario.n
-    one = number(1)
-    rho = number(scenario.rho)
-    p_fn = number(scenario.noise.p_fn)
-    keep = one - number(scenario.noise.p_fp)
-    g1 = one - rho * (one - p_fn)
-    g2 = one - rho * (one - p_fn * p_fn)
+    # Pair types: (ordered pairs per item, law).  A pair sharing pool P
+    # has parallel pools in the other m - 1 directions, and P holds q - 2
+    # items that no other of their pools holds.
+    log_shared = log_keep + (status[:, None] + status) * log_fn + (q - 2) * log_hides
+    rest = negatives(m - 1)
+    law = np.zeros((2, 2, m + 1, m + 1))
+    law[:, :, :m, :m] = -np.expm1(log_shared)[:, :, None, None] * rest
+    law[:, :, 1:, 1:] += np.exp(log_shared)[:, :, None, None] * rest
+    pairs = [(m * (q - 1), law)]
+    if n - 1 - m * (q - 1) > 0:
+        pairs.append((n - 1 - m * (q - 1), negatives(m)))
 
-    def powers(base, top: int) -> list:
-        table = [one]
-        for _ in range(top):
-            table.append(table[-1] * base)
-        return table
-
-    keep_pow, fn_pow = powers(keep, 2 * m), powers(p_fn, 2 * m)
-    g1_pow, g2_pow = powers(g1, 2 * m * (q - 1)), powers(g2, m * m)
-    # P(N <= nc) = sum over s of c_s times the s-th binomial moment of N.
-    inverse = [sum((-1) ** (s - k) * math.comb(s, k) for k in range(min(nc, s) + 1))
-               for s in range(m + 1)]
-
-    def placed(free: int, a: int, b: int):
-        """Sum over the ways to place a pools of i and b of j among ``free``
-        directions, c of them shared, of g1**once * g2**twice: the two
-        pools of one direction are parallel, of two directions they meet
-        in one other item."""
-        total = 0
-        for c in range(max(0, a + b - free), min(a, b) + 1):
-            twice = a * b - c
-            ways = math.comb(free, a) * math.comb(a, c) * math.comb(free - a, b - c)
-            total += ways * g1_pow[(a + b) * (q - 1) - 2 * twice] * g2_pow[twice]
-        return total
-
-    shared = m * (q - 1)
-    pair_types = []
-    if n - 1 - shared > 0:
-        # A pair sharing no pool.
-        moments = {(a, b, a, b): placed(m, a, b) * keep_pow[a + b]
-                   for a in range(m + 1) for b in range(m + 1)}
-        pair_types.append((n - 1 - shared, moments))
-    # A pair sharing pool P: P covers both and q - 2 others once; the
-    # other m - 1 pools of each are placed as in the disjoint case.
-    moments = {}
-    for a in range(m):
-        for b in range(m):
-            others = placed(m - 1, a, b)
-            for in_a in (0, 1):
-                for in_b in (0, 1):
-                    with_p = in_a | in_b
-                    key = (a + in_a, b + in_b, a + with_p, b + with_p)
-                    term = others * g1_pow[(q - 2) * with_p] * keep_pow[a + b + with_p]
-                    moments[key] = moments.get(key, 0) + term
-    pair_types.append((shared, moments))
-
-    # The per-item indicators x, z and xz are x**e z**d for (e, d) in
-    # products; Y = (X, Z, W) are their sums over the items.
-    prior = (one - rho, rho)
-    flag = [sum(inverse[s] * math.comb(m, s) * pool
-                for s, pool in enumerate(powers(keep * fn_pow[x] * g1_pow[q - 1], m)))
-            for x in (0, 1)]
-    products = ((1, 0), (0, 1), (1, 1))
-
-    def single(e: int, d: int):
-        """E[x**e z**d] of one item."""
-        return sum(prior[x] * (flag[x] if d else one) for x in ((1,) if e else (0, 1)))
-
-    mean_y = [n * single(e, d) for e, d in products]
-    second = [[n * single(e | f, d | g) for f, g in products] for e, d in products]
-    for count, moments in pair_types:
-        for xi in (0, 1):
-            for xj in (0, 1):
-                # Joint and marginal flag probabilities given the pair's statuses.
-                both = flag_i = flag_j = 0
-                for (a, b, ei, ej), value in moments.items():
-                    term = value * fn_pow[xi * ei] * fn_pow[xj * ej]
-                    both += inverse[a] * inverse[b] * term
-                    if b == 0:
-                        flag_i += inverse[a] * term
-                    if a == 0:
-                        flag_j += inverse[b] * term
-                weight = prior[xi] * prior[xj] * n * count
-                law = {(0, 0): one, (1, 0): flag_i, (0, 1): flag_j, (1, 1): both}
-                for u, (e, d) in enumerate(products):
-                    for v, (f, g) in enumerate(products):
-                        second[u][v] += weight * xi ** e * xj ** f * law[d, g]
-    cov_y = [[second[u][v] - mean_y[u] * mean_y[v] for v in range(3)] for u in range(3)]
-    # (I, T, T_fp, T_fn) = (X, Z, Z - W, X - W) for X, Z, W the sums of x, z, xz.
-    lift = ((1, 0, 0), (0, 1, 0), (0, 1, -1), (1, 0, -1))
-    mean = [sum(c * mean_y[u] for u, c in enumerate(row)) for row in lift]
-    cov = [[sum(r[u] * s[v] * cov_y[u][v] for u in range(3) for v in range(3)) for s in lift]
-           for r in lift]
-    return mean, cov
+    # Per-item states s = 2 x + z.  (I, T, T_fp, T_fn) count the items
+    # whose state lies in these classes.
+    classes = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], float)
+    single = (prior[:, None] * flag).ravel()
+    mean = n * (classes @ single)
+    # Each covariance is taken on the rarer of a class and its complement,
+    # so pairs that are nearly independent cancel only small masses.
+    flip = classes @ single > (1.0 - classes) @ single
+    classes = np.where(flip[:, None], 1.0 - classes, classes)
+    sign = np.where(flip, -1.0, 1.0)
+    mass, others = classes @ single, 1.0 - classes
+    only = (classes * single) @ others.T  # P(S_u and not S_v)
+    cov = ((classes * single) @ classes.T) * ((others * single) @ others.T) - only * only.T
+    decoded = np.stack([np.arange(m + 1) > nc, np.arange(m + 1) <= nc]).astype(float)
+    for count, law in pairs:
+        table = decoded @ law @ decoded.T  # [x_i, x_j, z_i, z_j]
+        joint = (np.outer(prior, prior)[:, :, None, None] * table).transpose(0, 2, 1, 3)
+        cov += count * (classes @ joint.reshape(4, 4) @ classes.T - np.outer(mass, mass))
+    cov *= n * np.outer(sign, sign)
+    return Moments(mean=tuple(map(float, mean)), cov=tuple(tuple(map(float, row)) for row in cov))
 
 
 def pivotal_probability(scenario: ScenarioParams) -> float:

@@ -8,6 +8,7 @@ independent computational routes.
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
@@ -193,20 +194,29 @@ class Dyadic:
 
     @staticmethod
     def _of(value) -> "Dyadic":
-        return value if isinstance(value, Dyadic) else Dyadic(value)
+        return value if value.__class__ is Dyadic else Dyadic(value)
+
+    @staticmethod
+    def _make(mantissa: int, exponent: int) -> "Dyadic":
+        """mantissa * 2**exponent, without the conversion in ``__init__``."""
+        out = object.__new__(Dyadic)
+        out.mantissa, out.exponent = mantissa, exponent
+        return out
 
     def __add__(self, other):
-        other = Dyadic._of(other)
-        low = min(self.exponent, other.exponent)
-        return Dyadic(
-            (self.mantissa << (self.exponent - low)) + (other.mantissa << (other.exponent - low)),
-            low,
-        )
+        if other.__class__ is int:
+            other = Dyadic._make(other, 0)
+        elif other.__class__ is not Dyadic:
+            other = Dyadic(other)
+        shift = self.exponent - other.exponent
+        if shift >= 0:
+            return Dyadic._make((self.mantissa << shift) + other.mantissa, other.exponent)
+        return Dyadic._make(self.mantissa + (other.mantissa << -shift), self.exponent)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dyadic(-self.mantissa, self.exponent)
+        return Dyadic._make(-self.mantissa, self.exponent)
 
     def __sub__(self, other):
         return self + -Dyadic._of(other)
@@ -215,8 +225,11 @@ class Dyadic:
         return Dyadic._of(other) + -self
 
     def __mul__(self, other):
-        other = Dyadic._of(other)
-        return Dyadic(self.mantissa * other.mantissa, self.exponent + other.exponent)
+        if other.__class__ is int:
+            return Dyadic._make(self.mantissa * other, self.exponent)
+        if other.__class__ is not Dyadic:
+            other = Dyadic(other)
+        return Dyadic._make(self.mantissa * other.mantissa, self.exponent + other.exponent)
 
     __rmul__ = __mul__
 
@@ -224,6 +237,121 @@ class Dyadic:
         if self.exponent >= 0:
             return Fraction(self.mantissa << self.exponent)
         return Fraction(self.mantissa, 1 << -self.exponent)
+
+    def __float__(self) -> float:
+        """The nearest float, without the gcd of :meth:`fraction`: int / int
+        rounds correctly."""
+        if self.exponent >= 0:
+            return float(self.mantissa << self.exponent)
+        return self.mantissa / (1 << -self.exponent)
+
+
+def line_design_moments(scenario: ScenarioParams, number: Callable[[float], object]):
+    """Means and covariance matrix of (I, T, T_fp, T_fn) on the line
+    design of (q, m), in the number type that ``number`` converts the
+    float parameters to: with :class:`Dyadic`, the exact reference for
+    ``analytics.exact_moments``.
+
+    A pool set S is all negative with probability, given the statuses of
+    the items held fixed, (1 - p_fp)^|S| * p_fn^(pools of S over fixed
+    infected items) * g1^once * g2^twice, where once and twice count the
+    other items that S covers once and twice, g1 = 1 - rho (1 - p_fn) and
+    g2 = 1 - rho (1 - p_fn^2).  Summing over the pool subsets A of item
+    i and B of item j, grouped by their sizes and their c shared
+    directions, gives the binomial moments S_ab of the two negative-pool
+    counts, and P(N_i <= nc, N_j <= nc) = sum c_a c_b S_ab inverts them.
+    """
+    q, m, nc, n = scenario.q, scenario.m, scenario.nc, scenario.n
+    one = number(1)
+    rho = number(scenario.rho)
+    p_fn = number(scenario.noise.p_fn)
+    keep = one - number(scenario.noise.p_fp)
+    g1 = one - rho * (one - p_fn)
+    g2 = one - rho * (one - p_fn * p_fn)
+
+    def powers(base, top: int) -> list:
+        table = [one]
+        for _ in range(top):
+            table.append(table[-1] * base)
+        return table
+
+    keep_pow, fn_pow = powers(keep, 2 * m), powers(p_fn, 2 * m)
+    g1_pow, g2_pow = powers(g1, 2 * m * (q - 1)), powers(g2, m * m)
+    # P(N <= nc) = sum over s of c_s times the s-th binomial moment of N.
+    inverse = [sum((-1) ** (s - k) * math.comb(s, k) for k in range(min(nc, s) + 1))
+               for s in range(m + 1)]
+
+    def placed(free: int, a: int, b: int):
+        """Sum over the ways to place a pools of i and b of j among ``free``
+        directions, c of them shared, of g1**once * g2**twice: the two
+        pools of one direction are parallel, of two directions they meet
+        in one other item."""
+        total = 0
+        for c in range(max(0, a + b - free), min(a, b) + 1):
+            twice = a * b - c
+            ways = math.comb(free, a) * math.comb(a, c) * math.comb(free - a, b - c)
+            total += ways * g1_pow[(a + b) * (q - 1) - 2 * twice] * g2_pow[twice]
+        return total
+
+    shared = m * (q - 1)
+    pair_types = []
+    if n - 1 - shared > 0:
+        # A pair sharing no pool.
+        moments = {(a, b, a, b): placed(m, a, b) * keep_pow[a + b]
+                   for a in range(m + 1) for b in range(m + 1)}
+        pair_types.append((n - 1 - shared, moments))
+    # A pair sharing pool P: P covers both and q - 2 others once; the
+    # other m - 1 pools of each are placed as in the disjoint case.
+    moments = {}
+    for a in range(m):
+        for b in range(m):
+            others = placed(m - 1, a, b)
+            for in_a in (0, 1):
+                for in_b in (0, 1):
+                    with_p = in_a | in_b
+                    key = (a + in_a, b + in_b, a + with_p, b + with_p)
+                    term = others * g1_pow[(q - 2) * with_p] * keep_pow[a + b + with_p]
+                    moments[key] = moments.get(key, 0) + term
+    pair_types.append((shared, moments))
+
+    # The per-item indicators x, z and xz are x**e z**d for (e, d) in
+    # products; Y = (X, Z, W) are their sums over the items.
+    prior = (one - rho, rho)
+    flag = [sum(inverse[s] * math.comb(m, s) * pool
+                for s, pool in enumerate(powers(keep * fn_pow[x] * g1_pow[q - 1], m)))
+            for x in (0, 1)]
+    products = ((1, 0), (0, 1), (1, 1))
+
+    def single(e: int, d: int):
+        """E[x**e z**d] of one item."""
+        return sum(prior[x] * (flag[x] if d else one) for x in ((1,) if e else (0, 1)))
+
+    mean_y = [n * single(e, d) for e, d in products]
+    second = [[n * single(e | f, d | g) for f, g in products] for e, d in products]
+    for count, moments in pair_types:
+        for xi in (0, 1):
+            for xj in (0, 1):
+                # Joint and marginal flag probabilities given the pair's statuses.
+                both = flag_i = flag_j = 0
+                for (a, b, ei, ej), value in moments.items():
+                    term = value * fn_pow[xi * ei] * fn_pow[xj * ej]
+                    both += inverse[a] * inverse[b] * term
+                    if b == 0:
+                        flag_i += inverse[a] * term
+                    if a == 0:
+                        flag_j += inverse[b] * term
+                weight = prior[xi] * prior[xj] * n * count
+                law = {(0, 0): one, (1, 0): flag_i, (0, 1): flag_j, (1, 1): both}
+                for u, (e, d) in enumerate(products):
+                    for v, (f, g) in enumerate(products):
+                        second[u][v] += weight * xi ** e * xj ** f * law[d, g]
+    cov_y = [[second[u][v] - mean_y[u] * mean_y[v] for v in range(3)] for u in range(3)]
+    # (I, T, T_fp, T_fn) = (X, Z, Z - W, X - W) for X, Z, W the sums of x, z, xz.
+    lift = ((1, 0, 0), (0, 1, 0), (0, 1, -1), (1, 0, -1))
+    mean = [sum(c * mean_y[u] for u, c in enumerate(row)) for row in lift]
+    cov = [[sum(r[u] * s[v] * cov_y[u][v] for u in range(3) for v in range(3)) for s in lift]
+           for r in lift]
+    return mean, cov
 
 
 def _exact_pool_rates(rho: Fraction, q: int, p_fp: Fraction, p_fn: Fraction):

@@ -31,11 +31,13 @@ from multipool.analytics import (
 )
 from multipool.design import MultipoolParams, build_multipool
 from multipool.errors import (
+    DesignBoundError,
     DomainError,
     InfeasibleError,
     NoSolutionError,
     NotApplicableError,
     UndefinedResultError,
+    UnsupportedFieldError,
 )
 from multipool.model import NOISELESS, NoiseModel
 
@@ -45,6 +47,7 @@ from helpers import (
     exact_min_multiplicity,
     exact_noiseless_stats,
     exact_pivotal_probability,
+    line_design_moments,
 )
 
 NOISY = NoiseModel(0.02, 0.02)
@@ -599,10 +602,85 @@ def test_exact_moments_keep_their_digits_in_the_far_tail(q, m, rho, noise, nc):
     # decimal digits lose it below rho = 1e-10.  Exact dyadic arithmetic
     # on the same float inputs is the reference.
     scenario = ScenarioParams(rho=rho, q=q, m=m, nc=nc, noise=noise, n=q * q)
-    means, cov = analytics._line_design_moments(scenario, Dyadic)
+    means, cov = line_design_moments(scenario, Dyadic)
     moments = exact_moments(scenario)
     for got, want in zip(moments.mean + sum(moments.cov, ()), means + sum(cov, [])):
         assert got == pytest.approx(float(want.fraction()), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("q,m,noise", [(64, 2, NOISY), (16, 5, NOISELESS)])
+def test_exact_moments_do_not_round_tiny_tails_to_zero(q, m, noise):
+    # A precision ladder whose passes had both lost every digit agreed on
+    # 0.0: it gave mean T_fn = 0 and Var T = 0 at (64, 2), against
+    # 1.3386e-214 for both, and Var T = 0 at (16, 5), against 2.56e-276.
+    scenario = ScenarioParams(rho=1 - 1e-9, q=q, m=m, nc=1, noise=noise, n=q * q)
+    means, cov = line_design_moments(scenario, Dyadic)
+    moments = exact_moments(scenario)
+    assert moments.mean[1:] == pytest.approx(tuple(expected_counts(scenario)), rel=1e-12, abs=0.0)
+    for got, want in zip(moments.mean + sum(moments.cov, ()), means + sum(cov, [])):
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+def _assert_moments_match_the_oracle(scenario: ScenarioParams) -> None:
+    # Every probability in exact_moments is a sum of non-negative terms,
+    # so it is off by a few ulps per term and per unit of |log p|: about
+    # 1e-13 at worst, and 1e-11 leaves room.  A covariance is a pair mass
+    # minus a product of item masses, which cancel where the items are
+    # nearly independent, so its error is bounded against the scale
+    # sqrt(var_u * var_v) and not against itself.  Below 1e-300 a float is
+    # subnormal and carries too few digits for a relative bound.
+    means, cov = line_design_moments(scenario, Dyadic)
+    want_mean = np.array([float(v) for v in means])
+    want_cov = np.array([[float(v) for v in row] for row in cov])
+    moments = exact_moments(scenario)
+    scale = np.sqrt(np.abs(np.diag(want_cov)))
+    error = np.abs(np.concatenate([moments.mean - want_mean, (moments.cov - want_cov).ravel()]))
+    bound = 1e-11 * np.concatenate([np.abs(want_mean), np.outer(scale, scale).ravel()])
+    assert ((error <= bound) | (error < 1e-300)).all(), (scenario, error, bound)
+
+
+# NOISY's rates round in binary; the large rates of the third model are
+# short dyadic fractions, which halve the exact oracle's cost on this grid.
+_GRID_NOISE = (NOISELESS, NOISY, NoiseModel(0.125, 0.25))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_exact_moments_match_the_oracle_on_every_small_line_design(q):
+    for m in range(1, q + 2):
+        for rho, noise, nc in itertools.product(
+            (1e-12, 1e-3, 0.3, 1 - 1e-9), _GRID_NOISE, sorted({0, 1, m // 2})
+        ):
+            _assert_moments_match_the_oracle(
+                ScenarioParams(rho=rho, q=q, m=m, nc=nc, noise=noise, n=q * q)
+            )
+
+
+@pytest.mark.parametrize("q,m,rho,noise,nc", [
+    (16, 17, 1e-12, NOISY, 1),
+    (16, 17, 0.3, NOISELESS, 8),
+    (64, 9, 1e-3, NOISY, 1),
+    (64, 9, 1 - 1e-9, NoiseModel(0.1, 0.3), 4),
+])
+def test_exact_moments_match_the_oracle_on_large_line_designs(q, m, rho, noise, nc):
+    _assert_moments_match_the_oracle(ScenarioParams(rho=rho, q=q, m=m, nc=nc, noise=noise, n=q * q))
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_moments_stay_finite_at_the_edges_of_their_domain():
+    # Certain and impossible infections, errors and alarms: the logs of
+    # probability 0 and 1 must raise nothing, warn nothing and leave no NaN.
+    edges = (0.0, 0.5, 1.0)
+    for q in (2, 3, 4, 5):
+        for m in range(1, q + 2):
+            for rho, p_fp, p_fn, nc in itertools.product(
+                (0.0, 1e-300, 0.5, 1.0), edges, edges, sorted({0, m // 2, m})
+            ):
+                scenario = ScenarioParams(
+                    rho=rho, q=q, m=m, nc=nc, noise=NoiseModel(p_fp, p_fn), n=q * q
+                )
+                moments = exact_moments(scenario)
+                assert np.isfinite(moments.mean + sum(moments.cov, ())).all(), scenario
+                assert min(np.diag(moments.cov)) >= 0.0, scenario
 
 
 def test_exact_moments_need_a_line_design_size():
@@ -610,3 +688,9 @@ def test_exact_moments_need_a_line_design_size():
         exact_moments(ScenarioParams(rho=0.1, q=4, m=2))
     with pytest.raises(DomainError):
         exact_moments(ScenarioParams(rho=0.1, q=4, m=2, n=20))
+    # No line design has more than q + 1 directions, and none is built
+    # without a GF(q).
+    with pytest.raises(DesignBoundError):
+        exact_moments(ScenarioParams(rho=0.1, q=4, m=7, n=16))
+    with pytest.raises(UnsupportedFieldError):
+        exact_moments(ScenarioParams(rho=0.1, q=6, m=3, n=36))
