@@ -72,13 +72,14 @@ class MultipoolParams:
 class PoolingMatrix:
     """A binary incidence structure held as two dual index arrays.
 
-    Row i of ``pool_index`` lists the items of pool i in increasing
-    order, and row j of ``member_index`` lists the pools containing item
-    j in increasing order.  Both are int32 and exactly as wide as their
-    longest row; shorter rows, which only ragged external designs have,
+    Column i of ``pool_rows`` lists the items of pool i in increasing
+    order, so row k holds the k-th item of every pool; column j of
+    ``member_rows`` lists the pools containing item j, likewise.  Both
+    are C-contiguous int32 arrays and exactly as tall as their longest
+    column; shorter columns, which only ragged external designs have,
     are padded at the end with one past the largest valid index (n in
-    ``pool_index``, t in ``member_index``), so ``model``'s gathers read
-    the padding from an appended zero row; simulation takes no padded
+    ``pool_rows``, t in ``member_rows``), so the gathers read the
+    padding from an appended zero row; simulation takes no padded
     design.  ``pools`` and ``item_membership`` are the same lists as
     tuples of tuples, derived on first use.  Instances are immutable
     after construction and safe to share across threads.
@@ -87,16 +88,16 @@ class PoolingMatrix:
     def __init__(
         self,
         n: int,
-        pool_index: np.ndarray,
-        member_index: np.ndarray,
+        pool_rows: np.ndarray,
+        member_rows: np.ndarray,
         labels: tuple[PoolLabel, ...] | None,
     ):
-        pool_index.flags.writeable = False
-        member_index.flags.writeable = False
+        pool_rows.flags.writeable = False
+        member_rows.flags.writeable = False
         self.n = n
-        self.t = pool_index.shape[0]
-        self.pool_index = pool_index
-        self.member_index = member_index
+        self.t = pool_rows.shape[1]
+        self.pool_rows = pool_rows
+        self.member_rows = member_rows
         self.labels = labels
 
     @classmethod
@@ -130,8 +131,8 @@ class PoolingMatrix:
                 raise DomainError("labels must match the number of pools")
         sizes = [len(items) for items in canonical]
         flat = np.fromiter((j for items in canonical for j in items), np.int32, sum(sizes))
-        pool_index = _padded(np.repeat(np.arange(len(sizes)), sizes), flat, len(sizes), n)
-        return cls(n, pool_index, _member_index(pool_index, n), labels)
+        pool_rows = _padded(np.repeat(np.arange(len(sizes)), sizes), flat, len(sizes), n)
+        return cls(n, pool_rows, _member_rows(pool_rows, n), labels)
 
     @classmethod
     def from_dense(cls, array: np.ndarray) -> "PoolingMatrix":
@@ -144,45 +145,33 @@ class PoolingMatrix:
         if t < 1:
             raise DomainError("a design needs at least one pool")
         require_binary("dense design entries", arr)
-        pool_index = _padded(*np.nonzero(arr), t, n)
-        return cls(n, pool_index, _member_index(pool_index, n), None)
+        pool_rows = _padded(*np.nonzero(arr), t, n)
+        return cls(n, pool_rows, _member_rows(pool_rows, n), None)
 
     @cached_property
     def pool_size(self) -> int | None:
         """Common pool size, or None when pools differ in size."""
-        return _common_length(self.pool_index, self.n)
+        return _common_length(self.pool_rows, self.n)
 
     @cached_property
     def multiplicity(self) -> int | None:
         """Common number of pools per item, or None when items differ."""
-        return _common_length(self.member_index, self.t)
-
-    @cached_property
-    def pool_rows(self) -> np.ndarray:
-        """``pool_index`` transposed, C-contiguous and read-only: row j
-        names the j-th item of every pool."""
-        return _transposed(self.pool_index)
-
-    @cached_property
-    def member_rows(self) -> np.ndarray:
-        """``member_index`` transposed, C-contiguous and read-only: row j
-        names the j-th pool of every item."""
-        return _transposed(self.member_index)
+        return _common_length(self.member_rows, self.t)
 
     @cached_property
     def pools(self) -> tuple[tuple[int, ...], ...]:
         """Per pool, the sorted item indices it contains."""
-        return _rows(self.pool_index, self.n)
+        return _columns(self.pool_rows, self.n)
 
     @cached_property
     def item_membership(self) -> tuple[tuple[int, ...], ...]:
         """Per item, the sorted indices of the pools containing it."""
-        return _rows(self.member_index, self.t)
+        return _columns(self.member_rows, self.t)
 
     def to_dense(self) -> np.ndarray:
         # Padding entries equal n and land in an extra last column.
         dense = np.zeros((self.t, self.n + 1), dtype=np.uint8)
-        dense[np.arange(self.t)[:, None], self.pool_index] = 1
+        dense[np.arange(self.t), self.pool_rows] = 1
         return dense[:, : self.n]
 
     def __eq__(self, other) -> bool:
@@ -190,7 +179,7 @@ class PoolingMatrix:
             return NotImplemented
         return (
             self.n == other.n
-            and np.array_equal(self.pool_index, other.pool_index)
+            and np.array_equal(self.pool_rows, other.pool_rows)
             and self.labels == other.labels
         )
 
@@ -198,18 +187,18 @@ class PoolingMatrix:
         return f"PoolingMatrix(n={self.n}, t={self.t})"
 
 
-def _member_index(pool_index: np.ndarray, n: int) -> np.ndarray:
-    """The dual of a padded pool index: row j lists the pools holding
+def _member_rows(pool_rows: np.ndarray, n: int) -> np.ndarray:
+    """The dual of padded pool rows: column j lists the pools holding
     item j in increasing order, padded with t."""
-    t, width = pool_index.shape
-    items = pool_index.ravel()
+    width, t = pool_rows.shape
+    # Pool order, so that owners run in increasing order; a stable sort
+    # by item keeps it.  Each array is dropped once it is used, which
+    # keeps a large build's peak memory down.
+    items = pool_rows.T.ravel()
     owners = np.repeat(np.arange(t, dtype=np.int32), width)
     real = items < n
     items, owners = items[real], owners[real]
     del real
-    # Owners run in increasing order, and a stable sort by item keeps it.
-    # Each array is dropped once it is used, which keeps a large build's
-    # peak memory down.
     order = np.argsort(items, kind="stable")
     items = items[order]
     owners = owners[order]
@@ -217,36 +206,30 @@ def _member_index(pool_index: np.ndarray, n: int) -> np.ndarray:
     return _padded(items, owners, n, t)
 
 
-def _padded(rows: np.ndarray, values: np.ndarray, count: int, pad: int) -> np.ndarray:
-    """The (count, longest row) int32 index whose row r lists, in order,
-    the values of the pairs with row r, padded at the end with ``pad``;
-    the (row, value) pairs come sorted by row, then value."""
-    counts = np.bincount(rows, minlength=count)
-    index = np.full((count, counts.max()), pad, dtype=np.int32)
-    # Each pair's place in its row, formed in the buffer of the repeat.
+def _padded(columns: np.ndarray, values: np.ndarray, count: int, pad: int) -> np.ndarray:
+    """The (longest column, count) int32 index whose column c lists, in
+    order, the values of the pairs with column c, padded at the end with
+    ``pad``; the (column, value) pairs come sorted by column, then value."""
+    counts = np.bincount(columns, minlength=count)
+    index = np.full((counts.max(), count), pad, dtype=np.int32)
+    # Each pair's place in its column, formed in the buffer of the repeat.
     rank = np.repeat(np.cumsum(counts) - counts, counts)
-    np.subtract(np.arange(rows.size), rank, out=rank)
-    index[rows, rank] = values
+    np.subtract(np.arange(columns.size), rank, out=rank)
+    index[rank, columns] = values
     return index
 
 
 def _common_length(index: np.ndarray, pad: int) -> int | None:
-    """Common row length of a padded index, or None when rows differ.
-    Padding sits at the end of a row, and any row that has some is
-    shorter than the longest one."""
-    if index.shape[1] and (index[:, -1] == pad).any():
+    """Common column length of a padded index, or None when columns
+    differ.  Padding sits at the end of a column, and any column that
+    has some is shorter than the longest one."""
+    if index.shape[0] and (index[-1] == pad).any():
         return None
-    return index.shape[1]
+    return index.shape[0]
 
 
-def _transposed(index: np.ndarray) -> np.ndarray:
-    rows = np.ascontiguousarray(index.T)
-    rows.flags.writeable = False
-    return rows
-
-
-def _rows(index: np.ndarray, pad: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(v for v in row if v != pad) for row in index.tolist())
+def _columns(index: np.ndarray, pad: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(v for v in column if v != pad) for column in index.T.tolist())
 
 
 @lru_cache(maxsize=8)
@@ -263,17 +246,17 @@ def build_multipool(params: MultipoolParams) -> PoolingMatrix:
     q, m = params.q, params.m
     x = np.arange(q)
     slopes = np.arange(min(m, q))
-    # Pool (s, b) holds the items q*x + (s*x + b), one (slope, intercept,
-    # x) broadcast.  The index is increasing in x, so every row comes out
-    # sorted without an explicit sort.
-    lines = q * x + field.add_table[field.mul_table[slopes[:, None, None], x], x[:, None]]
-    blocks = [lines.reshape(-1, q)]
+    # Row x holds the item q*x + (s*x + b) of pool (s, b), one (x, slope,
+    # intercept) broadcast.  The index is increasing in x, so every pool
+    # comes out sorted without an explicit sort.
+    lines = q * x[:, None, None] + field.add_table[field.mul_table[x[:, None], slopes][..., None], x]
+    blocks = [lines.reshape(q, -1)]
     labels = [PoolLabel(int(slope), intercept) for slope in slopes for intercept in range(q)]
     if m == q + 1:
-        blocks.append(q * x[:, None] + x)
+        blocks.append(q * x + x[:, None])
         labels += [PoolLabel(INFINITY, intercept) for intercept in range(q)]
-    pool_index = np.concatenate(blocks).astype(np.int32)
-    return PoolingMatrix(params.n, pool_index, _member_index(pool_index, params.n), tuple(labels))
+    pool_rows = np.concatenate(blocks, axis=1).astype(np.int32)
+    return PoolingMatrix(params.n, pool_rows, _member_rows(pool_rows, params.n), tuple(labels))
 
 
 def max_pools_bound(q: int, n: int) -> int:
@@ -314,14 +297,14 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _pair_codes(pool_index: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
+def _pair_codes(pool_rows: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
     """Encode every within-pool item pair (j1 < j2) as j1*n + j2, one
     gather over the pools of each distinct size."""
     codes = [np.empty(0, dtype=np.int64)]
     for size in np.unique(sizes).tolist():
-        rows = pool_index[sizes == size, :size]
+        rows = pool_rows[:size, sizes == size]
         left, right = np.triu_indices(size, k=1)
-        codes.append((rows[:, left].astype(np.int64) * n + rows[:, right]).ravel())
+        codes.append((rows[left].astype(np.int64) * n + rows[right]).ravel())
     return np.concatenate(codes)
 
 
@@ -330,9 +313,9 @@ def validate_multipool(matrix: PoolingMatrix, q: int, m: int) -> ValidationRepor
     no two items share more than one pool."""
     q = require_integer("pool size", q, 1)
     m = require_integer("multiplicity", m, 1)
-    sizes = (matrix.pool_index < matrix.n).sum(axis=1)
+    sizes = (matrix.pool_rows < matrix.n).sum(axis=0)
     row_sums = tuple(sizes.tolist())
-    col_sums = tuple((matrix.member_index < matrix.t).sum(axis=1).tolist())
+    col_sums = tuple((matrix.member_rows < matrix.t).sum(axis=0).tolist())
     violations: list[tuple[str, tuple[int, ...]]] = []
     for i, size in enumerate(row_sums):
         if size != q:
@@ -340,7 +323,7 @@ def validate_multipool(matrix: PoolingMatrix, q: int, m: int) -> ValidationRepor
     for j, count in enumerate(col_sums):
         if count != m:
             violations.append(("col_sum", (j,)))
-    codes = _pair_codes(matrix.pool_index, sizes, matrix.n)
+    codes = _pair_codes(matrix.pool_rows, sizes, matrix.n)
     if codes.size:
         unique, counts = np.unique(codes, return_counts=True)
         max_overlap = int(counts.max())

@@ -11,7 +11,7 @@ the error-rate table from :func:`negative_probabilities`.
 
 States and results may be stacked, one trial per row.  Pool loads and
 positive-pool counts share one gather kernel, which sums int32 rows of
-a padded copy, one index column at a time.
+a padded copy, one index row at a time.
 
 Randomness is drawn from numpy Generators seeded through
 :class:`SeedSpec`, which derives an independent stream from a master
@@ -73,8 +73,8 @@ class SeedSpec:
 
 
 def _index_sums(values: np.ndarray, index: np.ndarray, what: str) -> np.ndarray:
-    """``out[..., i] = values[..., index[i]].sum(-1)`` in int32, for 0/1
-    ``values``.
+    """``out[..., i] = values[..., index[:, i]].sum(-1)`` in int32, for
+    0/1 ``values``.
 
     The rows of ``values`` become the columns of a (width + 1, rows)
     int32 copy whose last row is zero; an index entry equal to the width
@@ -85,10 +85,10 @@ def _index_sums(values: np.ndarray, index: np.ndarray, what: str) -> np.ndarray:
     require_binary(what, flat)
     columns = np.zeros((width + 1, flat.shape[0]), dtype=np.int32)
     columns[:width] = flat.T
-    sums = np.zeros((index.shape[0], flat.shape[0]), dtype=np.int32)
-    for k in range(index.shape[1]):
-        sums += columns.take(index[:, k], axis=0)
-    return sums.T.reshape(values.shape[:-1] + (index.shape[0],))
+    sums = np.zeros((index.shape[1], flat.shape[0]), dtype=np.int32)
+    for row in index:
+        sums += columns.take(row, axis=0)
+    return sums.T.reshape(values.shape[:-1] + (index.shape[1],))
 
 
 def pool_loads(matrix: PoolingMatrix, x: np.ndarray) -> np.ndarray:
@@ -97,7 +97,7 @@ def pool_loads(matrix: PoolingMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[-1] != matrix.n:
         raise DomainError(f"state has {x.shape[-1]} items, matrix expects {matrix.n}")
-    return _index_sums(x, matrix.pool_index, "infection states")
+    return _index_sums(x, matrix.pool_rows, "infection states")
 
 
 def negative_probabilities(loads: np.ndarray, noise: NoiseModel) -> np.ndarray:
@@ -119,4 +119,4 @@ def positive_pool_counts(matrix: PoolingMatrix, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y)
     if y.shape[-1] != matrix.t:
         raise DomainError(f"results cover {y.shape[-1]} pools, matrix has {matrix.t}")
-    return _index_sums(y, matrix.member_index, "pool results")
+    return _index_sums(y, matrix.member_rows, "pool results")

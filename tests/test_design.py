@@ -81,8 +81,8 @@ def test_build_is_deterministic():
     a = build_multipool.__wrapped__(MultipoolParams(9, 5))
     b = build_multipool.__wrapped__(MultipoolParams(9, 5))
     assert a is not b
-    assert np.array_equal(a.pool_index, b.pool_index)
-    assert np.array_equal(a.member_index, b.member_index)
+    assert np.array_equal(a.pool_rows, b.pool_rows)
+    assert np.array_equal(a.member_rows, b.member_rows)
     assert a.labels == b.labels
     assert design.dump_matrix_json(a, 9, 5) == design.dump_matrix_json(b, 9, 5)
 
@@ -260,13 +260,15 @@ def test_membership_is_dual_to_pools():
     "matrix",
     [build_multipool(MultipoolParams(5, 4)), PoolingMatrix.from_pools(4, [(0, 1, 2), (3,)])],
 )
-def test_index_rows_are_cached_read_only_transposes(matrix):
-    for rows, index in [(matrix.pool_rows, matrix.pool_index),
-                        (matrix.member_rows, matrix.member_index)]:
-        assert np.array_equal(rows, index.T)
+def test_index_rows_are_read_only_duals(matrix):
+    for rows in (matrix.pool_rows, matrix.member_rows):
+        assert rows.dtype == np.int32
         assert rows.flags.c_contiguous and not rows.flags.writeable
-    assert matrix.pool_rows is matrix.pool_rows
-    assert matrix.member_rows is matrix.member_rows
+    # Column j of member_rows lists exactly the pools whose column of
+    # pool_rows holds j, in increasing order, padded at the end with t.
+    for j, column in enumerate(matrix.member_rows.T.tolist()):
+        holders = np.flatnonzero((matrix.pool_rows == j).any(axis=0)).tolist()
+        assert column == holders + [matrix.t] * (len(column) - len(holders))
 
 
 def test_dense_view_matches_pools():
@@ -361,7 +363,7 @@ def test_csv_reader_matches_the_per_cell_reader(text):
     else:
         loaded = design.parse_matrix_csv(text)
         assert loaded.n == expected.n
-        assert np.array_equal(loaded.pool_index, expected.pool_index)
+        assert np.array_equal(loaded.pool_rows, expected.pool_rows)
 
 
 def test_ragged_csv_round_trip():
@@ -405,9 +407,9 @@ def test_csv_parse_errors_carry_location():
 def test_built_membership_matches_the_sorted_dual(q):
     for m in sorted({1, 2, 3, q, q + 1}):
         matrix = build_multipool(MultipoolParams(q, m))
-        expected = design._member_index(matrix.pool_index, matrix.n)
-        assert matrix.member_index.dtype == expected.dtype
-        assert np.array_equal(matrix.member_index, expected)
+        expected = design._member_rows(matrix.pool_rows, matrix.n)
+        assert matrix.member_rows.dtype == expected.dtype
+        assert np.array_equal(matrix.member_rows, expected)
 
 
 def test_built_designs_are_shared():
@@ -442,8 +444,8 @@ def test_dense_forms_match_per_pool_loops(n, data):
         ",".join(str(v) for v in row) + "\n" for row in dense.tolist()
     )
     rebuilt = PoolingMatrix.from_dense(dense)
-    assert np.array_equal(rebuilt.pool_index, matrix.pool_index)
-    assert np.array_equal(rebuilt.member_index, matrix.member_index)
+    assert np.array_equal(rebuilt.pool_rows, matrix.pool_rows)
+    assert np.array_equal(rebuilt.member_rows, matrix.member_rows)
 
 
 _VALID_DOCUMENT = {

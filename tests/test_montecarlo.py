@@ -491,6 +491,19 @@ def test_a_batch_holds_near_its_byte_budget(name, monkeypatch):
     assert peaks and max(peaks) <= 1.75 * montecarlo._BATCH_BYTES, peaks
 
 
+def test_a_simulated_design_holds_no_extra_index_copy():
+    # The engine gathers straight from the design's two index arrays:
+    # 64 x 4160 and 65 x 4096 int32 entries, 2.03 MiB at (64, 65).
+    matrix = build_multipool.__wrapped__(MultipoolParams(64, 65))
+
+    def held() -> int:
+        return sum(v.nbytes for v in vars(matrix).values() if isinstance(v, np.ndarray))
+
+    before = held()
+    montecarlo._simulate(matrix, ScenarioParams(rho=0.01, q=64, m=65, n=4096), 64, 1, 1)
+    assert held() == before == 2 * 64 * 4160 * 4
+
+
 def test_external_design_report_matches_the_dense_gather_pipeline():
     # The (8, 3) lines with items relabelled and pools reordered, so the
     # design only reaches the engine through from_pools.
