@@ -5,7 +5,7 @@ containing a fixed item known negative, the other q - 1 members are
 independently infected with probability rho, so the pool tests negative
 with probability
 
-    gamma_1 = (1 - p_fp) * (1 - (1 - p_fn) * rho) ** (q - 1).
+    gamma_1 = (1 - p_fp) * ((1 - rho) + rho * p_fn) ** (q - 1).
 
 Because the design lets any two items share at most one pool, the m
 pools of one item overlap only in that item, and their results are
@@ -13,7 +13,9 @@ conditionally independent given the item's status.  Sensitivity and
 specificity of the threshold decoder are therefore binomial tails in
 gamma_1, and the posterior error rates follow from Bayes' rule.  These
 expressions hold for any design with the multipool properties, not only
-for the ones built in this package.
+for the ones built in this package.  Every pool rate is exp or -expm1 of
+a sum of the logs from :func:`_pool_logs`, so neither a rate nor its
+complement loses digits where the other rounds to 1.
 """
 
 from __future__ import annotations
@@ -75,27 +77,50 @@ def _clamp_probability(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
+# The log of probability 0: finite, so that a count of 0 times it is 0
+# and not NaN, and so far below any real log-probability that exp of a
+# sum holding it is 0.
+_LOG_ZERO = -1e300
+
+
+def _log(p: float, complement: float) -> float:
+    """log p, from p and 1 - p each to full relative precision: through
+    log1p(-complement) where p is near 1, so a small complement keeps its
+    digits."""
+    if p == 0.0:
+        return _LOG_ZERO
+    return math.log1p(-complement) if p > 0.5 else math.log(p)
+
+
+def _pool_logs(scenario: ScenarioParams) -> tuple[float, float, float]:
+    """(log_keep, log_fn, log_hides): the logs of 1 - p_fp, of p_fn, and
+    of hides = (1 - rho) + rho * p_fn, the chance that another member of
+    a pool is healthy or diluted out of it.  A pool with k fixed infected
+    members and q - k others tests negative with probability
+    exp(log_keep + k * log_fn + (q - k) * log_hides)."""
+    rho, p_fp, p_fn = scenario.rho, scenario.noise.p_fp, scenario.noise.p_fn
+    hides = (1.0 - rho) + rho * p_fn
+    return _log(1.0 - p_fp, p_fp), _log(p_fn, 1.0 - p_fn), _log(hides, rho * (1.0 - p_fn))
+
+
 def gamma(k: int, scenario: ScenarioParams) -> float:
     """P(a pool tests negative | exactly k fixed members are infected).
 
     The remaining q - k members are infected independently at rate rho:
 
-        gamma_k = (1 - p_fp) * (1 - (1 - p_fn) * rho) ** (q - k)
+        gamma_k = (1 - p_fp) * ((1 - rho) + rho * p_fn) ** (q - k)
     """
     k = require_integer("k", k, 0, scenario.q)
-    noise = scenario.noise
-    base = 1.0 - (1.0 - noise.p_fn) * scenario.rho
-    return (1.0 - noise.p_fp) * base ** (scenario.q - k)
+    log_keep, _, log_hides = _pool_logs(scenario)
+    return math.exp(log_keep + (scenario.q - k) * log_hides)
 
 
 def _quiet_beta(scenario: ScenarioParams) -> tuple[float, float]:
     """(quiet, beta): the chance quiet = (1 - rho) ** (q - 1) that the
     other q - 1 members of a pool are all healthy, and beta = 1 - quiet.
-    Both come from (q - 1) * log1p(-rho), beta through expm1, so beta
+    Both come from (q - 1) * log(1 - rho), beta through expm1, so beta
     keeps its digits where quiet rounds to 1."""
-    if scenario.rho == 1.0:
-        return 0.0, 1.0  # log1p(-1) would raise
-    log_quiet = (scenario.q - 1) * math.log1p(-scenario.rho)
+    log_quiet = (scenario.q - 1) * _log(1.0 - scenario.rho, scenario.rho)
     return math.exp(log_quiet), -math.expm1(log_quiet)
 
 
@@ -119,29 +144,21 @@ class _DecodeRates(NamedTuple):
 
 
 def _decode_rates(scenario: ScenarioParams) -> _DecodeRates:
-    """A pool of a healthy item tests negative with probability gamma_1,
-    a pool of an infected item with p_fn * gamma_1, independently across
-    the item's m pools; the decoder flags the item when at least m - nc
-    of them are positive.  The healthy pool's positive rate 1 - gamma_1
-    is -expm1(log1p(-p_fp) + (q - 1) * log1p(-(1 - p_fn) * rho)), which
-    keeps its digits where gamma_1 rounds to 1."""
+    """A pool of an item of status x (1 when infected) tests negative
+    with probability exp(log_neg), log_neg = log_keep + x * log_fn +
+    (q - 1) * log_hides, independently across the item's m pools; the
+    decoder flags the item when at least m - nc of them are positive.
+    The positive rate is -expm1(log_neg), which keeps its digits where
+    the negative rate rounds to 1."""
     m, nc = scenario.m, scenario.nc
-    p_fp, p_fn = scenario.noise.p_fp, scenario.noise.p_fn
-    hit = (1.0 - p_fn) * scenario.rho
-    if p_fp == 1.0 or hit == 1.0:
-        healthy_positive = 1.0  # gamma_1 = 0, and log1p(-1) would raise
-    else:
-        healthy_positive = -math.expm1(math.log1p(-p_fp) + (scenario.q - 1) * math.log1p(-hit))
-    healthy_negative = gamma(1, scenario)
-    infected_positive = (1.0 - p_fn) + p_fn * healthy_positive
-    infected_negative = p_fn * healthy_negative
+    log_keep, log_fn, log_hides = _pool_logs(scenario)
     flagged, cleared = range(m - nc, m + 1), range(m - nc)
-    return _DecodeRates(
-        sensitivity=_binomial_tail(m, flagged, infected_positive, infected_negative),
-        miss=_binomial_tail(m, cleared, infected_positive, infected_negative),
-        false_alarm=_binomial_tail(m, flagged, healthy_positive, healthy_negative),
-        specificity=_binomial_tail(m, cleared, healthy_positive, healthy_negative),
-    )
+    rates = []
+    for x in (1, 0):
+        log_neg = log_keep + x * log_fn + (scenario.q - 1) * log_hides
+        positive, negative = -math.expm1(log_neg), math.exp(log_neg)
+        rates += [_binomial_tail(m, counts, positive, negative) for counts in (flagged, cleared)]
+    return _DecodeRates(*rates)
 
 
 def sensitivity(scenario: ScenarioParams) -> float:
@@ -246,21 +263,6 @@ class Moments(NamedTuple):
     cov: tuple[tuple[float, ...], ...]
 
 
-# The log of probability 0: finite, so that a count of 0 times it is 0
-# and not NaN, and so far below any real log-probability that exp of a
-# sum holding it is 0.
-_LOG_ZERO = -1e300
-
-
-def _log(p: float, complement: float) -> float:
-    """log p, from p and 1 - p each to full relative precision: through
-    log1p(-complement) where p is near 1, so a small complement keeps its
-    digits."""
-    if p == 0.0:
-        return _LOG_ZERO
-    return math.log1p(-complement) if p > 0.5 else math.log(p)
-
-
 @lru_cache(maxsize=256)
 def exact_moments(scenario: ScenarioParams) -> Moments:
     """Exact means and covariances of (I, T, T_fp, T_fn) on the line
@@ -280,27 +282,22 @@ def exact_moments(scenario: ScenarioParams) -> Moments:
         raise DomainError(f"a line design has q*q = {q ** 2} items, got n = {n}")
     MultipoolParams(q, m)  # DesignBoundError past m = q + 1
     field_for_order(q)  # UnsupportedFieldError where there is no GF(q)
-    rho, p_fp, p_fn = scenario.rho, scenario.noise.p_fp, scenario.noise.p_fn
+    rho, p_fn = scenario.rho, scenario.noise.p_fn
     # Another item shows in a given pool when it is infected and not
     # diluted out; it hides from one pool, or from both of two pools.
     shows = rho * (1.0 - p_fn)
     hides = (1.0 - rho) + rho * p_fn
     hides_twice = (1.0 - rho) + rho * p_fn * p_fn
     once = rho * p_fn * (1.0 - p_fn)  # hides - hides_twice
-    log_keep, log_fn = _log(1.0 - p_fp, p_fp), _log(p_fn, 1.0 - p_fn)
-    log_hides = _log(hides, shows)
+    log_keep, log_fn, log_hides = _pool_logs(scenario)
     # It hides from a second pool given that it hid from the first.
     log_again = _log(hides_twice / hides, once / hides) if once else 0.0
     prior, status = np.array([1.0 - rho, rho]), np.arange(2)
 
-    # An item's m pools share only the item, so its count of negative
-    # pools is Binomial(m, alpha_x) given its status x.
-    flag = np.zeros((2, 2))  # P(z | x), z = 1 when at most nc pools are negative
-    for x in (0, 1):
-        log_alpha = log_keep + x * log_fn + (q - 1) * log_hides
-        alpha, beta = math.exp(log_alpha), -math.expm1(log_alpha)
-        for k in range(m + 1):
-            flag[x, int(k <= nc)] += math.comb(m, k) * alpha ** k * beta ** (m - k)
+    # An item's m pools share only the item, so it is flagged (z = 1)
+    # at the decoder's rates given its status x.
+    rates = _decode_rates(scenario)
+    flag = np.array([[rates.specificity, rates.false_alarm], [rates.miss, rates.sensitivity]])
 
     def negatives(steps: int) -> np.ndarray:
         """law[x_i, x_j, a, b]: the chance that items i and j, of statuses

@@ -417,6 +417,21 @@ def exact_closed_forms(scenario: ScenarioParams, rho: Fraction | None = None) ->
     return out
 
 
+def exact_negative_masses(scenario: ScenarioParams) -> tuple[Fraction, Fraction]:
+    """P(infected and cleared) and P(healthy and cleared), exactly: the
+    two masses that type II weighs against each other.  An item is
+    cleared when fewer than m - nc of its m pools test positive."""
+    rho, m, nc, noise = Fraction(scenario.rho), scenario.m, scenario.nc, scenario.noise
+    healthy, infected = _exact_pool_rates(
+        rho, scenario.q, Fraction(noise.p_fp), Fraction(noise.p_fn)
+    )
+
+    def cleared(negative: Fraction) -> Fraction:
+        return sum(comb(m, k) * (1 - negative) ** k * negative ** (m - k) for k in range(m - nc))
+
+    return rho * cleared(infected), (1 - rho) * cleared(healthy)
+
+
 def exact_min_multiplicity(
     rho: Fraction, q: int, p_fp: Fraction, p_fn: Fraction, epsilon: Fraction
 ) -> int | None:

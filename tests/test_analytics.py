@@ -45,6 +45,7 @@ from helpers import (
     Dyadic,
     exact_closed_forms,
     exact_min_multiplicity,
+    exact_negative_masses,
     exact_noiseless_stats,
     exact_pivotal_probability,
     line_design_moments,
@@ -322,6 +323,49 @@ def test_closed_forms_keep_their_digits_at_small_prevalence(noise, q, m, nc, dec
     for name, value in got.items():
         if exact[name] == 0:
             assert value == 0.0, name
+        else:
+            assert value == pytest.approx(exact[name], rel=1e-12, abs=0), name
+
+
+def _near_one_cases():
+    """Every (noise, design, decade) of the near-one grid, each at rho
+    = 1 - 10 ** -decade; a case whose two type II masses both lie below
+    the smallest double is a strict xfail."""
+    grid = itertools.product(
+        [NOISELESS, NOISY, NoiseModel(0.1, 0.3), NoiseModel(0.0, 1e-6), NoiseModel(1e-6, 1e-3)],
+        [(4, 2, 0), (4, 2, 1), (16, 4, 0), (16, 4, 1), (64, 8, 0), (64, 8, 3)],
+        [3, 6, 9, 12],
+    )
+    for noise, (q, m, nc), decade in grid:
+        scenario = ScenarioParams(rho=1 - 10.0 ** -decade, q=q, m=m, nc=nc, noise=noise, n=q * q)
+        marks = ()
+        if max(exact_negative_masses(scenario)) < Fraction(5e-324):
+            marks = pytest.mark.xfail(strict=True, reason=(
+                "P(infected and cleared) and P(healthy and cleared) both underflow a double, "
+                "so type II reads 0/0 and raises"
+            ))
+        yield pytest.param(scenario, marks=marks, id=f"{q}-{m}-{nc}-{noise.p_fp}-{noise.p_fn}-{decade}")
+
+
+@pytest.mark.parametrize("scenario", _near_one_cases())
+def test_closed_forms_keep_their_digits_as_prevalence_nears_one(scenario):
+    # gamma_1 from 1 - (1 - p_fn) * rho by subtraction was off by 8.9e-10
+    # relative in e_Tfn at (16, 4), nc = 1, p_fn = 1e-6, rho = 1 - 1e-12.
+    exact = exact_closed_forms(scenario)
+    report = analytic_report(scenario)
+    got = {
+        "sens": report.sensitivity,
+        "spec": report.specificity,
+        "typeI": report.type_one,
+        "typeII": report.type_two,
+        "e_T": report.expected_positives,
+        "e_Tfp": report.expected_false_positives,
+        "e_Tfn": report.expected_false_negatives,
+    }
+    assert set(got) == set(exact)
+    for name, value in got.items():
+        if exact[name] is None or exact[name] == 0:
+            assert value == exact[name], name
         else:
             assert value == pytest.approx(exact[name], rel=1e-12, abs=0), name
 

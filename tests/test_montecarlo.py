@@ -441,14 +441,15 @@ def test_partial_final_block_keeps_exact_trial_count():
 # sha256 of json.dumps(compare(config).to_document(), indent=2), captured
 # once the batched kernel tallied exactly like the dense per-block oracle
 # (helpers.block_tally) on the sparse position draws, and the closed
-# forms summed each decoder rate as its own tail and took beta through
-# expm1.  A change that keeps every draw, tally and report field must
-# match byte for byte.
+# forms summed each decoder rate as its own tail, took beta through
+# expm1 and formed every pool rate from one set of pool logs.  A change
+# that keeps every draw, tally and report field must match byte for
+# byte.
 _GOLDEN_REPORTS = {
-    ("dense", 1): "16024e7cf4b1cdd494e6b2ed49db0067dddb75dc908a2ea47e3fabc70d64c594",
-    ("dense", 2 ** 64 - 59): "030b5f9dd2f27c61886200ad12d725ae227f97545eb0553f0cd3247c43e82e09",
-    ("sparse", 1): "4a5c59fef95cfe4598af087f3b67230f7d292cd553cb84871cc732006a8b9ee7",
-    ("sparse", 2 ** 64 - 59): "921351011989b1e42594d7903bc79c619fc8db199ccfc07544299549a098ebae",
+    ("dense", 1): "d7b83601c8eb5c419b773208548bf425d4787ac5f24ca25c40bd83639e983dff",
+    ("dense", 2 ** 64 - 59): "b25830647307d8fb18de7d351155d7e687e321b2306b8f6bb346cc4fd99f84c4",
+    ("sparse", 1): "c75563401302e33d0f0ad0cc6d81bc6587b841a5ae531afec452d8913cc77891",
+    ("sparse", 2 ** 64 - 59): "ccb2951be5f3325900d6e8511027f33b4dae51bc57f4963da5bc1bd1c53f2a7b",
 }
 _GOLDEN_CONFIGS = {
     "dense": dict(q=16, m=4, nc=1, rho=0.1, noise=NOISY, trials=6552),
@@ -514,7 +515,7 @@ def test_external_design_report_matches_the_dense_gather_pipeline():
     config = _config(8, 3, rho=0.08, nc=1, noise=NoiseModel(0.05, 0.05), trials=3000, seed=5,
                      design=external)
     assert _sha256(compare(config).to_document()) == (
-        "9dc60cbcd3ec664e22b12cc2aaffc47586e503bdadb466be75e5e9a573f67bc3"
+        "87364850722d4d047020925c0ceda7cb2e9fab416a57c08849f8435c8aa63b84"
     )
 
 
