@@ -153,12 +153,15 @@ def _decode_rates(scenario: ScenarioParams) -> _DecodeRates:
     m, nc = scenario.m, scenario.nc
     log_keep, log_fn, log_hides = _pool_logs(scenario)
     flagged, cleared = range(m - nc, m + 1), range(m - nc)
-    rates = []
-    for x in (1, 0):
+
+    def tails(x: int) -> tuple[float, float]:
         log_neg = log_keep + x * log_fn + (scenario.q - 1) * log_hides
         positive, negative = -math.expm1(log_neg), math.exp(log_neg)
-        rates += [_binomial_tail(m, counts, positive, negative) for counts in (flagged, cleared)]
-    return _DecodeRates(*rates)
+        return tuple(_binomial_tail(m, counts, positive, negative) for counts in (flagged, cleared))
+
+    sensitivity, miss = tails(1)
+    false_alarm, specificity = tails(0)
+    return _DecodeRates(sensitivity, miss, false_alarm, specificity)
 
 
 def sensitivity(scenario: ScenarioParams) -> float:
