@@ -132,6 +132,19 @@ def _binomial_tail(m: int, counts: range, positive: float, negative: float) -> f
     return _clamp_probability(total)
 
 
+def _log_binomial_tail(m: int, counts: range, log_positive: float, log_negative: float) -> float:
+    """The log of :func:`_binomial_tail` from the logs of the pool rates,
+    summed in log space, so that it stays finite where the tail
+    underflows a double."""
+    terms = [
+        math.log(math.comb(m, k)) + k * log_positive + (m - k) * log_negative for k in counts
+    ]
+    if not terms:
+        return _LOG_ZERO
+    top = max(terms)
+    return top + math.log(sum(math.exp(term - top) for term in terms))
+
+
 class _DecodeRates(NamedTuple):
     """The threshold decoder's four conditional rates, each summed as its
     own binomial tail: a complement taken by subtraction would round a
@@ -143,13 +156,14 @@ class _DecodeRates(NamedTuple):
     specificity: float  # P(cleared | healthy)
 
 
-def _decode_rates(scenario: ScenarioParams) -> _DecodeRates:
+def _decode_rates(scenario: ScenarioParams, logs: bool = False) -> _DecodeRates:
     """A pool of an item of status x (1 when infected) tests negative
     with probability exp(log_neg), log_neg = log_keep + x * log_fn +
     (q - 1) * log_hides, independently across the item's m pools; the
     decoder flags the item when at least m - nc of them are positive.
     The positive rate is -expm1(log_neg), which keeps its digits where
-    the negative rate rounds to 1."""
+    the negative rate rounds to 1.  With ``logs`` each rate is its log,
+    its tail summed in log space."""
     m, nc = scenario.m, scenario.nc
     log_keep, log_fn, log_hides = _pool_logs(scenario)
     flagged, cleared = range(m - nc, m + 1), range(m - nc)
@@ -157,6 +171,10 @@ def _decode_rates(scenario: ScenarioParams) -> _DecodeRates:
     def tails(x: int) -> tuple[float, float]:
         log_neg = log_keep + x * log_fn + (scenario.q - 1) * log_hides
         positive, negative = -math.expm1(log_neg), math.exp(log_neg)
+        if logs:
+            log_pos = _log(positive, negative)
+            return tuple(_log_binomial_tail(m, counts, log_pos, log_neg)
+                         for counts in (flagged, cleared))
         return tuple(_binomial_tail(m, counts, positive, negative) for counts in (flagged, cleared))
 
     sensitivity, miss = tails(1)
@@ -174,21 +192,42 @@ def specificity(scenario: ScenarioParams) -> float:
     return _decode_rates(scenario).specificity
 
 
-def _posterior(
-    wrong_prior: float, wrong_rate: float, right_prior: float, right_rate: float, flagged: str
-) -> float:
+def _posterior(scenario: ScenarioParams, wrong: str, right: str, flagged: str) -> float:
     """P(item in the wrong class | item flagged ``flagged``) by Bayes' rule.
 
-    The wrong class carries prior ``wrong_prior`` and is flagged at
-    ``wrong_rate``; the right class likewise.  Interior evaluation uses
+    ``wrong`` and ``right`` name the decode rates at which the wrong and
+    the right class are flagged this way: an infected item's
+    (sensitivity, miss) at prior rho, a healthy one's (false_alarm,
+    specificity) at prior 1 - rho.  Interior evaluation uses
         (1 + right_prior / wrong_prior * right_rate / wrong_rate) ** -1.
-    When no probability mass is ever flagged this way the conditional
-    does not exist and an UndefinedResultError is raised.
+    Where both masses, prior times rate, underflow a double, the
+    posterior comes from their logs, each tail summed in log space.  When
+    no probability mass is ever flagged this way, which shows as a log
+    that holds ``_LOG_ZERO``, the conditional does not exist and an
+    UndefinedResultError is raised.
     """
+    rho = scenario.rho
+    infected, healthy = (rho, 1.0 - rho), (1.0 - rho, rho)
+    priors = {"sensitivity": infected, "miss": infected,
+              "false_alarm": healthy, "specificity": healthy}
+    (wrong_prior, _), (right_prior, _) = priors[wrong], priors[right]
+    rates = _decode_rates(scenario)
+    wrong_rate, right_rate = getattr(rates, wrong), getattr(rates, right)
     wrong_mass = wrong_prior * wrong_rate
     right_mass = right_prior * right_rate
     if wrong_mass == 0.0 and right_mass == 0.0:
-        raise UndefinedResultError(f"nothing is ever flagged {flagged} in this scenario")
+        logs = _decode_rates(scenario, logs=True)
+        log_wrong, log_right = (
+            _log(*priors[name]) + getattr(logs, name) for name in (wrong, right)
+        )
+        if max(log_wrong, log_right) <= _LOG_ZERO / 2:
+            raise UndefinedResultError(f"nothing is ever flagged {flagged} in this scenario")
+        # 1 / (1 + exp(odds)), with no exp of a large positive number.
+        odds = log_right - log_wrong
+        if odds <= 0.0:
+            return 1.0 / (1.0 + math.exp(odds))
+        tail = math.exp(-odds)
+        return tail / (1.0 + tail)
     if wrong_mass == 0.0:
         return 0.0
     if right_mass == 0.0:
@@ -198,14 +237,12 @@ def _posterior(
 
 def type_one(scenario: ScenarioParams) -> float:
     """P(item not infected | item flagged positive)."""
-    rho, rates = scenario.rho, _decode_rates(scenario)
-    return _posterior(1.0 - rho, rates.false_alarm, rho, rates.sensitivity, "positive")
+    return _posterior(scenario, "false_alarm", "sensitivity", "positive")
 
 
 def type_two(scenario: ScenarioParams) -> float:
     """P(item infected | item flagged negative), the mirror posterior."""
-    rho, rates = scenario.rho, _decode_rates(scenario)
-    return _posterior(rho, rates.miss, 1.0 - rho, rates.specificity, "negative")
+    return _posterior(scenario, "miss", "specificity", "negative")
 
 
 class ExpectedCounts(NamedTuple):

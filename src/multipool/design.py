@@ -209,9 +209,18 @@ def _member_rows(pool_rows: np.ndarray, n: int) -> np.ndarray:
 def _padded(columns: np.ndarray, values: np.ndarray, count: int, pad: int) -> np.ndarray:
     """The (longest column, count) int32 index whose column c lists, in
     order, the values of the pairs with column c, padded at the end with
-    ``pad``; the (column, value) pairs come sorted by column, then value."""
+    ``pad``; the (column, value) pairs come sorted by column, then value.
+
+    Where every column has the same length, as in every built design,
+    the values are the index's columns end to end, and one transposing
+    copy forms it; otherwise each value is scattered to its place."""
     counts = np.bincount(columns, minlength=count)
-    index = np.full((counts.max(), count), pad, dtype=np.int32)
+    longest = int(counts.max())
+    if counts.min() == longest:
+        index = np.empty((longest, count), dtype=np.int32)
+        index[...] = values.reshape(count, longest).T
+        return index
+    index = np.full((longest, count), pad, dtype=np.int32)
     # Each pair's place in its column, formed in the buffer of the repeat.
     rank = np.repeat(np.cumsum(counts) - counts, counts)
     np.subtract(np.arange(columns.size), rank, out=rank)

@@ -42,13 +42,14 @@ import sys
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
-from itertools import chain
-from typing import Callable, Iterable
+from functools import lru_cache, partial
+from itertools import accumulate, chain
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .analytics import AnalyticReport, Moments, ScenarioParams, analytic_report, exact_moments
+from .analytics import AnalyticReport, ScenarioParams, analytic_report, exact_moments
 from .design import MultipoolParams, PoolingMatrix, build_multipool
 from .errors import DomainError, require_integer
 # pool_loads and positive_pool_counts, the dense reference kernels, are
@@ -64,8 +65,8 @@ _BLOCK_MIN = 32
 # sim-sparse-large then runs in one batch and sim-dense-small in two, at
 # every thread count.  The passes over a batch's events write into
 # buffers they already hold, so a batch's traced peak stays near this:
-# 1.49 MiB on sim-dense-small and 1.22 MiB on sim-sparse-large.  On
-# (64, 65) under noise the gather run sets it, at 4.05 MiB.
+# 1.42 MiB on sim-dense-small and 1.21 MiB on sim-sparse-large.  On
+# (64, 65) under noise the gather run sets it, at 4.06 MiB.
 _BATCH_BYTES = 1 << 20
 # Index rows per run of a batch's one gather pass, which ORs the pool
 # rows and sums the candidate-error loads: _GATHER_ROWS, or fewer where
@@ -82,7 +83,7 @@ _GATHER_ROWS = 16
 # and 0 with it, and ran 13-39 % and up to 20 % slower.  Freeing one
 # mapped block raises the threshold to that block's size, and batch
 # arrays below it (under 0.7 MiB each on both workloads, whose batches
-# peak at 1.49 and 1.22 MiB in all) then reuse heap memory.  Elsewhere
+# peak at 1.42 and 1.21 MiB in all) then reuse heap memory.  Elsewhere
 # this costs one allocation that is never touched.
 np.empty(4 << 20, dtype=np.uint8)
 
@@ -100,7 +101,7 @@ def _block_size(n: int, m: int, q: int) -> int:
 
 
 def _gap_chunk(size: int, rate: float) -> int:
-    """Gaps drawn at a time by :func:`positions`: the mean success count
+    """Gaps drawn at a time by :func:`_positions`: the mean success count
     of ``size`` trials plus four standard deviations, plus 16."""
     mean = size * rate
     return int(mean + 4.0 * math.sqrt(mean * (1.0 - rate))) + 16
@@ -111,44 +112,87 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _gaps(draws: np.ndarray, scale: float, cap: int) -> np.ndarray:
+    """The gaps floor(min(E * scale, cap)) + 1 of the standard
+    exponentials E in ``draws``, as int64 in their own buffer: element i
+    is read before it is written, so no second array is allocated."""
+    draws *= scale
+    np.fmin(draws, cap, out=draws)
+    gaps = draws.view(np.int64)
+    gaps[...] = draws
+    gaps += 1
+    return gaps
+
+
+def _positions(
+    rngs: list[np.random.Generator], sizes: list[int], rate: float
+) -> tuple[np.ndarray, list[int]]:
+    """The sorted positions of the successes among sizes[b] Bernoulli(rate)
+    trials drawn from each stream rngs[b], stream b's shifted by the sizes
+    of the streams before it, and each stream's success count.  Every
+    size is positive, or the sizes sum to 0.
+
+    A stream's gaps to its next success are floor(E * -1 / log1p(-rate))
+    + 1 for standard exponentials E (Devroye 1986, ch. X).  They come in
+    chunks of :func:`_gap_chunk` exponentials, chunk after chunk while the
+    stream's positions fall short of its size, and the rest of its last
+    chunk is discarded.  The chunk rule fixes how much of a stream a call
+    takes and so every later draw: like :func:`_block_size` it must stay
+    as it is for reports to stay the same.  Rate 0 draws nothing, and
+    rate 1 returns every position without drawing.
+
+    Each stream fills its first chunk into one shared buffer, and the
+    gaps and their cumulative sum run once over all of them.  Any gap
+    past the end of its stream ends that stream's draw, so capping every
+    gap at the largest size moves no position and keeps the sums in
+    int64.  A stream whose first chunk falls short, which four standard
+    deviations make rare, draws its further chunks from its own stream.
+    """
+    total = sum(sizes)
+    if rate <= 0.0 or total <= 0:
+        return np.empty(0, dtype=np.int64), [0] * len(sizes)
+    if rate >= 1.0:
+        return np.arange(total, dtype=np.int64), list(sizes)
+    scale, cap = -1.0 / math.log1p(-rate), max(sizes)
+    chunks = [_gap_chunk(size, rate) for size in sizes]
+    starts = list(accumulate(chunks, initial=0))
+    ends = list(accumulate(sizes))
+    gaps = np.empty(starts[-1])
+    for rng, lo, hi in zip(rngs, starts, starts[1:]):
+        rng.standard_exponential(out=gaps[lo:hi])
+    gaps = _gaps(gaps, scale, cap)
+    if len(sizes) > 1:
+        # Stream b's first gap adds the size of stream b - 1 less the sum
+        # of its gaps, so that its positions count on from the end of
+        # stream b - 1's.
+        used = np.add.reduceat(gaps[: starts[-2]], starts[:-2])
+        gaps[starts[1:-1]] += np.subtract(sizes[:-1], used)
+    gaps[0] -= 1
+    # Summed in place, and a lone stream's positions are not copied: they
+    # are the largest arrays of a batch.
+    found = np.cumsum(gaps, out=gaps)
+    parts, counts = [], []
+    for rng, lo, hi, chunk, end in zip(rngs, starts, starts[1:], chunks, ends):
+        part = found[lo:hi]
+        last = int(part[-1])
+        if last < end - 1:
+            part = [part]
+            while last < end - 1:
+                more = _gaps(rng.standard_exponential(chunk), scale, cap)
+                more[0] += last
+                part.append(np.cumsum(more, out=more))
+                last = int(more[-1])
+            part = np.concatenate(part)
+        count = int(np.searchsorted(part, end))
+        parts.append(part[:count])
+        counts.append(count)
+    return _joined(parts), counts
+
+
 def positions(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
     """Sorted positions of the successes among ``size`` Bernoulli(rate)
-    trials, by geometric skips (Devroye 1986, ch. X).
-
-    Each gap to the next success is floor(E * -1 / log1p(-rate)) + 1 for
-    a standard exponential E.  Gaps come in chunks of
-    :func:`_gap_chunk` exponentials, chunk after chunk while the
-    positions fall short of ``size``, and the rest of the last chunk is
-    discarded.  The chunk rule fixes how much of the stream a call takes
-    and so every later draw: like :func:`_block_size` it must stay as it
-    is for reports to stay the same.  Rate 0 draws nothing, and rate 1
-    returns every position without drawing.
-    """
-    if rate <= 0.0 or size <= 0:
-        return np.empty(0, dtype=np.int64)
-    if rate >= 1.0:
-        return np.arange(size, dtype=np.int64)
-    scale = -1.0 / math.log1p(-rate)
-    chunk = _gap_chunk(size, rate)
-    parts, last = [], -1
-    while last < size - 1:
-        # Any gap past the end ends the draw, so capping gaps at ``size``
-        # moves no position and keeps the sums in int64.  The capped gaps
-        # turn into int64 in the exponentials' own buffer: element i is
-        # read before it is written, so no second chunk is allocated.
-        draws = rng.standard_exponential(chunk)
-        draws *= scale
-        np.fmin(draws, size, out=draws)
-        gaps = draws.view(np.int64)
-        gaps[...] = draws
-        gaps += 1
-        gaps[0] += last
-        # Summed in place, and one chunk is not copied: the positions are
-        # the largest arrays of a batch.
-        parts.append(np.cumsum(gaps, out=gaps))
-        last = int(gaps[-1])
-    found = _joined(parts)
-    return found[: np.searchsorted(found, size)]
+    trials drawn from ``rng``: :func:`_positions` of one stream."""
+    return _positions([rng], [size], rate)[0]
 
 
 @dataclass(frozen=True)
@@ -199,21 +243,16 @@ def _ratio_sums(
     Every event and base is a fixed combination of (n, I, T, T_fp, T_fn)
     (``_RATIOS``), and T_fp = T - I + T_fn, so all of them come from the
     4 x 4 Gram matrix of the columns (1, I, T, T_fn), the trial and its
-    infected, flagged and missed counts: three integer sums and nine
-    integer dot products, then quadratic forms in Python ints.  Every
-    Gram entry is at most n**2 per trial.  A trial costs at least n / 8
-    bytes of a batch's budget, so a batch holds at most
-    8 * ``_BATCH_BYTES`` / n trials plus two blocks, and a block at most
-    max(32, 2**24 / n) trials: the entries stay below
+    infected, flagged and missed counts: one int64 matrix product, then
+    quadratic forms in Python ints.  Every Gram entry is at most n**2 per
+    trial.  A trial costs at least n / 8 bytes of a batch's budget, so a
+    batch holds at most 8 * ``_BATCH_BYTES`` / n trials plus two blocks,
+    and a block at most max(32, 2**24 / n) trials: the entries stay below
     2**23 n + 64 n**2 + 2**25 n, exact in int64 for any n below 2**28.
     Batches merge as Python ints.
     """
-    columns = (infected, flagged, missed)
-    sums = [int(column.sum()) for column in columns]
-    gram = [[infected.shape[0], *sums]] + [
-        [total, *(int(np.dot(column, other)) for other in columns)]
-        for total, column in zip(sums, columns)
-    ]
+    columns = np.stack((np.ones_like(infected), infected, flagged, missed), dtype=np.int64)
+    gram = (columns @ columns.T).tolist()
 
     def form(u: tuple[int, ...], v: tuple[int, ...]) -> int:
         """u' G v, skipping zero coefficients."""
@@ -409,15 +448,17 @@ def _run_batch(
     candidate pool errors among its count * t pool-trials at the largest
     error rate r*, then one uniform per candidate that keeps it with
     probability (its pool's error rate) / r*.  A pool's result is
-    (load > 0) XOR error.
+    (load > 0) XOR error.  The blocks take each of these draws in turn,
+    and :func:`_positions` turns all the blocks' gaps into positions in
+    the batch in one pass.
 
     Everything else runs once for the whole batch, in a few whole-array
     passes, on states packed along the trials: one row of uint64 words
     per item or pool, one bit per trial.  The blocks' infection
     positions, shifted to trial-major positions in the batch, are indexed
-    once: a floor division gives each infection's trial, a bincount the
-    infected count per trial, and a product and a difference its bit in
-    the item rows, which one unbuffered add sets.
+    once: a binary search of the trials' bounds gives the infected count
+    per trial, a floor division each infection's trial, and a product and
+    a difference its bit in the item rows, which one unbuffered add sets.
     One pass over runs of index rows then gathers each run of item rows
     once: a pool's row is the OR of its items' rows, and each candidate
     error's load is the sum of its trial's bits in its pool's rows,
@@ -432,41 +473,33 @@ def _run_batch(
     past the last trial is counted.
 
     Each pass over the event arrays writes into a buffer it already
-    holds: :func:`positions` casts its gaps in the exponentials' buffer,
-    :func:`_packed` consumes the infection bits, and the missed mask is
-    formed over the flags once they are counted.  Traced, a batch peaks at
-    1.49 MiB on sim-dense-small's (16, 4) and 1.22 MiB on
-    sim-sparse-large's (64, 8), against a ``_BATCH_BYTES`` of 1 MiB, and
-    at 4.05 MiB on (64, 65) under noise, where the gather run's rows and
-    candidate bits, each capped at the budget, set the peak.
+    holds: :func:`_positions` casts its gaps in the exponentials' buffer,
+    :func:`_packed` consumes the infection bits before the candidates are
+    drawn, and the missed mask is formed over the flags once they are
+    counted.  Traced, a batch peaks at 1.42 MiB on sim-dense-small's
+    (16, 4) and 1.21 MiB on sim-sparse-large's (64, 8), against a
+    ``_BATCH_BYTES`` of 1 MiB, and at 4.06 MiB on (64, 65) under noise,
+    where the gather run's rows and candidate bits, each capped at the
+    budget, set the peak.
     """
     pool_rows, member_rows = matrix.pool_rows, matrix.member_rows
     n, t = matrix.n, matrix.t
     top = float(error.max())
-    # Each block's stream: its infections, then, at r* > 0, its candidate
-    # errors and one uniform per candidate; positions are trial-major in
-    # the batch.
-    infections, candidates, draws, trials = [], [], [], 0
-    for index, count in blocks:
-        rng = SeedSpec(master_seed, index).rng()
-        part = positions(rng, count * n, scenario.rho)
-        part += trials * n
-        infections.append(part)
-        if top > 0.0:
-            part = positions(rng, count * t, top)
-            part += trials * t
-            candidates.append(part)
-            draws.append(rng.random(part.size))
-        trials += count
+    # Each block's stream gives its infections, then, at r* > 0, its
+    # candidate errors and one uniform per candidate.
+    rngs = [SeedSpec(master_seed, index).rng() for index, _ in blocks]
+    counts = [count for _, count in blocks]
+    trials = sum(counts)
     # Rows of whole 64-trial words.
     words = -(-trials // 64)
     span = words * 64
     # The infections turn into item-major bit indexes in place: position
     # g of trial g // n goes to bit (g % n) * span + g // n of the rows.
-    bit = _joined(infections)
-    del infections
+    bit = _positions(rngs, [count * n for count in counts], scenario.rho)[0]
+    # Sorted, so each trial's infected count is the distance between the
+    # places of its first and its next trial's first item.
+    infected = np.diff(np.searchsorted(bit, np.arange(trials + 1) * n))
     trial = bit // n
-    infected = np.bincount(trial, minlength=trials)
     bit *= span
     trial *= n * span - 1
     bit -= trial
@@ -480,7 +513,11 @@ def _run_batch(
     yp = np.zeros((t, words), dtype=np.uint64)
     row_bytes = yp.nbytes
     if top > 0.0:
-        trial, pool = np.divmod(_joined(candidates), t)
+        candidates, kept = _positions(rngs, [count * t for count in counts], top)
+        draws = np.empty(candidates.size)
+        for rng, lo, hi in zip(rngs, accumulate(kept, initial=0), accumulate(kept)):
+            rng.random(out=draws[lo:hi])
+        trial, pool = np.divmod(candidates, t)
         word = pool * words + (trial >> 6)
         shift = (trial & 63).view(np.uint64)
         del candidates, trial, pool
@@ -499,19 +536,27 @@ def _run_batch(
         # cost about 1 % of a (64, 8) batch on a 2-vCPU Xeon.
         del rows
     if top > 0.0:
-        # The kept errors flip their pools' bits.
-        keep = _joined(draws) * top < error.take(load)
-        np.bitwise_xor.at(yp.reshape(-1), word[keep], np.left_shift(1, shift[keep]))
+        # The kept errors flip their pools' bits: distinct bits, set in
+        # rows of their own and flipped by one XOR.
+        draws *= top
+        keep = draws < error.take(load)
+        yp ^= _packed(t, span, (word[keep] << 6) | shift[keep].view(np.int64))
 
     # below[k]: the trials in which at most k of the rows read so far
-    # were negative.
+    # were negative.  Until k rows are read that is every trial, so level
+    # k first forms after k rows, as below[k - 1] | positive.
     nc = scenario.nc
-    below = [np.full(xp.shape, np.iinfo(np.uint64).max, dtype=np.uint64) for _ in range(nc + 1)]
-    for column in member_rows:
+    below = [yp.take(member_rows[0], axis=0)]
+    for column in member_rows[1:]:
         positive = yp.take(column, axis=0)
-        for k in range(nc, -1, -1):
-            below[k] &= below[k - 1] | positive if k else positive
-    flags = below[nc]
+        read = len(below)
+        if read <= nc:
+            below.append(below[-1] | positive)
+        for k in range(read - 1, 0, -1):
+            below[k] &= below[k - 1] | positive
+        below[0] &= positive
+    # With nc = m every item is flagged.
+    flags = below[nc] if nc < len(below) else np.full(xp.shape, ~np.uint64(0))
 
     # Per-trial flag counts, eight to a uint64 word: each unpacked byte is
     # one item's bit of one trial, and adding unpacked rows as uint64
@@ -700,8 +745,46 @@ class ComparisonReport:
 
 # Each mean row's count, as its index in (I, T, T_fp, T_fn).
 _MEAN_COUNTS = {"mean_T": 1, "mean_Tfp": 2, "mean_Tfn": 3}
+# Each z row's closed form in the ``AnalyticReport`` and estimate in the
+# ``EmpiricalStats``, in report order.
+_VALUE_ROWS = {
+    "sens": ("sensitivity", "sensitivity"),
+    "spec": ("specificity", "specificity"),
+    "typeI": ("type_one", "type_one"),
+    "typeII": ("type_two", "type_two"),
+    "mean_T": ("expected_positives", "mean_positives"),
+    "mean_Tfp": ("expected_false_positives", "mean_false_positives"),
+    "mean_Tfn": ("expected_false_negatives", "mean_false_negatives"),
+}
 # A z row fails beyond this many standard errors.
 _Z_GATE = 4.0
+
+
+@lru_cache(maxsize=256)
+def _null_variances(scenario: ScenarioParams) -> Mapping[str, tuple[float, float]]:
+    """(Var0, E[B]) of each z row whose closed form exists, on the design
+    of ``analytics.exact_moments``: a mean row's Var0 is its count's
+    variance and its E[B] is 1, and a ratio row's, for event and base
+    counts A and B and closed form p0, are Var(A - p0 B) and E[B].  They
+    depend on the scenario alone, so they are formed once per scenario,
+    like the moments and the closed forms they come from, and every
+    caller shares one read-only mapping."""
+    moments, report = exact_moments(scenario), analytic_report(scenario)
+    variances = {
+        statistic: (moments.cov[index][index], 1.0) for statistic, index in _MEAN_COUNTS.items()
+    }
+    for statistic, (_, events, base) in _RATIOS.items():
+        p0 = getattr(report, _VALUE_ROWS[statistic][0])
+        if p0 is None:
+            continue
+        mean_base = base[0] * scenario.n + sum(c * mu for c, mu in zip(base[1:], moments.mean))
+        # The n terms are constants, which add nothing to the variance.
+        residual = [a - p0 * b for a, b in zip(events[1:], base[1:])]
+        variance = sum(
+            residual[i] * residual[j] * moments.cov[i][j] for i in range(4) for j in range(4)
+        )
+        variances[statistic] = (variance, mean_base)
+    return MappingProxyType(variances)
 
 
 def _null_se(
@@ -710,33 +793,23 @@ def _null_se(
     estimate: Estimate,
     *,
     scenario: ScenarioParams,
-    moments: Moments | None,
+    variances: Mapping[str, tuple[float, float]] | None,
     trials: int,
 ) -> float:
     """Standard error of a z row's estimate when its closed form holds.
 
-    With the exact moments of a built design, a mean row's is
-    sqrt(Var0 / trials) and a ratio row's, for event and base counts A
-    and B and closed form p0, is sqrt(Var(A - p0 B) / trials) / E[B].
-    Without them (external designs) it is the binomial floor:
+    With the ``variances`` of a built design (:func:`_null_variances`) it
+    is sqrt(Var0 / trials) / E[B], which for a ratio row is the delta
+    method's.  Without them (external designs) it is the binomial floor:
     sqrt(p0 (1 - p0) / base) and sqrt(mu0 (1 - mu0 / n) / trials).
     """
-    if statistic in _MEAN_COUNTS:
-        if moments is None:
+    if variances is None:
+        if statistic in _MEAN_COUNTS:
             return math.sqrt(max(0.0, analytic * (1.0 - analytic / scenario.n)) / trials)
-        index = _MEAN_COUNTS[statistic]
-        return math.sqrt(max(0.0, moments.cov[index][index]) / trials)
-    if moments is None:
         return math.sqrt(max(0.0, analytic * (1.0 - analytic)) / estimate.observations)
-    _, events, base = _RATIOS[statistic]
-    mean_base = base[0] * scenario.n + sum(c * mu for c, mu in zip(base[1:], moments.mean))
+    variance, mean_base = variances[statistic]
     if mean_base <= 0.0:
         return 0.0
-    # The n terms are constants, which add nothing to the variance.
-    residual = [a - analytic * b for a, b in zip(events[1:], base[1:])]
-    variance = sum(
-        residual[i] * residual[j] * moments.cov[i][j] for i in range(4) for j in range(4)
-    )
     return math.sqrt(max(0.0, variance) / trials) / mean_base
 
 
@@ -828,22 +901,18 @@ def compare(config: ExperimentConfig, threads: int = 1) -> ComparisonReport:
     """
     scenario = config.scenario
     report: AnalyticReport = analytic_report(scenario)
-    moments = exact_moments(scenario) if isinstance(config.design, MultipoolParams) else None
+    built = isinstance(config.design, MultipoolParams)
+    variances = _null_variances(scenario) if built else None
     stats = run_experiment(config, threads=threads)
-    null_se = partial(_null_se, scenario=scenario, moments=moments, trials=config.trials)
-    exact = (None, None) if moments is None else (moments.cov[1][1], moments.cov[2][2])
-    rows = (
-        _value_row("sens", report.sensitivity, stats.sensitivity, null_se),
-        _value_row("spec", report.specificity, stats.specificity, null_se),
-        _value_row("typeI", report.type_one, stats.type_one, null_se),
-        _value_row("typeII", report.type_two, stats.type_two, null_se),
-        _value_row("mean_T", report.expected_positives, stats.mean_positives, null_se),
-        _value_row(
-            "mean_Tfp", report.expected_false_positives, stats.mean_false_positives, null_se
-        ),
-        _value_row(
-            "mean_Tfn", report.expected_false_negatives, stats.mean_false_negatives, null_se
-        ),
+    null_se = partial(_null_se, scenario=scenario, variances=variances, trials=config.trials)
+    exact = (None, None)
+    if built:
+        moments = exact_moments(scenario)
+        exact = (moments.cov[1][1], moments.cov[2][2])
+    rows = tuple(
+        _value_row(statistic, getattr(report, analytic), getattr(stats, estimate), null_se)
+        for statistic, (analytic, estimate) in _VALUE_ROWS.items()
+    ) + (
         _bound_row("var_T", report.var_positives_bound, stats.var_positives, exact[0]),
         _bound_row(
             "var_Tfp", report.var_false_positives_bound, stats.var_false_positives, exact[1]

@@ -329,8 +329,7 @@ def test_closed_forms_keep_their_digits_at_small_prevalence(noise, q, m, nc, dec
 
 def _near_one_cases():
     """Every (noise, design, decade) of the near-one grid, each at rho
-    = 1 - 10 ** -decade; a case whose two type II masses both lie below
-    the smallest double is a strict xfail."""
+    = 1 - 10 ** -decade."""
     grid = itertools.product(
         [NOISELESS, NOISY, NoiseModel(0.1, 0.3), NoiseModel(0.0, 1e-6), NoiseModel(1e-6, 1e-3)],
         [(4, 2, 0), (4, 2, 1), (16, 4, 0), (16, 4, 1), (64, 8, 0), (64, 8, 3)],
@@ -338,13 +337,18 @@ def _near_one_cases():
     )
     for noise, (q, m, nc), decade in grid:
         scenario = ScenarioParams(rho=1 - 10.0 ** -decade, q=q, m=m, nc=nc, noise=noise, n=q * q)
-        marks = ()
-        if max(exact_negative_masses(scenario)) < Fraction(5e-324):
-            marks = pytest.mark.xfail(strict=True, reason=(
-                "P(infected and cleared) and P(healthy and cleared) both underflow a double, "
-                "so type II reads 0/0 and raises"
-            ))
-        yield pytest.param(scenario, marks=marks, id=f"{q}-{m}-{nc}-{noise.p_fp}-{noise.p_fn}-{decade}")
+        yield pytest.param(scenario, id=f"{q}-{m}-{nc}-{noise.p_fp}-{noise.p_fn}-{decade}")
+
+
+def test_the_near_one_grid_holds_posteriors_whose_masses_underflow():
+    # In 23 cases both of type II's masses, P(infected and cleared) and
+    # P(healthy and cleared), lie below the smallest double, so the
+    # posterior must come from their logs.
+    underflows = [
+        param.values[0] for param in _near_one_cases()
+        if max(exact_negative_masses(param.values[0])) < Fraction(5e-324)
+    ]
+    assert len(underflows) == 23
 
 
 @pytest.mark.parametrize("scenario", _near_one_cases())

@@ -412,6 +412,30 @@ def test_built_membership_matches_the_sorted_dual(q):
         assert np.array_equal(matrix.member_rows, expected)
 
 
+def _scattered(columns, values, count, pad):
+    """Reference for design._padded: each value written one at a time to
+    the next free slot of its column."""
+    index = np.full((max(np.bincount(columns, minlength=count)), count), pad, dtype=np.int32)
+    filled = [0] * count
+    for column, value in zip(columns.tolist(), values.tolist()):
+        index[filled[column], column] = value
+        filled[column] += 1
+    return index
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 3, 3), (2, 0, 3, 1), (1,), (0, 0)])
+def test_padded_index_copies_equal_columns_and_scatters_ragged_ones(sizes):
+    # Equal column lengths take the one transposing copy, unequal ones
+    # the scatter; both must give the scattered index.
+    rng = np.random.default_rng(sum(sizes))
+    columns = np.repeat(np.arange(len(sizes)), sizes)
+    values = np.concatenate([np.sort(rng.choice(50, size, replace=False)) for size in sizes])
+    expected = _scattered(columns, values, len(sizes), 50)
+    index = design._padded(columns, values, len(sizes), 50)
+    assert index.dtype == np.int32 and index.flags.c_contiguous
+    assert np.array_equal(index, expected)
+
+
 def test_built_designs_are_shared():
     params = MultipoolParams(8, 3)
     assert build_multipool(params) is build_multipool(MultipoolParams(8, 3))

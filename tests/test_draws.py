@@ -131,3 +131,90 @@ def test_positions_match_the_copying_cast_where_the_cap_binds():
     # it, so the cast reads the cap itself.
     for seed in range(8):
         assert _same_draw(1e-6, 1000, seed).size <= 1
+
+
+def _streams(seed: int, count: int) -> list[np.random.Generator]:
+    return [SeedSpec(seed, index).rng() for index in range(count)]
+
+
+def _per_stream(seed: int, sizes: list[int], rates: list[float]) -> tuple[list, list]:
+    """Reference for one batch's draws: each stream in turn takes its
+    positions at every rate by :func:`reference_positions`, then one
+    uniform per success at the last rate.  Returns, per rate, the
+    positions shifted by the sizes of the streams before, end to end;
+    then each stream's uniforms and its next draw."""
+    found = [[] for _ in rates]
+    uniforms, offset = [], 0
+    for rng, size in zip(_streams(seed, len(sizes)), sizes):
+        for parts, rate in zip(found, rates):
+            last = reference_positions(rng, size, rate)
+            parts.append(last + offset)
+        uniforms.append((rng.random(last.size), rng.random()))
+        offset += size
+    return [np.concatenate(parts) for parts in found], uniforms
+
+
+def _batched(seed: int, sizes: list[int], rates: list[float]) -> tuple[list, list]:
+    """The same draws through montecarlo._positions, all streams at once."""
+    rngs = _streams(seed, len(sizes))
+    found = []
+    for rate in rates:
+        positions, counts = montecarlo._positions(rngs, sizes, rate)
+        assert sum(counts) == positions.size
+        found.append(positions)
+    uniforms = [(rng.random(count), rng.random()) for rng, count in zip(rngs, counts)]
+    return found, uniforms
+
+
+def _assert_same_draws(seed: int, sizes: list[int], rates: list[float]) -> list:
+    found, uniforms = _batched(seed, sizes, rates)
+    expected, expected_uniforms = _per_stream(seed, sizes, rates)
+    for got, want in zip(found, expected):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+    for (got, after), (want, expected_after) in zip(uniforms, expected_uniforms):
+        np.testing.assert_array_equal(got, want)
+        assert after == expected_after
+    return found
+
+
+@pytest.mark.parametrize("rate", RATES)
+def test_a_batch_of_streams_draws_what_each_stream_draws_alone(rate):
+    # A shorter last stream, as the last block of an experiment may be.
+    sizes = [math.ceil(400 / rate)] * 4 + [math.ceil(90 / rate)]
+    found = _assert_same_draws(7, sizes, [rate])[0]
+    assert (np.diff(found) > 0).all() and found[-1] < sum(sizes)
+
+
+@pytest.mark.parametrize("rate", [0.01, 0.3])
+def test_a_middle_stream_that_needs_a_second_chunk_continues_on_its_own_stream(rate, monkeypatch):
+    # The middle stream's chunk is too short for its size, so it draws
+    # further chunks; the streams around it draw one chunk each.
+    sizes = [math.ceil(300 / rate), math.ceil(500 / rate), math.ceil(300 / rate)]
+    chunk = montecarlo._gap_chunk
+    monkeypatch.setattr(montecarlo, "_gap_chunk",
+                        lambda size, rate: 7 if size == sizes[1] else chunk(size, rate))
+    _assert_same_draws(8, sizes, [rate])
+
+
+def test_under_noise_each_stream_draws_its_candidates_and_uniforms_after_its_infections(
+    monkeypatch,
+):
+    # Infections at 0.05, then candidate errors at 0.02, then one uniform
+    # per candidate, from each of three streams; the middle stream's
+    # infections need more than one chunk before its candidates start.
+    sizes = [3000, 5000, 3000]
+    chunk = montecarlo._gap_chunk
+    monkeypatch.setattr(montecarlo, "_gap_chunk",
+                        lambda size, rate: 9 if (size, rate) == (5000, 0.05) else chunk(size, rate))
+    infections, candidates = _assert_same_draws(9, sizes, [0.05, 0.02])
+    assert infections.size > 300 and candidates.size > 100
+
+
+@pytest.mark.parametrize("rate,expected", [(0.0, []), (1.0, list(range(9)))])
+def test_a_batch_at_rate_0_or_1_draws_nothing(rate, expected):
+    rngs = _streams(4, 3)
+    found, counts = montecarlo._positions(rngs, [2, 4, 3], rate)
+    assert found.dtype == np.int64 and found.tolist() == expected
+    assert counts == ([0, 0, 0] if rate == 0.0 else [2, 4, 3])
+    assert [rng.random() for rng in rngs] == [rng.random() for rng in _streams(4, 3)]

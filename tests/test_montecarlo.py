@@ -427,8 +427,8 @@ def test_report_rows_for_outcomes_the_closed_forms_rule_out():
     # With no infection ever expected, sensitivity's base has mean 0 and
     # its null standard error is 0.
     scenario = ScenarioParams(rho=0.0, q=3, m=2, n=9)
-    moments = exact_moments(scenario)
-    assert montecarlo._null_se("sens", 1.0, seen, scenario=scenario, moments=moments,
+    variances = montecarlo._null_variances(scenario)
+    assert montecarlo._null_se("sens", 1.0, seen, scenario=scenario, variances=variances,
                                trials=10) == 0.0
 
 
@@ -894,6 +894,16 @@ def test_exact_moments_are_computed_once_per_scenario():
     assert exact_moments.cache_info().misses == 1
 
 
+def test_null_errors_are_computed_once_per_scenario():
+    config = _config(4, 3, rho=0.07, nc=1, noise=NOISY, trials=500, seed=8)
+    montecarlo._null_variances.cache_clear()
+    first = compare(config)
+    assert compare(config, threads=2) == first
+    # Another trial count and seed of the same scenario reuse them too.
+    compare(_config(4, 3, rho=0.07, nc=1, noise=NOISY, trials=300, seed=9))
+    assert montecarlo._null_variances.cache_info().misses == 1
+
+
 def test_analytic_reports_are_computed_once_per_scenario():
     config = _config(4, 3, rho=0.07, nc=1, noise=NOISY, trials=500, seed=8)
     analytic_report.cache_clear()
@@ -917,8 +927,8 @@ _SEED_102_OP_377 = {
 def test_a_low_count_of_a_rare_outcome_passes_the_null_gate():
     scenario = ScenarioParams(rho=0.1, q=16, m=4, nc=1, noise=NOISY, n=256)
     report = analytic_report(scenario)
-    null_se = partial(montecarlo._null_se, scenario=scenario, moments=exact_moments(scenario),
-                      trials=6552)
+    null_se = partial(montecarlo._null_se, scenario=scenario,
+                      variances=montecarlo._null_variances(scenario), trials=6552)
     tally = _SEED_102_OP_377
     rows = [
         montecarlo._value_row("sens", report.sensitivity,
