@@ -1,6 +1,7 @@
 """Command line round trips and exit code contract."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -201,6 +202,77 @@ def test_analyze_integer_sweep(tmp_path):
     assert [row["m"] for row in rows] == ["1", "2", "3", "4", "5"]
     values = [float(row["spec"]) for row in rows]
     assert values == sorted(values)
+
+
+# The sha256 of each statistic's curve over one noiseless nc = 0 grid,
+# where all nine exist: the CSV bytes of every --statistic choice.
+_ANALYZE_PINS = {
+    "sens": "4a21eee4006e5637de8429bb1326d4468c6cde23f54f36112408034117e6da6d",
+    "spec": "c62fd30db44da48c44b6ace27e731247a1c19f3c75b35b81140c8b2e38b19aab",
+    "typeI": "af4a6d07d464ffde99b21bcc878e8c07e4131510b4be35a44644edacb9b1c021",
+    "typeII": "b29297f83ea15ed778008fb329984a05f9715ae65932476936c6250bc8bb32d5",
+    "e_T": "1bc452a50788a7f94ea4950cdeb1c096874261514128c240cb0518d49918db21",
+    "e_Tfp": "6242b3b8c096e912c942c80b994438bd7758c1f1d66bbb7cbad860fa11f1216a",
+    "e_Tfn": "5b96731d363222a5b03e380e9a9c58448438269d3532c4d96a6cf09cfb90e87d",
+    "var_T_bound": "8cfa206115a9a79cfe11e58a688588538d0706f634427bedb0a58be825790164",
+    "var_Tfp_bound": "6d230ffafe4b12961786556b46266a02fba38453afd9940965f15ed8ac3a5231",
+}
+
+
+@pytest.mark.parametrize("statistic", sorted(_ANALYZE_PINS))
+def test_analyze_curves_match_their_pins(tmp_path, statistic):
+    path = tmp_path / "curve.csv"
+    result = runner.invoke(main, [
+        "analyze", "--statistic", statistic, "--sweep", "rho", "--values", "0.01,0.05,0.1",
+        "--q", "8", "--m", "3", "--n", "64", "--output", str(path),
+    ])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _ANALYZE_PINS[statistic]
+
+
+@pytest.mark.parametrize("args, code, stderr", [
+    (["--statistic", "typeI", "--values", "0"], 1,
+     "error: typeI at rho=0.0: nothing is ever flagged positive in this scenario\n"),
+    (["--statistic", "var_T_bound", "--values", "0.1", "--nc", "1", "--n", "64"], 1,
+     "error: variance bounds hold only for nc = 0\n"),
+    (["--statistic", "e_T", "--values", "0.1"], 2, "error: --n is required for statistic e_T\n"),
+])
+def test_analyze_refusals_match_their_pins(tmp_path, args, code, stderr):
+    path = tmp_path / "curve.csv"
+    result = runner.invoke(
+        main, ["analyze", "--sweep", "rho", "--q", "8", "--m", "3", *args, "--output", str(path)]
+    )
+    assert (result.exit_code, result.stdout, result.stderr) == (code, "", stderr)
+    assert not path.exists()
+
+
+def test_analyze_help_matches_its_pin():
+    result = runner.invoke(main, ["analyze", "--help"], terminal_width=80)
+    assert result.exit_code == 0
+    assert result.stdout == """\
+Usage: main analyze [OPTIONS]
+
+  Tabulate one statistic over a parameter grid into a CSV curve.
+
+Options:
+  --statistic [e_T|e_Tfn|e_Tfp|sens|spec|typeI|typeII|var_T_bound|var_Tfp_bound]
+                                  Which closed-form statistic to tabulate.
+                                  [required]
+  --sweep [rho|m|q|nc]            The parameter the grid runs over.  [required]
+  --start FLOAT
+  --stop FLOAT
+  --step FLOAT
+  --values TEXT                   Explicit comma-separated grid.
+  --rho FLOAT                     Prevalence in [0, 1].
+  --q INTEGER
+  --m INTEGER
+  --nc INTEGER                    [default: 0]
+  --pfp FLOAT                     Per-pool false positive rate.  [default: 0.0]
+  --pfn FLOAT                     Per-pool false negative rate.  [default: 0.0]
+  --n INTEGER                     Item count (needed by count statistics).
+  --output FILE                   Destination CSV file.  [required]
+  --help                          Show this message and exit.
+"""
 
 
 # --- simulate -------------------------------------------------------------------
