@@ -21,9 +21,9 @@ complement loses digits where the other rounds to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,11 +70,6 @@ class ScenarioParams:
         if self.n is None:
             raise DomainError("this statistic needs the item count n")
         return self.n
-
-
-def _clamp_probability(value: float) -> float:
-    # Binomial tail sums can drift past the unit interval by a few ulps.
-    return min(1.0, max(0.0, value))
 
 
 # The log of probability 0: finite, so that a count of 0 times it is 0
@@ -129,7 +124,8 @@ def _binomial_tail(m: int, counts: range, positive: float, negative: float) -> f
     ``counts``), each pool positive with ``positive`` and negative with
     ``negative``."""
     total = sum(math.comb(m, k) * positive ** k * negative ** (m - k) for k in counts)
-    return _clamp_probability(total)
+    # The sum can drift past the unit interval by a few ulps.
+    return min(1.0, max(0.0, total))
 
 
 def _log_binomial_tail(m: int, counts: range, log_positive: float, log_negative: float) -> float:
@@ -523,14 +519,76 @@ def threshold_info(q: int, m: int) -> float:
     return (lo + hi) / 2.0
 
 
-class ConfusionStats(NamedTuple):
-    """Empirical rates from a confusion table; entries with an empty
-    conditioning class are None."""
+class Ratio(NamedTuple):
+    """A pooled ratio sum(events) / sum(base) over trials, tallied under
+    ``tally``.  Its event and base counts are coefficients on (n, I, T,
+    T_fp, T_fn): the item count and a trial's infected, flagged, falsely
+    flagged and missed counts.  T_fp = T - I + T_fn, but the null errors
+    sum floats over the exact moments of (I, T, T_fp, T_fn), whose last
+    bits depend on which of them are used."""
 
-    sensitivity: float | None
-    specificity: float | None
-    type_one: float | None
-    type_two: float | None
+    tally: str
+    events: tuple[int, int, int, int, int]
+    base: tuple[int, int, int, int, int]
+
+
+class Mean(NamedTuple):
+    """The mean of a per-trial count, by its index in (I, T, T_fp, T_fn),
+    whose histogram a simulation tallies under ``histogram``."""
+
+    count: int
+    histogram: str
+
+
+class Variance(NamedTuple):
+    """The variance of a per-trial count, which the closed form bounds:
+    ``count`` also indexes the exact covariance matrix."""
+
+    count: int
+    histogram: str
+
+
+class Statistic(NamedTuple):
+    """One of the paper's nine statistics and every name it goes by."""
+
+    row: str  # its row in a comparison report
+    cli: str  # its ``multipool analyze --statistic`` choice
+    needs_n: bool  # whether it needs the item count n
+    closed_form: Callable[[ScenarioParams], float]  # raises where it does not exist
+    field: str  # its AnalyticReport field
+    estimate: str  # its montecarlo.EmpiricalStats field
+    kind: Ratio | Mean | Variance
+
+
+# The nine statistics, in report order: sens = TP / I, spec = TN / (n - I),
+# typeI = T_fp / T and typeII = T_fn / (n - T), with TP = I - T_fn and
+# TN = n - I - T_fp, then the means of T, T_fp and T_fn and the variances
+# of T and T_fp.
+STATISTICS = (
+    Statistic("sens", "sens", False, sensitivity, "sensitivity", "sensitivity",
+              Ratio("sens", (0, 1, 0, 0, -1), (0, 1, 0, 0, 0))),
+    Statistic("spec", "spec", False, specificity, "specificity", "specificity",
+              Ratio("spec", (1, -1, 0, -1, 0), (1, -1, 0, 0, 0))),
+    Statistic("typeI", "typeI", False, type_one, "type_one", "type_one",
+              Ratio("type_one", (0, 0, 0, 1, 0), (0, 0, 1, 0, 0))),
+    Statistic("typeII", "typeII", False, type_two, "type_two", "type_two",
+              Ratio("type_two", (0, 0, 0, 0, 1), (1, 0, -1, 0, 0))),
+    Statistic("mean_T", "e_T", True, lambda sc: expected_counts(sc).positives,
+              "expected_positives", "mean_positives", Mean(1, "positives")),
+    Statistic("mean_Tfp", "e_Tfp", True, lambda sc: expected_counts(sc).false_positives,
+              "expected_false_positives", "mean_false_positives", Mean(2, "false_positives")),
+    Statistic("mean_Tfn", "e_Tfn", True, lambda sc: expected_counts(sc).false_negatives,
+              "expected_false_negatives", "mean_false_negatives", Mean(3, "false_negatives")),
+    Statistic("var_T", "var_T_bound", True, lambda sc: variance_bounds(sc).positives,
+              "var_positives_bound", "var_positives", Variance(1, "positives")),
+    Statistic("var_Tfp", "var_Tfp_bound", True, lambda sc: variance_bounds(sc).false_positives,
+              "var_false_positives_bound", "var_false_positives", Variance(2, "false_positives")),
+)
+_RATIOS = tuple(statistic for statistic in STATISTICS if isinstance(statistic.kind, Ratio))
+
+ConfusionStats = NamedTuple("ConfusionStats", [(ratio.field, float | None) for ratio in _RATIOS])
+ConfusionStats.__doc__ = """Empirical rates from a confusion table, one per ratio of
+    ``STATISTICS``; entries with an empty conditioning class are None."""
 
 
 def confusion_stats(
@@ -539,48 +597,40 @@ def confusion_stats(
     false_positives: int,
     true_negatives: int,
 ) -> ConfusionStats:
-    true_positives, false_negatives, false_positives, true_negatives = (
+    tp, fn, fp, tn = (
         require_integer("confusion count", c, 0)
         for c in (true_positives, false_negatives, false_positives, true_negatives)
     )
+    # The table's (n, I, T, T_fp, T_fn).
+    counts = (tp + fn + fp + tn, tp + fn, tp + fp, fp, fn)
 
-    def ratio(num: int, den: int) -> float | None:
-        return num / den if den > 0 else None
+    def ratio(kind: Ratio) -> float | None:
+        events = sum(c * x for c, x in zip(kind.events, counts))
+        base = sum(c * x for c, x in zip(kind.base, counts))
+        return events / base if base > 0 else None
 
-    return ConfusionStats(
-        sensitivity=ratio(true_positives, true_positives + false_negatives),
-        specificity=ratio(true_negatives, true_negatives + false_positives),
-        type_one=ratio(false_positives, false_positives + true_positives),
-        type_two=ratio(false_negatives, false_negatives + true_negatives),
-    )
+    return ConfusionStats(*(ratio(statistic.kind) for statistic in _RATIOS))
 
 
-@dataclass(frozen=True)
-class AnalyticReport:
-    """All closed-form statistics for one scenario in one place.
+AnalyticReport = make_dataclass(
+    "AnalyticReport",
+    [("gamma_1", float), *((statistic.field, float | None) for statistic in STATISTICS),
+     ("beta", float), ("rho_disjunct", float), ("rho_info", float | None)],
+    frozen=True,
+    namespace={"__module__": __name__},
+)
+AnalyticReport.__doc__ = """All closed-form statistics for one scenario in one place: gamma_1,
+    the ``field`` of each of ``STATISTICS``, beta and the two thresholds.
 
     Fields that do not exist for the scenario are None: the posteriors
     when their conditioning event has zero mass, the count statistics
     when n is unset, the variance bounds away from noiseless nc = 0, and
-    the information threshold when m exceeds q.
+    the information threshold when m exceeds q.  Sensitivity and
+    specificity always exist.
     """
 
-    gamma_1: float
-    sensitivity: float
-    specificity: float
-    type_one: float | None
-    type_two: float | None
-    expected_positives: float | None
-    expected_false_positives: float | None
-    expected_false_negatives: float | None
-    var_positives_bound: float | None
-    var_false_positives_bound: float | None
-    beta: float
-    rho_disjunct: float
-    rho_info: float | None
 
-
-def _or_none(error: type[Exception], statistic, *args):
+def _or_none(error: type[Exception] | tuple[type[Exception], ...], statistic, *args):
     """``statistic(*args)``, or None where it raises ``error``."""
     try:
         return statistic(*args)
@@ -590,26 +640,17 @@ def _or_none(error: type[Exception], statistic, *args):
 
 @lru_cache(maxsize=256)
 def analytic_report(scenario: ScenarioParams) -> AnalyticReport:
-    """Every closed form of ``scenario``; cached, like :func:`exact_moments`."""
-    t1 = _or_none(UndefinedResultError, type_one, scenario)
-    t2 = _or_none(UndefinedResultError, type_two, scenario)
-    expected = bounds = None
-    if scenario.n is not None:
-        expected = expected_counts(scenario)
-        bounds = _or_none(NotApplicableError, variance_bounds, scenario)
-    rho_info = _or_none(NoSolutionError, threshold_info, scenario.q, scenario.m)
+    """Every closed form of ``scenario``, None where it raises: a count
+    statistic raises a DomainError when n is unset.  Cached, like
+    :func:`exact_moments`."""
+    refusals = (DomainError, NotApplicableError, UndefinedResultError)
     return AnalyticReport(
         gamma_1=gamma(1, scenario),
-        sensitivity=sensitivity(scenario),
-        specificity=specificity(scenario),
-        type_one=t1,
-        type_two=t2,
-        expected_positives=expected.positives if expected else None,
-        expected_false_positives=expected.false_positives if expected else None,
-        expected_false_negatives=expected.false_negatives if expected else None,
-        var_positives_bound=bounds.positives if bounds else None,
-        var_false_positives_bound=bounds.false_positives if bounds else None,
+        **{
+            statistic.field: _or_none(refusals, statistic.closed_form, scenario)
+            for statistic in STATISTICS
+        },
         beta=_quiet_beta(scenario)[1],
         rho_disjunct=threshold_disjunct(scenario.q, scenario.m),
-        rho_info=rho_info,
+        rho_info=_or_none(NoSolutionError, threshold_info, scenario.q, scenario.m),
     )

@@ -117,18 +117,8 @@ def cmd_validate(path: str, q: int | None, m: int | None):
         sys.exit(1)
 
 
-_STATISTICS = {
-    "sens": lambda sc: analytics.sensitivity(sc),
-    "spec": lambda sc: analytics.specificity(sc),
-    "typeI": lambda sc: analytics.type_one(sc),
-    "typeII": lambda sc: analytics.type_two(sc),
-    "e_T": lambda sc: analytics.expected_counts(sc).positives,
-    "e_Tfp": lambda sc: analytics.expected_counts(sc).false_positives,
-    "e_Tfn": lambda sc: analytics.expected_counts(sc).false_negatives,
-    "var_T_bound": lambda sc: analytics.variance_bounds(sc).positives,
-    "var_Tfp_bound": lambda sc: analytics.variance_bounds(sc).false_positives,
-}
-_NEEDS_N = {"e_T", "e_Tfp", "e_Tfn", "var_T_bound", "var_Tfp_bound"}
+# analyze's --statistic choices.
+_STATISTICS = {statistic.cli: statistic for statistic in analytics.STATISTICS}
 _INT_SWEEPS = {"m", "q", "nc"}
 
 
@@ -214,7 +204,7 @@ def cmd_analyze(statistic, sweep, start, stop, step, values, rho, q, m, nc, pfp,
     for name in ("rho", "q", "m"):
         if name != sweep and fixed[name] is None:
             _invalid(f"--{name} is required when sweeping {sweep}")
-    if statistic in _NEEDS_N and fixed["n"] is None:
+    if _STATISTICS[statistic].needs_n and fixed["n"] is None:
         _invalid(f"--n is required for statistic {statistic}")
 
     try:
@@ -222,7 +212,7 @@ def cmd_analyze(statistic, sweep, start, stop, step, values, rho, q, m, nc, pfp,
     except DomainError as exc:
         _invalid(str(exc))
 
-    evaluate = _STATISTICS[statistic]
+    evaluate = _STATISTICS[statistic].closed_form
     rows: list[tuple] = []
     header_params = [name for name in ("rho", "q", "m", "nc", "pfp", "pfn", "n") if name != sweep]
     if fixed["n"] is None:

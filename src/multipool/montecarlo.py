@@ -41,7 +41,7 @@ import math
 import sys
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, make_dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, chain
 from types import MappingProxyType
@@ -49,7 +49,8 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .analytics import AnalyticReport, ScenarioParams, analytic_report, exact_moments
+from .analytics import STATISTICS, Mean, Ratio, ScenarioParams, Variance
+from .analytics import analytic_report, exact_moments
 from .design import MultipoolParams, PoolingMatrix, build_multipool
 from .errors import DomainError, require_integer
 # pool_loads and positive_pool_counts, the dense reference kernels, are
@@ -63,10 +64,8 @@ _BLOCK_MIN = 32
 # costs n / 8 bytes of packed item rows plus 8 for each int64 position
 # of its expected infections and candidate errors (:func:`_simulate`).
 # sim-sparse-large then runs in one batch and sim-dense-small in two, at
-# every thread count.  The passes over a batch's events write into
-# buffers they already hold, so a batch's traced peak stays near this:
-# 1.42 MiB on sim-dense-small and 1.21 MiB on sim-sparse-large.  On
-# (64, 65) under noise the gather run sets it, at 4.06 MiB.
+# every thread count.  A batch's traced peak stays near this
+# (:func:`_run_batch`).
 _BATCH_BYTES = 1 << 20
 # Index rows per run of a batch's one gather pass, which ORs the pool
 # rows and sums the candidate-error loads: _GATHER_ROWS, or fewer where
@@ -105,11 +104,6 @@ def _gap_chunk(size: int, rate: float) -> int:
     of ``size`` trials plus four standard deviations, plus 16."""
     mean = size * rate
     return int(mean + 4.0 * math.sqrt(mean * (1.0 - rate))) + 16
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts end to end; a lone part is not copied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _gaps(draws: np.ndarray, scale: float, cap: int) -> np.ndarray:
@@ -186,7 +180,7 @@ def _positions(
         count = int(np.searchsorted(part, end))
         parts.append(part[:count])
         counts.append(count)
-    return _joined(parts), counts
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts)), counts
 
 
 def positions(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
@@ -218,20 +212,12 @@ class Estimate:
         return self.value is not None
 
 
-# Each ratio row of the report: its key in a batch's tally, then its
-# event and base counts as coefficients on (n, I, T, T_fp, T_fn), the
-# item count and a trial's infected, flagged, falsely flagged and missed
-# counts: sens = TP / I, spec = TN / (n - I), typeI = T_fp / T and
-# typeII = T_fn / (n - T), with TP = I - T_fn and TN = n - I - T_fp.
-# T_fp = T - I + T_fn, so four coordinates would do for the integer
-# sums, but the null errors sum floats over the exact moments of
-# (I, T, T_fp, T_fn), whose last bits depend on which of them are used.
-_RATIOS = {
-    "sens": ("sens", (0, 1, 0, 0, -1), (0, 1, 0, 0, 0)),
-    "spec": ("spec", (1, -1, 0, -1, 0), (1, -1, 0, 0, 0)),
-    "typeI": ("type_one", (0, 0, 0, 1, 0), (0, 0, 1, 0, 0)),
-    "typeII": ("type_two", (0, 0, 0, 0, 1), (1, 0, -1, 0, 0)),
-}
+# The ratios of ``analytics.STATISTICS``, and the histogram that a batch
+# tallies for each per-trial count of its means, by the count's index in
+# (I, T, T_fp, T_fn).
+_KINDS = [statistic.kind for statistic in STATISTICS]
+_RATIOS = [kind for kind in _KINDS if isinstance(kind, Ratio)]
+_HISTOGRAMS = {kind.histogram: kind.count for kind in _KINDS if isinstance(kind, Mean)}
 
 
 def _ratio_sums(
@@ -259,7 +245,7 @@ def _ratio_sums(
         return sum(a * b * gram[i][j] for i, a in enumerate(u) if a for j, b in enumerate(v) if b)
 
     tally, trial = {}, (1, 0, 0, 0)
-    for key, *counts in _RATIOS.values():
+    for key, *counts in _RATIOS:
         # On the Gram's columns: n is n times the trial column, and T_fp
         # is T - I + T_fn.
         events, base = ((n * c[0], c[1] - c[3], c[2] + c[3], c[4] + c[3]) for c in counts)
@@ -358,21 +344,16 @@ def _count_estimates(histogram: Counter) -> tuple[Estimate, Estimate]:
     return mean_estimate, variance
 
 
-@dataclass(frozen=True)
-class EmpiricalStats:
-    """Pooled Monte Carlo estimates for one experiment."""
-
-    sensitivity: Estimate
-    specificity: Estimate
-    type_one: Estimate
-    type_two: Estimate
-    mean_positives: Estimate
-    mean_false_positives: Estimate
-    mean_false_negatives: Estimate
-    var_positives: Estimate
-    var_false_positives: Estimate
-    trials: int
-    max_false_negatives: int
+EmpiricalStats = make_dataclass(
+    "EmpiricalStats",
+    [*((statistic.estimate, Estimate) for statistic in STATISTICS),
+     ("trials", int), ("max_false_negatives", int)],
+    frozen=True,
+    namespace={"__module__": __name__},
+)
+EmpiricalStats.__doc__ = """Pooled Monte Carlo estimates for one experiment: the ``estimate`` of
+    each of ``analytics.STATISTICS``, the trial count and the most false
+    negatives of any trial."""
 
 
 @dataclass(frozen=True)
@@ -586,11 +567,10 @@ def _run_batch(
     false_neg = np.bincount(words[held] % (span // 64) * 64 + bit, minlength=trials)
     false_pos = flagged - infected + false_neg
 
+    counts = (infected, flagged, false_pos, false_neg)
     return {
         **_ratio_sums(n, infected, flagged, false_neg),
-        "positives": _histogram(flagged),
-        "false_positives": _histogram(false_pos),
-        "false_negatives": _histogram(false_neg),
+        **{key: _histogram(counts[index]) for key, index in _HISTOGRAMS.items()},
     }
 
 
@@ -667,18 +647,16 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats
     """
     threads = require_integer("thread count", threads, 1)
     tally = _simulate(config.matrix(), config.scenario, config.trials, config.master_seed, threads)
-    mean_positives, var_positives = _count_estimates(tally["positives"])
-    mean_false_positives, var_false_positives = _count_estimates(tally["false_positives"])
+    counts = {key: _count_estimates(tally[key]) for key in _HISTOGRAMS}
+
+    def estimate(kind: Ratio | Mean | Variance) -> Estimate:
+        if isinstance(kind, Ratio):
+            return _ratio_estimate(tally[kind.tally])
+        mean, variance = counts[kind.histogram]
+        return variance if isinstance(kind, Variance) else mean
+
     return EmpiricalStats(
-        sensitivity=_ratio_estimate(tally["sens"]),
-        specificity=_ratio_estimate(tally["spec"]),
-        type_one=_ratio_estimate(tally["type_one"]),
-        type_two=_ratio_estimate(tally["type_two"]),
-        mean_positives=mean_positives,
-        mean_false_positives=mean_false_positives,
-        mean_false_negatives=_count_estimates(tally["false_negatives"])[0],
-        var_positives=var_positives,
-        var_false_positives=var_false_positives,
+        **{statistic.estimate: estimate(statistic.kind) for statistic in STATISTICS},
         trials=config.trials,
         max_false_negatives=max(tally["false_negatives"]),
     )
@@ -743,19 +721,8 @@ class ComparisonReport:
         }
 
 
-# Each mean row's count, as its index in (I, T, T_fp, T_fn).
-_MEAN_COUNTS = {"mean_T": 1, "mean_Tfp": 2, "mean_Tfn": 3}
-# Each z row's closed form in the ``AnalyticReport`` and estimate in the
-# ``EmpiricalStats``, in report order.
-_VALUE_ROWS = {
-    "sens": ("sensitivity", "sensitivity"),
-    "spec": ("specificity", "specificity"),
-    "typeI": ("type_one", "type_one"),
-    "typeII": ("type_two", "type_two"),
-    "mean_T": ("expected_positives", "mean_positives"),
-    "mean_Tfp": ("expected_false_positives", "mean_false_positives"),
-    "mean_Tfn": ("expected_false_negatives", "mean_false_negatives"),
-}
+# The mean rows, whose binomial floor (:func:`_null_se`) is a count's.
+_MEAN_ROWS = {statistic.row for statistic in STATISTICS if isinstance(statistic.kind, Mean)}
 # A z row fails beyond this many standard errors.
 _Z_GATE = 4.0
 
@@ -770,20 +737,20 @@ def _null_variances(scenario: ScenarioParams) -> Mapping[str, tuple[float, float
     like the moments and the closed forms they come from, and every
     caller shares one read-only mapping."""
     moments, report = exact_moments(scenario), analytic_report(scenario)
-    variances = {
-        statistic: (moments.cov[index][index], 1.0) for statistic, index in _MEAN_COUNTS.items()
-    }
-    for statistic, (_, events, base) in _RATIOS.items():
-        p0 = getattr(report, _VALUE_ROWS[statistic][0])
-        if p0 is None:
-            continue
-        mean_base = base[0] * scenario.n + sum(c * mu for c, mu in zip(base[1:], moments.mean))
-        # The n terms are constants, which add nothing to the variance.
-        residual = [a - p0 * b for a, b in zip(events[1:], base[1:])]
-        variance = sum(
-            residual[i] * residual[j] * moments.cov[i][j] for i in range(4) for j in range(4)
-        )
-        variances[statistic] = (variance, mean_base)
+    variances = {}
+    for statistic in STATISTICS:
+        kind, p0 = statistic.kind, getattr(report, statistic.field)
+        if isinstance(kind, Mean):
+            variances[statistic.row] = (moments.cov[kind.count][kind.count], 1.0)
+        elif isinstance(kind, Ratio) and p0 is not None:
+            events, base = kind.events, kind.base
+            mean_base = base[0] * scenario.n + sum(c * mu for c, mu in zip(base[1:], moments.mean))
+            # The n terms are constants, which add nothing to the variance.
+            residual = [a - p0 * b for a, b in zip(events[1:], base[1:])]
+            variance = sum(
+                residual[i] * residual[j] * moments.cov[i][j] for i in range(4) for j in range(4)
+            )
+            variances[statistic.row] = (variance, mean_base)
     return MappingProxyType(variances)
 
 
@@ -804,7 +771,7 @@ def _null_se(
     sqrt(p0 (1 - p0) / base) and sqrt(mu0 (1 - mu0 / n) / trials).
     """
     if variances is None:
-        if statistic in _MEAN_COUNTS:
+        if statistic in _MEAN_ROWS:
             return math.sqrt(max(0.0, analytic * (1.0 - analytic / scenario.n)) / trials)
         return math.sqrt(max(0.0, analytic * (1.0 - analytic)) / estimate.observations)
     variance, mean_base = variances[statistic]
@@ -900,27 +867,24 @@ def compare(config: ExperimentConfig, threads: int = 1) -> ComparisonReport:
     standard errors.
     """
     scenario = config.scenario
-    report: AnalyticReport = analytic_report(scenario)
+    report = analytic_report(scenario)
     built = isinstance(config.design, MultipoolParams)
     variances = _null_variances(scenario) if built else None
     stats = run_experiment(config, threads=threads)
     null_se = partial(_null_se, scenario=scenario, variances=variances, trials=config.trials)
-    exact = (None, None)
-    if built:
-        moments = exact_moments(scenario)
-        exact = (moments.cov[1][1], moments.cov[2][2])
-    rows = tuple(
-        _value_row(statistic, getattr(report, analytic), getattr(stats, estimate), null_se)
-        for statistic, (analytic, estimate) in _VALUE_ROWS.items()
-    ) + (
-        _bound_row("var_T", report.var_positives_bound, stats.var_positives, exact[0]),
-        _bound_row(
-            "var_Tfp", report.var_false_positives_bound, stats.var_false_positives, exact[1]
-        ),
-    )
+    cov = exact_moments(scenario).cov if built else None
+    rows = []
+    for statistic in STATISTICS:
+        kind = statistic.kind
+        analytic, estimate = getattr(report, statistic.field), getattr(stats, statistic.estimate)
+        if isinstance(kind, Variance):
+            exact = cov[kind.count][kind.count] if built else None
+            rows.append(_bound_row(statistic.row, analytic, estimate, exact))
+        else:
+            rows.append(_value_row(statistic.row, analytic, estimate, null_se))
     return ComparisonReport(
         scenario=scenario,
         trials=config.trials,
         master_seed=config.master_seed,
-        rows=rows,
+        rows=tuple(rows),
     )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipool import analytics
+from multipool import analytics, cli
 from multipool.analytics import (
     ScenarioParams,
     analytic_report,
@@ -449,9 +449,24 @@ def test_threshold_info_is_monotone_in_m():
 
 # --- empirical confusion rates -----------------------------------------------
 
-def test_confusion_stats_reference_table():
-    stats = confusion_stats(19, 1, 20, 960)
-    assert stats == (19 / 20, 960 / 980, 20 / 39, 1 / 961)
+@pytest.mark.parametrize("table, rates", [
+    ((19, 1, 20, 960), (19 / 20, 960 / 980, 20 / 39, 1 / 961)),
+    ((0, 0, 0, 0), (None, None, None, None)),
+    ((3, 0, 0, 0), (1.0, None, 0.0, None)),
+    ((0, 7, 0, 3), (0.0, 1.0, None, 0.7)),
+    ((0, 0, 4, 0), (None, 0.0, 1.0, None)),
+    ((5, 0, 3, 0), (1.0, 0.0, 3 / 8, None)),
+    ((0, 2, 0, 0), (0.0, None, None, 1.0)),
+    # Counts past 2**53, where each rate is still one correctly rounded
+    # quotient of the exact integers.
+    ((10 ** 17 + 1, 3, 7, 10 ** 18 + 9),
+     ((10 ** 17 + 1) / (10 ** 17 + 4), (10 ** 18 + 9) / (10 ** 18 + 16),
+      7 / (10 ** 17 + 8), 3 / (10 ** 18 + 12))),
+])
+def test_confusion_stats_reference_table(table, rates):
+    stats = confusion_stats(*table)
+    assert stats == rates
+    assert stats._fields == ("sensitivity", "specificity", "type_one", "type_two")
 
 
 def test_confusion_stats_empty_classes_are_none():
@@ -491,6 +506,35 @@ def test_analytic_report_none_semantics():
 
     steep = analytic_report(ScenarioParams(rho=0.1, q=3, m=4))
     assert steep.rho_info is None
+
+
+def test_each_closed_form_matches_its_report_field():
+    # analyze evaluates each statistic's closed form; the report holds it
+    # as a field.  They must agree bit for bit, and the closed form must
+    # raise exactly where the field is None.
+    refusals = (DomainError, NotApplicableError, UndefinedResultError)
+    evaluated, refused = set(), set()
+    grid = itertools.product([(4, 2), (16, 4), (64, 8)], [0, 1], [NOISELESS, NOISY],
+                             [0.0, 0.01, 0.1, 1.0], [False, True])
+    for (q, m), nc, noise, rho, with_n in grid:
+        scenario = ScenarioParams(rho=rho, q=q, m=m, nc=nc, noise=noise,
+                                  n=q * q if with_n else None)
+        report = analytic_report(scenario)
+        for name, statistic in cli._STATISTICS.items():
+            field = getattr(report, statistic.field)
+            try:
+                value = statistic.closed_form(scenario)
+            except refusals:
+                assert field is None, (name, scenario)
+                refused.add(name)
+                continue
+            assert field is not None, (name, scenario)
+            assert type(value) is float and value.hex() == field.hex(), (name, scenario)
+            evaluated.add(name)
+    # sens and spec exist everywhere; every other statistic both exists
+    # and is refused somewhere on the grid.
+    assert evaluated == set(cli._STATISTICS)
+    assert refused == set(cli._STATISTICS) - {"sens", "spec"}
 
 
 @pytest.mark.parametrize("rho", [1e-6, 1e-9, 1e-12])
