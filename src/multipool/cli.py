@@ -10,6 +10,7 @@ is invalid (bad parameters or unparseable input).
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -141,6 +142,9 @@ def _parse_grid(
     else:
         if start is None or stop is None or step is None:
             _invalid("sweep grid needs --values or all of --start/--stop/--step")
+        for name, value in (("start", start), ("stop", stop), ("step", step)):
+            if not math.isfinite(value):
+                _invalid(f"--{name} must be finite, got {value}")
         if step <= 0:
             _invalid(f"--step must be positive, got {step}")
         if stop < start:
@@ -150,7 +154,7 @@ def _parse_grid(
     if sweep in _INT_SWEEPS:
         as_ints = []
         for v in parsed:
-            if v != int(v):
+            if not math.isfinite(v) or v != int(v):
                 _invalid(f"sweep over {sweep} needs integer grid values, got {v}")
             as_ints.append(int(v))
         return as_ints

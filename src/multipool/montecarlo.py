@@ -82,7 +82,7 @@ _GATHER_ROWS = 16
 # and 0 with it, and ran 13-39 % and up to 20 % slower.  Freeing one
 # mapped block raises the threshold to that block's size, and batch
 # arrays below it (under 0.7 MiB each on both workloads, whose batches
-# peak at 1.42 and 1.21 MiB in all) then reuse heap memory.  Elsewhere
+# peak at 1.43 and 0.99 MiB in all) then reuse heap memory.  Elsewhere
 # this costs one allocation that is never touched.
 np.empty(4 << 20, dtype=np.uint8)
 
@@ -410,87 +410,47 @@ def _packed(rows: int, span: int, bit: np.ndarray) -> np.ndarray:
     return words
 
 
-def _run_batch(
-    matrix: PoolingMatrix,
-    scenario: ScenarioParams,
-    error: np.ndarray,
-    master_seed: int,
-    blocks: list[tuple[int, int]],
-) -> dict[str, Counter]:
-    """Tally a run of consecutive whole (block index, trial count) blocks.
+def _infections(
+    rngs: list[np.random.Generator], counts: list[int], n: int, rho: float, span: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The packed item rows, (n, span / 64) uint64, and each trial's
+    infected count, from the infections that each block's stream draws
+    first: their positions among its count * n item-trials, trial-major.
 
-    ``error`` is a pool's error rate by its load k = 0..q: p_fp at load
-    0 and (1 - p_fp) * p_fn ** k at load k >= 1.  The design is regular,
-    as ``ExperimentConfig`` requires, so neither index has padding: a
-    ragged design fails the gathers on its pad index with ``IndexError``.
-
-    Each block draws from its own stream: the positions of its
-    infections among its count * n item-trials, trial-major, then the
-    candidate pool errors among its count * t pool-trials at the largest
-    error rate r*, then one uniform per candidate that keeps it with
-    probability (its pool's error rate) / r*.  A pool's result is
-    (load > 0) XOR error.  The blocks take each of these draws in turn,
-    and :func:`_positions` turns all the blocks' gaps into positions in
-    the batch in one pass.
-
-    Everything else runs once for the whole batch, in a few whole-array
-    passes, on states packed along the trials: one row of uint64 words
-    per item or pool, one bit per trial.  The blocks' infection
-    positions, shifted to trial-major positions in the batch, are indexed
-    once: a binary search of the trials' bounds gives the infected count
-    per trial, a floor division each infection's trial, and a product and
-    a difference its bit in the item rows, which one unbuffered add sets.
-    One pass over runs of index rows then gathers each run of item rows
-    once: a pool's row is the OR of its items' rows, and each candidate
-    error's load is the sum of its trial's bits in its pool's rows,
-    summed in a byte while pools hold fewer than 256 items.  The kept
-    errors flip their pools' bits; at r* = 0 no candidate is drawn or
-    read.  An item is flagged when at least m - nc of its m pools are
-    positive, the rule of ``model.positive_pool_counts``: when at most nc
-    of them are negative, which a bit-sliced counter of negative rows,
-    saturating one past nc, decides.  Per trial, the flagged count adds
-    the unpacked flags eight byte lanes to a uint64 word, and the missed
-    count comes from the few words of infected but unflagged bits; no bit
-    past the last trial is counted.
-
-    Each pass over the event arrays writes into a buffer it already
-    holds: :func:`_positions` casts its gaps in the exponentials' buffer,
-    :func:`_packed` consumes the infection bits before the candidates are
-    drawn, and the missed mask is formed over the flags once they are
-    counted.  Traced, a batch peaks at 1.42 MiB on sim-dense-small's
-    (16, 4) and 1.21 MiB on sim-sparse-large's (64, 8), against a
-    ``_BATCH_BYTES`` of 1 MiB, and at 4.06 MiB on (64, 65) under noise,
-    where the gather run's rows and candidate bits, each capped at the
-    budget, set the peak.
-    """
-    pool_rows, member_rows = matrix.pool_rows, matrix.member_rows
-    n, t = matrix.n, matrix.t
-    top = float(error.max())
-    # Each block's stream gives its infections, then, at r* > 0, its
-    # candidate errors and one uniform per candidate.
-    rngs = [SeedSpec(master_seed, index).rng() for index, _ in blocks]
-    counts = [count for _, count in blocks]
-    trials = sum(counts)
-    # Rows of whole 64-trial words.
-    words = -(-trials // 64)
-    span = words * 64
-    # The infections turn into item-major bit indexes in place: position
-    # g of trial g // n goes to bit (g % n) * span + g // n of the rows.
-    bit = _positions(rngs, [count * n for count in counts], scenario.rho)[0]
-    # Sorted, so each trial's infected count is the distance between the
-    # places of its first and its next trial's first item.
-    infected = np.diff(np.searchsorted(bit, np.arange(trials + 1) * n))
+    A binary search of the trials' bounds gives the counts.  Position g
+    of trial g // n goes in place to bit (g % n) * span + g // n of the
+    rows, which :func:`_packed` sets, consuming the positions."""
+    bit = _positions(rngs, [count * n for count in counts], rho)[0]
+    infected = np.diff(np.searchsorted(bit, np.arange(sum(counts) + 1) * n))
     trial = bit // n
     bit *= span
     trial *= n * span - 1
     bit -= trial
     del trial
-    xp = _packed(n, span, bit)
-    del bit
+    return _packed(n, span, bit), infected
 
-    # Pool rows, in one pass over runs of index rows: each run is gathered
-    # once and ORed into the pool rows, and each candidate adds its bit of
-    # the run, at word pool * words + trial // 64 of a row, to its load.
+
+def _pool_results(
+    xp: np.ndarray,
+    pool_rows: np.ndarray,
+    rngs: list[np.random.Generator],
+    counts: list[int],
+    error: np.ndarray,
+) -> np.ndarray:
+    """The packed pool results, (t, words) uint64, of the item rows
+    ``xp``: a pool's result is (load > 0) XOR error, and ``error`` is its
+    error rate by load k = 0..q, p_fp at 0 and (1 - p_fp) * p_fn ** k.
+
+    Each block's stream then draws its candidate errors among its
+    count * t pool-trials at the largest rate r*, and one uniform per
+    candidate, which keeps it with probability (its error rate) / r*.
+    One pass over runs of index rows gathers each run of item rows once:
+    a pool's row is the OR of its items' rows, and each candidate's load
+    the sum of its trial's bits in its pool's rows, in a byte while pools
+    hold fewer than 256 items.  At r* = 0 no candidate is drawn or read.
+    """
+    t, words = pool_rows.shape[1], xp.shape[1]
+    top = float(error.max())
     yp = np.zeros((t, words), dtype=np.uint64)
     row_bytes = yp.nbytes
     if top > 0.0:
@@ -498,6 +458,7 @@ def _run_batch(
         draws = np.empty(candidates.size)
         for rng, lo, hi in zip(rngs, accumulate(kept, initial=0), accumulate(kept)):
             rng.random(out=draws[lo:hi])
+        # A candidate's bit is at word pool * words + trial // 64 of a run.
         trial, pool = np.divmod(candidates, t)
         word = pool * words + (trial >> 6)
         shift = (trial & 63).view(np.uint64)
@@ -521,12 +482,18 @@ def _run_batch(
         # rows of their own and flipped by one XOR.
         draws *= top
         keep = draws < error.take(load)
-        yp ^= _packed(t, span, (word[keep] << 6) | shift[keep].view(np.int64))
+        yp ^= _packed(t, words * 64, (word[keep] << 6) | shift[keep].view(np.int64))
+    return yp
 
+
+def _decode(yp: np.ndarray, member_rows: np.ndarray, nc: int) -> np.ndarray:
+    """The packed flags, (n, words) uint64, of the pool results: an item
+    is flagged when at most nc of its m pools are negative, the rule of
+    ``model.positive_pool_counts``.  With nc = m every item is flagged."""
+    # A bit-sliced counter of negative rows, saturating one past nc.
     # below[k]: the trials in which at most k of the rows read so far
     # were negative.  Until k rows are read that is every trial, so level
     # k first forms after k rows, as below[k - 1] | positive.
-    nc = scenario.nc
     below = [yp.take(member_rows[0], axis=0)]
     for column in member_rows[1:]:
         positive = yp.take(column, axis=0)
@@ -536,41 +503,82 @@ def _run_batch(
         for k in range(read - 1, 0, -1):
             below[k] &= below[k - 1] | positive
         below[0] &= positive
-    # With nc = m every item is flagged.
-    flags = below[nc] if nc < len(below) else np.full(xp.shape, ~np.uint64(0))
+    return below[nc] if nc < len(below) else np.full_like(below[0], ~np.uint64(0))
 
-    # Per-trial flag counts, eight to a uint64 word: each unpacked byte is
-    # one item's bit of one trial, and adding unpacked rows as uint64
-    # words adds eight byte lanes at once, exact while no lane passes
-    # 255.  Rows fold into super-rows of ``fold`` rows, about 4 KiB, so
-    # that the adds run along long rows; a run of at most 255 super-rows,
-    # about 256 KiB, is unpacked at a time, zero-padded to whole
-    # super-rows, and its lanes fold back into trials as wider sums.
+
+def _flag_counts(flags: np.ndarray, trials: int) -> np.ndarray:
+    """Each trial's flagged count, int64, of the packed flags.
+
+    Each unpacked byte is one item's bit of one trial, and adding
+    unpacked rows as uint64 words adds eight byte lanes at once, exact
+    while no lane passes 255.  Rows fold into super-rows of ``fold``
+    rows, about 4 KiB, so that the adds run along long rows; a run of at
+    most 255 super-rows, about 256 KiB, is unpacked at a time,
+    zero-padded to whole super-rows, and its lanes fold back into trials
+    as wider sums.  No bit past the last trial is counted."""
+    span = flags.shape[1] * 64
     fold = max(1, 4096 // span)
     rows = min(255, max(1, (1 << 18) // (fold * span))) * fold
     flagged = np.zeros(span, dtype=np.int64)
-    for lo in range(0, n, rows):
+    for lo in range(0, flags.shape[0], rows):
         run = flags[lo : lo + rows]
         bits = np.unpackbits(run.view(np.uint8), count=-(-len(run) // fold) * fold * span,
                              bitorder="little")
         lanes = bits.view(np.uint64).reshape(-1, fold * span // 8).sum(axis=0)
         flagged += lanes.view(np.uint8).reshape(fold, span).sum(axis=0, dtype=np.int64)
-    flagged = flagged[:trials]
-    # Missed infections are rare: unpack only the words that hold one.
-    # The flags are read by now, so the mask is formed over them.
+    return flagged[:trials]
+
+
+def _missed(flags: np.ndarray, xp: np.ndarray, trials: int) -> np.ndarray:
+    """Each trial's count of items infected in ``xp`` and left unflagged.
+    Missed infections are rare, so only the words that hold one are
+    unpacked.  Consumes ``flags``: the mask is formed over them."""
     missed = np.invert(flags, out=flags)
     missed &= xp
     missed = missed.reshape(-1)
     words = np.flatnonzero(missed)
     bits = np.unpackbits(missed[words].view(np.uint8), bitorder="little").reshape(-1, 64)
     held, bit = np.nonzero(bits)
-    false_neg = np.bincount(words[held] % (span // 64) * 64 + bit, minlength=trials)
-    false_pos = flagged - infected + false_neg
+    return np.bincount(words[held] % flags.shape[1] * 64 + bit, minlength=trials)
 
-    counts = (infected, flagged, false_pos, false_neg)
+
+def _run_batch(
+    matrix: PoolingMatrix,
+    scenario: ScenarioParams,
+    error: np.ndarray,
+    master_seed: int,
+    blocks: list[tuple[int, int]],
+) -> dict[str, Counter]:
+    """Tally a run of consecutive whole (block index, trial count) blocks.
+
+    Each block's stream is drawn first by :func:`_infections` and then by
+    :func:`_pool_results`, whose results go through :func:`_decode`,
+    :func:`_flag_counts` and :func:`_missed`.  Each stage runs once for
+    the whole batch, on states packed along the trials: one row of whole
+    64-trial uint64 words per item or pool, one bit per trial.  The design
+    is regular, as ``ExperimentConfig`` requires: a ragged design fails
+    the gathers on its pad index with ``IndexError``.
+
+    Every pass over the event arrays writes into a buffer it already
+    holds, and a stage's scratch goes when it returns.  Traced, a batch
+    peaks at 1.43 MiB on sim-dense-small's (16, 4) and 0.99 MiB on
+    sim-sparse-large's (64, 8), against a ``_BATCH_BYTES`` of 1 MiB, and
+    at 4.06 MiB on (64, 65) under noise, where the gather run's rows and
+    candidate bits, each capped at the budget, set the peak.
+    """
+    rngs = [SeedSpec(master_seed, index).rng() for index, _ in blocks]
+    counts = [count for _, count in blocks]
+    trials = sum(counts)
+    xp, infected = _infections(rngs, counts, matrix.n, scenario.rho, -(-trials // 64) * 64)
+    yp = _pool_results(xp, matrix.pool_rows, rngs, counts, error)
+    flags = _decode(yp, matrix.member_rows, scenario.nc)
+    flagged = _flag_counts(flags, trials)
+    false_neg = _missed(flags, xp, trials)
+    false_pos = flagged - infected + false_neg
+    columns = (infected, flagged, false_pos, false_neg)
     return {
-        **_ratio_sums(n, infected, flagged, false_neg),
-        **{key: _histogram(counts[index]) for key, index in _HISTOGRAMS.items()},
+        **_ratio_sums(matrix.n, infected, flagged, false_neg),
+        **{key: _histogram(columns[index]) for key, index in _HISTOGRAMS.items()},
     }
 
 

@@ -189,6 +189,31 @@ def test_analyze_grid_validation(tmp_path):
     assert fractional_m.exit_code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--sweep", "m", "--values", "nan", "--rho", "0.1"],
+     "sweep over m needs integer grid values, got nan"),
+    (["--sweep", "m", "--values", "inf", "--rho", "0.1"],
+     "sweep over m needs integer grid values, got inf"),
+    (["--sweep", "nc", "--values", "inf", "--rho", "0.1", "--m", "3"],
+     "sweep over nc needs integer grid values, got inf"),
+    (["--sweep", "rho", "--m", "3", "--start", "0.1", "--stop", "nan", "--step", "0.1"],
+     "--stop must be finite, got nan"),
+    (["--sweep", "rho", "--m", "3", "--start", "0.1", "--stop", "inf", "--step", "0.1"],
+     "--stop must be finite, got inf"),
+    (["--sweep", "rho", "--m", "3", "--start", "nan", "--stop", "0.2", "--step", "0.1"],
+     "--start must be finite, got nan"),
+    (["--sweep", "rho", "--m", "3", "--start", "0.1", "--stop", "0.2", "--step", "nan"],
+     "--step must be finite, got nan"),
+])
+def test_analyze_refuses_a_grid_that_is_not_finite(tmp_path, args, message):
+    path = tmp_path / "curve.csv"
+    result = runner.invoke(
+        main, ["analyze", "--statistic", "sens", "--q", "8", *args, "--output", str(path)]
+    )
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+    assert not path.exists()
+
+
 def test_analyze_integer_sweep(tmp_path):
     path = tmp_path / "m.csv"
     result = runner.invoke(

@@ -23,7 +23,9 @@ from multipool.errors import DomainError
 from multipool.model import NOISELESS, NoiseModel, SeedSpec, pool_loads, positive_pool_counts
 from multipool.montecarlo import ComparisonReport, ExperimentConfig, compare, run_experiment
 
-from helpers import blockwise_tally, exact_noiseless_stats, fano_matrix, ratio_sums, traced_peak
+from helpers import (
+    blockwise_tally, exact_noiseless_stats, fano_matrix, ncomp_flags, ratio_sums, traced_peak,
+)
 
 NOISY = NoiseModel(0.02, 0.02)
 
@@ -487,7 +489,7 @@ def _batch_peaks(config: ExperimentConfig, monkeypatch) -> list[int]:
 @pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIGS))
 def test_a_batch_holds_near_its_byte_budget(name, monkeypatch):
     # The event passes write into buffers they already hold: dense peaks
-    # at about 1.49 MiB and sparse at 1.22 MiB, against a 1 MiB budget.
+    # at about 1.43 MiB and sparse at 0.99 MiB, against a 1 MiB budget.
     peaks = _batch_peaks(_config(**_GOLDEN_CONFIGS[name], seed=1), monkeypatch)
     assert peaks and max(peaks) <= 1.75 * montecarlo._BATCH_BYTES, peaks
 
@@ -808,6 +810,91 @@ def test_no_bit_past_the_last_trial_and_no_pad_row_is_counted(design, trials):
     tally = montecarlo._simulate(matrix, all_infected, trials, 7, 1)
     assert tally["positives"] == {n: trials}
     assert tally == blockwise_tally(matrix, all_infected, trials, 7)
+
+
+# The stages of _run_batch, each on its own against the dense reference:
+# the (16, 4) lines at 65 trials in one block and 130 in two, so that the
+# last 64-trial word is partial and the second block's draws are shifted.
+_STAGE_DESIGN = build_multipool(MultipoolParams(16, 4))
+_STAGE_TRIALS = pytest.mark.parametrize("trials", [65, 130])
+
+
+def _streams(trials: int) -> tuple[list[np.random.Generator], list[int]]:
+    """Fresh streams of a batch's blocks of at most 65 trials, and their counts."""
+    counts = [min(65, trials - start) for start in range(0, trials, 65)]
+    return [SeedSpec(3, index).rng() for index in range(len(counts))], counts
+
+
+def _unpacked(rows: np.ndarray) -> np.ndarray:
+    """Packed (rows, words) uint64 states as (words * 64, rows) 0/1 bytes, a
+    row per trial, the last word's spare trials included."""
+    return np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").T
+
+
+def _infected_rows(trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The streams' packed item rows and infected counts, and their dense
+    (trials, n) infections drawn anew through ``montecarlo.positions``."""
+    n = _STAGE_DESIGN.n
+    rngs, counts = _streams(trials)
+    xp, infected = montecarlo._infections(rngs, counts, n, 0.1, -(-trials // 64) * 64)
+    dense = []
+    for rng, count in zip(*_streams(trials)):
+        x = np.zeros(count * n, dtype=np.uint8)
+        x[montecarlo.positions(rng, count * n, 0.1)] = 1
+        dense.append(x.reshape(count, n))
+    return xp, infected, np.concatenate(dense)
+
+
+def _random_pool_results(trials: int) -> np.ndarray:
+    """Packed pool results of the stage design, each bit a fair coin, the
+    last word's spare trials included."""
+    words = -(-trials // 64)
+    return np.random.default_rng(trials).integers(
+        0, 1 << 64, size=(_STAGE_DESIGN.t, words), dtype=np.uint64
+    )
+
+
+@_STAGE_TRIALS
+def test_the_infection_stage_sets_the_dense_draw(trials):
+    xp, infected, x = _infected_rows(trials)
+    bits = _unpacked(xp)
+    assert x.any() and not bits[trials:].any()
+    np.testing.assert_array_equal(bits[:trials], x)
+    np.testing.assert_array_equal(infected, x.sum(axis=1))
+
+
+@_STAGE_TRIALS
+def test_the_pool_stage_without_errors_ors_the_loads(trials):
+    xp, _, x = _infected_rows(trials)
+    rngs, counts = _streams(trials)
+    yp = montecarlo._pool_results(xp, _STAGE_DESIGN.pool_rows, rngs, counts, np.zeros(17))
+    bits = _unpacked(yp)
+    assert not bits[trials:].any()
+    np.testing.assert_array_equal(bits[:trials], pool_loads(_STAGE_DESIGN, x) > 0)
+
+
+@_STAGE_TRIALS
+@pytest.mark.parametrize("nc", range(5))
+def test_the_decode_stage_follows_the_threshold_rule(trials, nc):
+    yp = _random_pool_results(trials)
+    flags = montecarlo._decode(yp, _STAGE_DESIGN.member_rows, nc)
+    expected = ncomp_flags(_STAGE_DESIGN, _unpacked(yp)[:trials], 4, nc)
+    np.testing.assert_array_equal(_unpacked(flags)[:trials], expected)
+
+
+@_STAGE_TRIALS
+@pytest.mark.parametrize("nc", [0, 1])
+def test_the_count_stages_sum_the_bits_of_the_trials(trials, nc):
+    xp, _, x = _infected_rows(trials)
+    flags = montecarlo._decode(_random_pool_results(trials), _STAGE_DESIGN.member_rows, nc)
+    z = _unpacked(flags)
+    # Spare trials are flagged too, and must not be counted.
+    assert z[trials:].any()
+    z = z[:trials]
+    np.testing.assert_array_equal(montecarlo._flag_counts(flags, trials), z.sum(axis=1))
+    missed = (x & (1 - z)).sum(axis=1)
+    assert missed.any()
+    np.testing.assert_array_equal(montecarlo._missed(flags, xp, trials), missed)
 
 
 def test_counts_past_uint16_are_tallied_exactly():

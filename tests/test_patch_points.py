@@ -3,8 +3,12 @@
 ``bench/tracing.py`` swaps these attributes for timed wrappers through
 ``owner.__dict__[name]`` and restores them afterwards, so each must be
 defined directly on its owner, and ``montecarlo`` must call the model
-kernels and the design builder through its own module names.
+kernels and the design builder through its own module names.  The
+engine's stages are looked up the same way by whatever times, wraps or
+swaps one of them.
 """
+
+import inspect
 
 from multipool import analytics, design, gf, model, montecarlo
 
@@ -19,6 +23,12 @@ def test_montecarlo_calls_its_layers_through_module_names():
         (model, "positive_pool_counts"),
     ]:
         assert montecarlo.__dict__[name] is owner.__dict__[name]
+
+
+def test_the_engine_stages_are_module_functions():
+    for name in ("_infections", "_pool_results", "_decode", "_flag_counts", "_missed",
+                 "_run_batch"):
+        assert inspect.isfunction(montecarlo.__dict__[name]), name
 
 
 def test_traced_methods_are_defined_on_their_classes():
