@@ -521,6 +521,32 @@ def test_external_design_report_matches_the_dense_gather_pipeline():
     )
 
 
+# sha256 of the report, as above, of (4, 2) noiseless nc = 0 seed 3
+# scenarios whose rows reach every status the golden reports miss:
+# - no infection: sens unavailable, typeI undefined and passed, and the
+#   z rows whose standard error is 0;
+# - every item infected: spec unavailable and typeII undefined;
+# - one trial: var_T and var_Tfp unavailable, with no sample variance;
+# - the built lines through from_pools with no infection: the external
+#   design's binomial floors on the same statuses.
+_ROW_STATUS_PINS = {
+    "no_infection": (0.0, 50, "1dd9f05b141ab6d6ef8f9581d7a47b335f85b1fccd86ef008c94813ad0b4a035"),
+    "all_infected": (1.0, 20, "c34072d17db45fa435e461f5872d48d369118911d458a8d5fe97133e004b739e"),
+    "one_trial": (0.1, 1, "d23c9d4a32b0c3fff95015f971d4e8b3317fcd3aaea759e349268e9a135bcc4a"),
+    "external": (0.0, 50, "c59112e013df11c1ff3ee007a9ec25a47e28d82436b301783a82ca1615be01a2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_STATUS_PINS))
+def test_every_row_status_matches_its_pin(name):
+    rho, trials, digest = _ROW_STATUS_PINS[name]
+    design = MultipoolParams(4, 2)
+    if name == "external":
+        design = PoolingMatrix.from_pools(16, build_multipool(design).pools)
+    config = _config(4, 2, rho=rho, trials=trials, seed=3, design=design)
+    assert _sha256(compare(config).to_document()) == digest
+
+
 def test_a_large_external_design_reports_alike_at_every_thread_count_and_batch_size(
     monkeypatch,
 ):
