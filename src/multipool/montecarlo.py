@@ -42,14 +42,14 @@ import sys
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, make_dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .analytics import STATISTICS, Mean, Ratio, ScenarioParams, Variance
+from .analytics import STATISTICS, Mean, Ratio, ScenarioParams, Statistic, Variance
 from .analytics import analytic_report, exact_moments
 from .design import MultipoolParams, PoolingMatrix, build_multipool
 from .errors import DomainError, require_integer
@@ -729,28 +729,26 @@ class ComparisonReport:
         }
 
 
-# The mean rows, whose binomial floor (:func:`_null_se`) is a count's.
-_MEAN_ROWS = {statistic.row for statistic in STATISTICS if isinstance(statistic.kind, Mean)}
 # A z row fails beyond this many standard errors.
 _Z_GATE = 4.0
 
 
 @lru_cache(maxsize=256)
 def _null_variances(scenario: ScenarioParams) -> Mapping[str, tuple[float, float]]:
-    """(Var0, E[B]) of each z row whose closed form exists, on the design
-    of ``analytics.exact_moments``: a mean row's Var0 is its count's
-    variance and its E[B] is 1, and a ratio row's, for event and base
-    counts A and B and closed form p0, are Var(A - p0 B) and E[B].  They
-    depend on the scenario alone, so they are formed once per scenario,
-    like the moments and the closed forms they come from, and every
-    caller shares one read-only mapping."""
+    """(Var0, E[B]) of each row whose closed form exists, on the design of
+    ``analytics.exact_moments``: a mean or var row's Var0 is its count's
+    variance, which a var row reports as ``exact``, and its E[B] is 1,
+    and a ratio row's, for event and base counts A and B and closed form
+    p0, are Var(A - p0 B) and E[B].  They depend on the scenario alone,
+    so they are formed once per scenario, like the moments and the closed
+    forms they come from, and every caller shares one read-only mapping."""
     moments, report = exact_moments(scenario), analytic_report(scenario)
     variances = {}
     for statistic in STATISTICS:
         kind, p0 = statistic.kind, getattr(report, statistic.field)
-        if isinstance(kind, Mean):
+        if isinstance(kind, (Mean, Variance)):
             variances[statistic.row] = (moments.cov[kind.count][kind.count], 1.0)
-        elif isinstance(kind, Ratio) and p0 is not None:
+        elif p0 is not None:
             events, base = kind.events, kind.base
             mean_base = base[0] * scenario.n + sum(c * mu for c, mu in zip(base[1:], moments.mean))
             # The n terms are constants, which add nothing to the variance.
@@ -763,13 +761,11 @@ def _null_variances(scenario: ScenarioParams) -> Mapping[str, tuple[float, float
 
 
 def _null_se(
-    statistic: str,
+    statistic: Statistic,
     analytic: float,
     estimate: Estimate,
-    *,
-    scenario: ScenarioParams,
     variances: Mapping[str, tuple[float, float]] | None,
-    trials: int,
+    config: ExperimentConfig,
 ) -> float:
     """Standard error of a z row's estimate when its closed form holds.
 
@@ -779,85 +775,61 @@ def _null_se(
     sqrt(p0 (1 - p0) / base) and sqrt(mu0 (1 - mu0 / n) / trials).
     """
     if variances is None:
-        if statistic in _MEAN_ROWS:
-            return math.sqrt(max(0.0, analytic * (1.0 - analytic / scenario.n)) / trials)
+        if isinstance(statistic.kind, Mean):
+            n = config.scenario.n
+            return math.sqrt(max(0.0, analytic * (1.0 - analytic / n)) / config.trials)
         return math.sqrt(max(0.0, analytic * (1.0 - analytic)) / estimate.observations)
-    variance, mean_base = variances[statistic]
+    variance, mean_base = variances[statistic.row]
     if mean_base <= 0.0:
         return 0.0
-    return math.sqrt(max(0.0, variance) / trials) / mean_base
+    return math.sqrt(max(0.0, variance) / config.trials) / mean_base
 
 
-def _value_row(
-    statistic: str,
+def _row(
+    statistic: Statistic,
     analytic: float | None,
     estimate: Estimate,
-    null_se: Callable[[str, float, Estimate], float],
+    variances: Mapping[str, tuple[float, float]] | None,
+    config: ExperimentConfig,
 ) -> ComparisonRow:
-    if analytic is None and estimate.value is None:
-        return ComparisonRow(statistic=statistic, kind="z", status="undefined", passed=True)
-    if estimate.value is None:
-        return ComparisonRow(
-            statistic=statistic, kind="z", status="unavailable", passed=True, analytic=analytic
-        )
-    if analytic is None:
-        # The conditional should never have occurred, yet it did.
-        return ComparisonRow(
-            statistic=statistic,
-            kind="z",
-            status="undefined",
-            passed=False,
-            empirical=estimate.value,
-            observations=estimate.observations,
-        )
-    diff = estimate.value - analytic
-    se_null = null_se(statistic, analytic, estimate)
-    se = max(estimate.se, se_null)
-    if se > 0.0:
-        z = diff / se
-        passed = abs(z) <= _Z_GATE
+    """The report row of one statistic's closed form ``analytic`` and
+    ``estimate``, given the :func:`_null_variances` of a built design or
+    None for an external one.  A var row is a "bound" row, whose closed
+    form is its bound; every other row is a "z" row (see :func:`compare`).
+    """
+    kind, value = statistic.kind, estimate.value
+    bounded = isinstance(kind, Variance)
+    if bounded:
+        exact = None if variances is None else variances[statistic.row][0]
+        fields = dict(kind="bound", bound=analytic, exact=exact)
     else:
-        z = 0.0 if diff == 0.0 else None
-        passed = diff == 0.0
-    return ComparisonRow(
-        statistic=statistic,
-        kind="z",
-        status="ok",
-        passed=passed,
-        analytic=analytic,
-        empirical=estimate.value,
-        se=se,
-        z=z,
-        observations=estimate.observations,
-        se_sample=estimate.se,
-        se_null=se_null,
-    )
-
-
-def _bound_row(
-    statistic: str, bound: float | None, estimate: Estimate, exact: float | None
-) -> ComparisonRow:
-    if bound is None:
-        return ComparisonRow(
-            statistic=statistic, kind="bound", status="not_applicable", passed=True, exact=exact
-        )
-    if estimate.value is None:
-        return ComparisonRow(
-            statistic=statistic, kind="bound", status="unavailable", passed=True, bound=bound,
-            exact=exact,
-        )
-    slack = 5.0 * (estimate.se or 0.0)
-    return ComparisonRow(
-        statistic=statistic,
-        kind="bound",
-        status="ok",
-        passed=estimate.value <= bound + slack,
-        empirical=estimate.value,
-        bound=bound,
-        slack=slack,
-        observations=estimate.observations,
-        exact=exact,
-    )
+        fields = dict(kind="z", analytic=analytic)
+    if bounded and analytic is None:
+        status, passed = "not_applicable", True
+    elif value is None:
+        status, passed = ("undefined" if analytic is None else "unavailable"), True
+    else:
+        fields.update(empirical=value, observations=estimate.observations)
+        if analytic is None:
+            # The conditional should never have occurred, yet it did.
+            status, passed = "undefined", False
+        elif bounded:
+            slack = 5.0 * (estimate.se or 0.0)
+            status, passed = "ok", value <= analytic + slack
+            fields.update(slack=slack)
+        else:
+            diff = value - analytic
+            se_null = _null_se(statistic, analytic, estimate, variances, config)
+            se = max(estimate.se, se_null)
+            if se > 0.0:
+                z = diff / se
+                passed = abs(z) <= _Z_GATE
+            else:
+                z = 0.0 if diff == 0.0 else None
+                passed = diff == 0.0
+            status = "ok"
+            fields.update(se=se, z=z, se_sample=estimate.se, se_null=se_null)
+    return ComparisonRow(statistic=statistic.row, status=status, passed=passed, **fields)
 
 
 def compare(config: ExperimentConfig, threads: int = 1) -> ComparisonReport:
@@ -876,23 +848,15 @@ def compare(config: ExperimentConfig, threads: int = 1) -> ComparisonReport:
     """
     scenario = config.scenario
     report = analytic_report(scenario)
-    built = isinstance(config.design, MultipoolParams)
-    variances = _null_variances(scenario) if built else None
+    variances = _null_variances(scenario) if isinstance(config.design, MultipoolParams) else None
     stats = run_experiment(config, threads=threads)
-    null_se = partial(_null_se, scenario=scenario, variances=variances, trials=config.trials)
-    cov = exact_moments(scenario).cov if built else None
-    rows = []
-    for statistic in STATISTICS:
-        kind = statistic.kind
-        analytic, estimate = getattr(report, statistic.field), getattr(stats, statistic.estimate)
-        if isinstance(kind, Variance):
-            exact = cov[kind.count][kind.count] if built else None
-            rows.append(_bound_row(statistic.row, analytic, estimate, exact))
-        else:
-            rows.append(_value_row(statistic.row, analytic, estimate, null_se))
     return ComparisonReport(
         scenario=scenario,
         trials=config.trials,
         master_seed=config.master_seed,
-        rows=tuple(rows),
+        rows=tuple(
+            _row(statistic, getattr(report, statistic.field), getattr(stats, statistic.estimate),
+                 variances, config)
+            for statistic in STATISTICS
+        ),
     )

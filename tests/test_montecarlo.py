@@ -8,7 +8,6 @@ import threading
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -17,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipool import montecarlo
-from multipool.analytics import ScenarioParams, analytic_report, exact_moments
+from multipool.analytics import STATISTICS, ScenarioParams, analytic_report, exact_moments
 from multipool.design import MultipoolParams, PoolingMatrix, build_multipool
 from multipool.errors import DomainError
 from multipool.model import NOISELESS, NoiseModel, SeedSpec, pool_loads, positive_pool_counts
@@ -28,6 +27,8 @@ from helpers import (
 )
 
 NOISY = NoiseModel(0.02, 0.02)
+# The statistics by report row.
+_STATISTICS = {statistic.row: statistic for statistic in STATISTICS}
 
 
 def _config(q, m, rho, nc=0, noise=NOISELESS, trials=10_000, seed=99, design=None):
@@ -421,17 +422,17 @@ def test_report_rows_for_outcomes_the_closed_forms_rule_out():
     seen = montecarlo.Estimate(value=0.5, se=0.1, observations=4)
     unseen = montecarlo.Estimate(value=None, se=None, observations=0)
     # A conditional whose closed form has zero mass, yet observed, fails.
-    row = montecarlo._value_row("typeI", None, seen, null_se=None)
+    row = montecarlo._row(_STATISTICS["typeI"], None, seen, None, None)
     assert (row.status, row.passed, row.empirical, row.observations) == ("undefined", False, 0.5, 4)
     # A bound with no sample variance to hold against it passes unchecked.
-    row = montecarlo._bound_row("var_T", 10.0, unseen, exact=2.0)
+    row = montecarlo._row(_STATISTICS["var_T"], 10.0, unseen, {"var_T": (2.0, 1.0)}, None)
     assert (row.status, row.passed, row.bound, row.exact) == ("unavailable", True, 10.0, 2.0)
     # With no infection ever expected, sensitivity's base has mean 0 and
     # its null standard error is 0.
     scenario = ScenarioParams(rho=0.0, q=3, m=2, n=9)
     variances = montecarlo._null_variances(scenario)
-    assert montecarlo._null_se("sens", 1.0, seen, scenario=scenario, variances=variances,
-                               trials=10) == 0.0
+    config = ExperimentConfig(scenario, MultipoolParams(3, 2), 10, 0)
+    assert montecarlo._null_se(_STATISTICS["sens"], 1.0, seen, variances, config) == 0.0
 
 
 def test_partial_final_block_keeps_exact_trial_count():
@@ -1002,6 +1003,7 @@ def test_null_errors_follow_the_enumerated_null_variance():
 def test_exact_moments_are_computed_once_per_scenario():
     config = _config(4, 3, rho=0.07, nc=1, noise=NOISY, trials=500, seed=8)
     exact_moments.cache_clear()
+    montecarlo._null_variances.cache_clear()
     compare(config)
     compare(config, threads=2)
     assert exact_moments.cache_info().misses == 1
@@ -1040,16 +1042,17 @@ _SEED_102_OP_377 = {
 def test_a_low_count_of_a_rare_outcome_passes_the_null_gate():
     scenario = ScenarioParams(rho=0.1, q=16, m=4, nc=1, noise=NOISY, n=256)
     report = analytic_report(scenario)
-    null_se = partial(montecarlo._null_se, scenario=scenario,
-                      variances=montecarlo._null_variances(scenario), trials=6552)
+    variances = montecarlo._null_variances(scenario)
+    config = ExperimentConfig(scenario, MultipoolParams(16, 4), 6552, 102)
     tally = _SEED_102_OP_377
     rows = [
-        montecarlo._value_row("sens", report.sensitivity,
-                              montecarlo._ratio_estimate(tally["sens"]), null_se),
-        montecarlo._value_row("typeII", report.type_two,
-                              montecarlo._ratio_estimate(tally["type_two"]), null_se),
-        montecarlo._value_row("mean_Tfn", report.expected_false_negatives,
-                              montecarlo._count_estimates(tally["false_negatives"])[0], null_se),
+        montecarlo._row(_STATISTICS["sens"], report.sensitivity,
+                        montecarlo._ratio_estimate(tally["sens"]), variances, config),
+        montecarlo._row(_STATISTICS["typeII"], report.type_two,
+                        montecarlo._ratio_estimate(tally["type_two"]), variances, config),
+        montecarlo._row(_STATISTICS["mean_Tfn"], report.expected_false_negatives,
+                        montecarlo._count_estimates(tally["false_negatives"])[0], variances,
+                        config),
     ]
     for row in rows:
         assert abs((row.empirical - row.analytic) / row.se_sample) > 5.5
