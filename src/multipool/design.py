@@ -74,30 +74,25 @@ class PoolingMatrix:
 
     Column i of ``pool_rows`` lists the items of pool i in increasing
     order, so row k holds the k-th item of every pool; column j of
-    ``member_rows`` lists the pools containing item j, likewise.  Both
-    are C-contiguous int32 arrays and exactly as tall as their longest
-    column; shorter columns, which only ragged external designs have,
-    are padded at the end with one past the largest valid index (n in
-    ``pool_rows``, t in ``member_rows``), so the gathers read the
-    padding from an appended zero row; simulation takes no padded
-    design.  ``pools`` and ``item_membership`` are the same lists as
-    tuples of tuples, derived on first use.  Instances are immutable
-    after construction and safe to share across threads.
+    ``member_rows``, which the constructor derives from ``pool_rows``,
+    lists the pools containing item j, likewise.  Both are C-contiguous
+    int32 arrays and exactly as tall as their longest column; shorter
+    columns, which only ragged external designs have, are padded at the
+    end with one past the largest valid index (n in ``pool_rows``, t in
+    ``member_rows``), so the gathers read the padding from an appended
+    zero row; simulation takes no padded design.  ``pools`` and
+    ``item_membership`` are the same lists as tuples of tuples, derived
+    on first use.  Instances are immutable after construction and safe
+    to share across threads.
     """
 
-    def __init__(
-        self,
-        n: int,
-        pool_rows: np.ndarray,
-        member_rows: np.ndarray,
-        labels: tuple[PoolLabel, ...] | None,
-    ):
+    def __init__(self, n: int, pool_rows: np.ndarray, labels: tuple[PoolLabel, ...] | None):
         pool_rows.flags.writeable = False
-        member_rows.flags.writeable = False
+        self.member_rows = _member_rows(pool_rows, n)
+        self.member_rows.flags.writeable = False
         self.n = n
         self.t = pool_rows.shape[1]
         self.pool_rows = pool_rows
-        self.member_rows = member_rows
         self.labels = labels
 
     @classmethod
@@ -132,7 +127,7 @@ class PoolingMatrix:
         sizes = [len(items) for items in canonical]
         flat = np.fromiter((j for items in canonical for j in items), np.int32, sum(sizes))
         pool_rows = _padded(np.repeat(np.arange(len(sizes)), sizes), flat, len(sizes), n)
-        return cls(n, pool_rows, _member_rows(pool_rows, n), labels)
+        return cls(n, pool_rows, labels)
 
     @classmethod
     def from_dense(cls, array: np.ndarray) -> "PoolingMatrix":
@@ -146,7 +141,7 @@ class PoolingMatrix:
             raise DomainError("a design needs at least one pool")
         require_binary("dense design entries", arr)
         pool_rows = _padded(*np.nonzero(arr), t, n)
-        return cls(n, pool_rows, _member_rows(pool_rows, n), None)
+        return cls(n, pool_rows, None)
 
     @cached_property
     def pool_size(self) -> int | None:
@@ -265,7 +260,7 @@ def build_multipool(params: MultipoolParams) -> PoolingMatrix:
         blocks.append(q * x + x[:, None])
         labels += [PoolLabel(INFINITY, intercept) for intercept in range(q)]
     pool_rows = np.concatenate(blocks, axis=1).astype(np.int32)
-    return PoolingMatrix(params.n, pool_rows, _member_rows(pool_rows, params.n), tuple(labels))
+    return PoolingMatrix(params.n, pool_rows, tuple(labels))
 
 
 def max_pools_bound(q: int, n: int) -> int:
