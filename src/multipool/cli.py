@@ -121,6 +121,8 @@ def cmd_validate(path: str, q: int | None, m: int | None):
 # analyze's --statistic choices.
 _STATISTICS = {statistic.cli: statistic for statistic in analytics.STATISTICS}
 _INT_SWEEPS = {"m", "q", "nc"}
+# The most points that a --start/--stop/--step grid may hold.
+_GRID_POINTS = 1_000_000
 
 
 def _parse_grid(
@@ -149,8 +151,11 @@ def _parse_grid(
             _invalid(f"--step must be positive, got {step}")
         if stop < start:
             _invalid(f"--stop {stop} is below --start {start}")
-        count = int((stop - start) / step + 1e-9) + 1
-        parsed = [start + i * step for i in range(count)]
+        # A float until checked: a count past int() or memory must not be built.
+        steps = (stop - start) / step + 1e-9
+        if not steps < _GRID_POINTS:
+            _invalid(f"--start/--stop/--step give more than {_GRID_POINTS} grid points")
+        parsed = [start + i * step for i in range(int(steps) + 1)]
     if sweep in _INT_SWEEPS:
         as_ints = []
         for v in parsed:

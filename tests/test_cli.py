@@ -7,7 +7,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from multipool import montecarlo
+from multipool import cli, montecarlo
 from multipool.cli import main
 
 runner = CliRunner()
@@ -212,6 +212,34 @@ def test_analyze_refuses_a_grid_that_is_not_finite(tmp_path, args, message):
     )
     assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("start, stop, step", [
+    ("0", "1e300", "1e-300"),  # a count past any float
+    ("0", "1", "1e-12"),  # a count past any list
+    ("0", "1", "1e-6"),  # 1000001 points
+])
+def test_analyze_refuses_a_grid_too_long_to_list(tmp_path, start, stop, step):
+    path = tmp_path / "curve.csv"
+    result = runner.invoke(
+        main,
+        ["analyze", "--statistic", "sens", "--sweep", "rho", "--start", start, "--stop", stop,
+         "--step", step, "--q", "8", "--m", "3", "--output", str(path)],
+    )
+    message = "error: --start/--stop/--step give more than 1000000 grid points\n"
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", message)
+    assert not path.exists()
+
+
+def test_analyze_lists_a_grid_of_the_most_points_it_allows(tmp_path, monkeypatch):
+    # Five points under a cap of five; a sixth is refused.
+    monkeypatch.setattr(cli, "_GRID_POINTS", 5)
+    path = tmp_path / "curve.csv"
+    args = ["analyze", "--statistic", "sens", "--sweep", "rho", "--start", "0", "--step", "0.1",
+            "--q", "8", "--m", "3", "--output", str(path)]
+    assert runner.invoke(main, [*args, "--stop", "0.4"]).exit_code == 0
+    assert len(_read_csv(path)) == 5
+    assert runner.invoke(main, [*args, "--stop", "0.5"]).exit_code == 2
 
 
 def test_analyze_integer_sweep(tmp_path):
