@@ -10,13 +10,14 @@ positions take about ``_BATCH_BYTES`` (:func:`_simulate`), whose trials
 go through the pool results, the decode and the tally together
 (:func:`_run_batch`).  A batch holds only packed states: one row of
 uint64 words per item or pool, one bit per trial, into which the
-infection positions are set directly.  Each batch returns an exact
-tally: for each pooled ratio the integer sums of its per-trial events
-and bases, their squares and their product, all read from one integer
-Gram matrix of the per-trial counts, and for each per-trial count
-(flagged, false positives, false negatives) a histogram of how many
-trials had each value.  Batches merge by integer addition and every
-estimate is a function of the merged integers, so results are
+infection positions are set directly.  Each batch returns exact
+integers: the Gram matrix of its per-trial counts and, for each
+per-trial count (flagged, false positives, false negatives), how many
+trials had each value.  Batches merge by integer addition, and the call
+then forms its tally once: for each pooled ratio the integer sums of
+its per-trial events and bases, their squares and their product, all
+read from the merged Gram matrix, and for each count its histogram.
+Every estimate is a function of the merged integers, so results are
 bit-identical no matter how many threads process the batches, in which
 order they finish, or how the blocks group into batches.  The grouping
 depends on the design, the scenario and the trial count, never on the
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, make_dataclass
 from functools import lru_cache
@@ -69,9 +70,10 @@ _BLOCK_MIN = 32
 _BATCH_BYTES = 1 << 20
 # Index rows per run of a batch's one gather pass, which ORs the pool
 # rows and sums the candidate-error loads: _GATHER_ROWS, or fewer where
-# a run's gathered rows or candidate bits would pass one batch's budget,
-# so that a run does not raise the batch's peak memory much past what
-# the batch is sized for.
+# a run's gathered rows, or its candidates counted at a word per row,
+# would pass one batch's budget, so that a run does not raise the
+# batch's peak memory much past what the batch is sized for.  A
+# candidate's gather takes one byte per row.
 _GATHER_ROWS = 16
 
 # glibc's malloc serves each request at or above its mmap threshold
@@ -212,7 +214,7 @@ class Estimate:
         return self.value is not None
 
 
-# The ratios of ``analytics.STATISTICS``, and the histogram that a batch
+# The ratios of ``analytics.STATISTICS``, and the histogram that a call
 # tallies for each per-trial count of its means, by the count's index in
 # (I, T, T_fp, T_fn).
 _KINDS = [statistic.kind for statistic in STATISTICS]
@@ -220,25 +222,29 @@ _RATIOS = [kind for kind in _KINDS if isinstance(kind, Ratio)]
 _HISTOGRAMS = {kind.histogram: kind.count for kind in _KINDS if isinstance(kind, Mean)}
 
 
-def _ratio_sums(
-    n: int, infected: np.ndarray, flagged: np.ndarray, missed: np.ndarray
-) -> dict[str, Counter]:
+def _gram(infected: np.ndarray, flagged: np.ndarray, missed: np.ndarray) -> np.ndarray:
+    """The int64 4 x 4 Gram matrix of a batch's columns (1, I, T, T_fn),
+    the trial and its infected, flagged and missed counts: one matrix
+    product.  Every entry is at most n**2 per trial.  A trial costs at
+    least n / 8 bytes of a batch's budget, so a batch holds at most
+    8 * ``_BATCH_BYTES`` / n trials plus two blocks, and a block at most
+    max(32, 2**24 / n) trials: the entries stay below
+    2**23 n + 64 n**2 + 2**25 n, exact in int64 for any n below 2**28.
+    Batches merge as Python ints (:func:`_tally`).
+    """
+    columns = np.stack((np.ones_like(infected), infected, flagged, missed), dtype=np.int64)
+    return columns @ columns.T
+
+
+def _ratio_sums(n: int, gram: list[list[int]]) -> dict[str, Counter]:
     """Exact integer sums for each pooled ratio  sum(a_i) / sum(b_i):
     sum(a), sum(b), sum(a**2), sum(a b), sum(b**2) and the trial count.
 
     Every event and base is a fixed combination of (n, I, T, T_fp, T_fn)
     (``_RATIOS``), and T_fp = T - I + T_fn, so all of them come from the
-    4 x 4 Gram matrix of the columns (1, I, T, T_fn), the trial and its
-    infected, flagged and missed counts: one int64 matrix product, then
-    quadratic forms in Python ints.  Every Gram entry is at most n**2 per
-    trial.  A trial costs at least n / 8 bytes of a batch's budget, so a
-    batch holds at most 8 * ``_BATCH_BYTES`` / n trials plus two blocks,
-    and a block at most max(32, 2**24 / n) trials: the entries stay below
-    2**23 n + 64 n**2 + 2**25 n, exact in int64 for any n below 2**28.
-    Batches merge as Python ints.
+    Gram matrix of :func:`_gram`, here as Python ints: quadratic forms,
+    which Python ints keep exact.
     """
-    columns = np.stack((np.ones_like(infected), infected, flagged, missed), dtype=np.int64)
-    gram = (columns @ columns.T).tolist()
 
     def form(u: tuple[int, ...], v: tuple[int, ...]) -> int:
         """u' G v, skipping zero coefficients."""
@@ -260,20 +266,39 @@ def _ratio_sums(
     return tally
 
 
-def _histogram(values: np.ndarray) -> Counter:
-    """How many trials had each value of one per-trial count."""
-    counts = np.bincount(values)
+def _histogram(counts: np.ndarray) -> Counter:
+    """How many trials had each value of one per-trial count, from the
+    count's ``np.bincount``."""
     keys = np.flatnonzero(counts)
     return Counter(dict(zip(keys.tolist(), counts[keys].tolist())))
 
 
-def _merge(tallies: Iterable[dict[str, Counter]]) -> dict[str, Counter]:
-    """Sum block tallies; every entry is an exact integer."""
-    total: dict[str, Counter] = defaultdict(Counter)
-    for tally in tallies:
-        for name, counts in tally.items():
-            total[name].update(counts)
-    return total
+def _tally(n: int, batches: Iterable[tuple[np.ndarray, list[np.ndarray]]]) -> dict[str, Counter]:
+    """The tally of a call from what each of its batches returns
+    (:func:`_run_batch`): a Gram matrix (:func:`_gram`) and the bincount
+    of each ``_HISTOGRAMS`` count.
+
+    The Gram matrices add as Python ints and the bincounts as int64
+    arrays, the shorter into the longer in place; a lone batch adds
+    nothing.  The
+    ratio sums and the histograms are then formed once.  Every entry is
+    an exact integer, so the tally does not depend on how the trials
+    group into batches or in which order the batches come."""
+    batches = iter(batches)
+    gram, counts = next(batches)
+    gram = gram.tolist()
+    for more_gram, more_counts in batches:
+        gram = [[a + b for a, b in zip(row, more)] for row, more in zip(gram, more_gram.tolist())]
+        for index, more in enumerate(more_counts):
+            total = counts[index]
+            if total.size < more.size:
+                total, more = more, total
+            total[: more.size] += more
+            counts[index] = total
+    return {
+        **_ratio_sums(n, gram),
+        **{key: _histogram(total) for key, total in zip(_HISTOGRAMS, counts)},
+    }
 
 
 def _ratio_estimate(sums: Counter) -> Estimate:
@@ -446,31 +471,44 @@ def _pool_results(
     candidate, which keeps it with probability (its error rate) / r*.
     One pass over runs of index rows gathers each run of item rows once:
     a pool's row is the OR of its items' rows, and each candidate's load
-    the sum of its trial's bits in its pool's rows, in a byte while pools
-    hold fewer than 256 items.  At r* = 0 no candidate is drawn or read.
+    the sum of its trial's bits in its pool's rows, each read from the
+    one byte that holds it and summed in a byte while pools hold fewer
+    than 256 items.  At r* = 0 no candidate is drawn or read.
     """
     t, words = pool_rows.shape[1], xp.shape[1]
+    span = words * 64
     top = float(error.max())
     yp = np.zeros((t, words), dtype=np.uint64)
     row_bytes = yp.nbytes
     if top > 0.0:
-        candidates, kept = _positions(rngs, [count * t for count in counts], top)
-        draws = np.empty(candidates.size)
+        bit, kept = _positions(rngs, [count * t for count in counts], top)
+        draws = np.empty(bit.size)
         for rng, lo, hi in zip(rngs, accumulate(kept, initial=0), accumulate(kept)):
             rng.random(out=draws[lo:hi])
-        # A candidate's bit is at word pool * words + trial // 64 of a run.
-        trial, pool = np.divmod(candidates, t)
-        word = pool * words + (trial >> 6)
-        shift = (trial & 63).view(np.uint64)
-        del candidates, trial, pool
-        load = np.zeros(word.size, dtype=np.uint8 if pool_rows.shape[0] < 256 else np.intp)
-        row_bytes = max(row_bytes, 8 * word.size)
+        # Candidate g of trial g // t goes in place to bit
+        # b = (g % t) * span + g // t of the pool rows: bit b & 7 of byte
+        # b >> 3 of each gathered slice of rows, read as little-endian
+        # bytes.
+        trial = bit // t
+        bit *= span
+        trial *= t * span - 1
+        bit -= trial
+        del trial
+        byte = bit >> 3
+        # The cast keeps the low byte, whose low three bits are b & 7.
+        shift = bit.astype(np.uint8)
+        shift &= 7
+        load = np.zeros(bit.size, dtype=np.uint8 if pool_rows.shape[0] < 256 else np.intp)
+        # Counted as a word per candidate and row, though a run gathers
+        # one byte: a smaller count would lengthen the runs and let the
+        # gathered rows raise the batch's peak.
+        row_bytes = max(row_bytes, 8 * bit.size)
     step = min(_GATHER_ROWS, max(1, _BATCH_BYTES // row_bytes))
     for lo in range(0, pool_rows.shape[0], step):
         rows = xp.take(pool_rows[lo : lo + step], axis=0)
         yp |= np.bitwise_or.reduce(rows, axis=0)
         if top > 0.0:
-            bits = rows.reshape(rows.shape[0], -1).take(word, axis=1)
+            bits = rows.view(np.uint8).reshape(rows.shape[0], -1).take(byte, axis=1)
             bits >>= shift
             bits &= 1
             load += bits.sum(axis=0, dtype=load.dtype)
@@ -482,7 +520,7 @@ def _pool_results(
         # rows of their own and flipped by one XOR.
         draws *= top
         keep = draws < error.take(load)
-        yp ^= _packed(t, words * 64, (word[keep] << 6) | shift[keep].view(np.int64))
+        yp ^= _packed(t, span, bit[keep])
     return yp
 
 
@@ -548,8 +586,10 @@ def _run_batch(
     error: np.ndarray,
     master_seed: int,
     blocks: list[tuple[int, int]],
-) -> dict[str, Counter]:
-    """Tally a run of consecutive whole (block index, trial count) blocks.
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The Gram matrix (:func:`_gram`) and the ``np.bincount`` of each
+    ``_HISTOGRAMS`` count of a run of consecutive whole (block index,
+    trial count) blocks, which :func:`_tally` merges.
 
     Each block's stream is drawn first by :func:`_infections` and then by
     :func:`_pool_results`, whose results go through :func:`_decode`,
@@ -563,8 +603,9 @@ def _run_batch(
     holds, and a stage's scratch goes when it returns.  Traced, a batch
     peaks at 1.43 MiB on sim-dense-small's (16, 4) and 0.99 MiB on
     sim-sparse-large's (64, 8), against a ``_BATCH_BYTES`` of 1 MiB, and
-    at 4.06 MiB on (64, 65) under noise, where the gather run's rows and
-    candidate bits, each capped at the budget, set the peak.
+    at 3.05 MiB on (64, 65) under noise, where the gather run's rows,
+    capped at the budget, and the candidates' bits, bytes and uniforms
+    set the peak.
     """
     rngs = [SeedSpec(master_seed, index).rng() for index, _ in blocks]
     counts = [count for _, count in blocks]
@@ -576,10 +617,10 @@ def _run_batch(
     false_neg = _missed(flags, xp, trials)
     false_pos = flagged - infected + false_neg
     columns = (infected, flagged, false_pos, false_neg)
-    return {
-        **_ratio_sums(matrix.n, infected, flagged, false_neg),
-        **{key: _histogram(columns[index]) for key, index in _HISTOGRAMS.items()},
-    }
+    return (
+        _gram(infected, flagged, false_neg),
+        [np.bincount(columns[index]) for index in _HISTOGRAMS.values()],
+    )
 
 
 # The helper threads that every multi-batch simulation shares.  The
@@ -633,7 +674,7 @@ def _simulate(
     cuts = [len(blocks) * k // count for k in range(count + 1)]
     batches = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
-    def stripe(first: int) -> list[dict[str, Counter]]:
+    def stripe(first: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
         return [
             _run_batch(matrix, scenario, error, master_seed, batch)
             for batch in batches[first::stripes]
@@ -641,7 +682,7 @@ def _simulate(
 
     stripes = min(threads, len(batches))
     helpers = _HELPERS.map(stripe, range(1, stripes))
-    return _merge(chain(stripe(0), *helpers))
+    return _tally(matrix.n, chain(stripe(0), *helpers))
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log1p
@@ -631,18 +631,21 @@ def block_tally(
         "spec": ratio_sums(true_neg, healthy),
         "type_one": ratio_sums(false_pos, flagged),
         "type_two": ratio_sums(false_neg, flagged_neg),
-        "positives": montecarlo._histogram(flagged),
-        "false_positives": montecarlo._histogram(false_pos),
-        "false_negatives": montecarlo._histogram(false_neg),
+        "positives": Counter(flagged.tolist()),
+        "false_positives": Counter(false_pos.tolist()),
+        "false_negatives": Counter(false_neg.tolist()),
     }
 
 
 def blockwise_tally(
     matrix: PoolingMatrix, scenario: ScenarioParams, trials: int, master_seed: int
 ) -> dict[str, Counter]:
-    """The merged :func:`block_tally` of every block of an experiment."""
+    """The merged :func:`block_tally` of every block of an experiment:
+    each tally's counters added key by key."""
     block = montecarlo._block_size(matrix.n, scenario.m, scenario.q)
-    return montecarlo._merge(
-        block_tally(matrix, scenario, master_seed, index, min(block, trials - start))
-        for index, start in enumerate(range(0, trials, block))
-    )
+    total: dict[str, Counter] = defaultdict(Counter)
+    for index, start in enumerate(range(0, trials, block)):
+        tally = block_tally(matrix, scenario, master_seed, index, min(block, trials - start))
+        for name, counts in tally.items():
+            total[name].update(counts)
+    return total

@@ -19,7 +19,9 @@ from multipool import montecarlo
 from multipool.analytics import STATISTICS, ScenarioParams, analytic_report, exact_moments
 from multipool.design import MultipoolParams, PoolingMatrix, build_multipool
 from multipool.errors import DomainError
-from multipool.model import NOISELESS, NoiseModel, SeedSpec, pool_loads, positive_pool_counts
+from multipool.model import (
+    NOISELESS, NoiseModel, SeedSpec, negative_probabilities, pool_loads, positive_pool_counts,
+)
 from multipool.montecarlo import ComparisonReport, ExperimentConfig, compare, run_experiment
 
 from helpers import (
@@ -487,12 +489,24 @@ def _batch_peaks(config: ExperimentConfig, monkeypatch) -> list[int]:
     return peaks
 
 
-@pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIGS))
+# (64, 65) under noise at 640 trials is one batch (20 blocks), whose
+# gather run of pool rows and candidate loads sets its peak.
+_BUDGET_CONFIGS = {
+    **_GOLDEN_CONFIGS,
+    "noisy_64_65": dict(q=64, m=65, nc=1, rho=0.01, noise=NOISY, trials=640),
+}
+_BUDGET_BOUNDS = {"dense": 1.75, "sparse": 1.75, "noisy_64_65": 3.75}
+
+
+@pytest.mark.parametrize("name", sorted(_BUDGET_CONFIGS))
 def test_a_batch_holds_near_its_byte_budget(name, monkeypatch):
     # The event passes write into buffers they already hold: dense peaks
     # at about 1.43 MiB and sparse at 0.99 MiB, against a 1 MiB budget.
-    peaks = _batch_peaks(_config(**_GOLDEN_CONFIGS[name], seed=1), monkeypatch)
-    assert peaks and max(peaks) <= 1.75 * montecarlo._BATCH_BYTES, peaks
+    # Each candidate error reads one byte of each gathered pool row, so
+    # the (64, 65) batch peaks at about 3.1 MiB, where a word per row
+    # took 4.2.
+    peaks = _batch_peaks(_config(**_BUDGET_CONFIGS[name], seed=1), monkeypatch)
+    assert peaks and max(peaks) <= _BUDGET_BOUNDS[name] * montecarlo._BATCH_BYTES, peaks
 
 
 def test_a_simulated_design_holds_no_extra_index_copy():
@@ -664,19 +678,25 @@ def test_tallies_merge_to_the_same_estimates_however_trials_split(rows, data):
     events, base = np.minimum(a, b), np.maximum(a, b)
     cuts = sorted(data.draw(st.sets(st.integers(1, trials - 1)) if trials > 1 else st.just(set())))
 
-    def tally(values, events, base):
-        return {"count": montecarlo._histogram(values),
-                "ratio": ratio_sums(events, base)}
+    def batch(values, events, base):
+        """A batch's Gram matrix and bincounts, with the count as its
+        flagged T and the ratio as sensitivity: I = base infected, of
+        which T_fn = base - events are missed."""
+        gram = montecarlo._gram(base, values, base - events)
+        return gram, [np.bincount(values) for _ in montecarlo._HISTOGRAMS]
 
     def estimates(total):
-        return (*montecarlo._count_estimates(total["count"]),
-                montecarlo._ratio_estimate(total["ratio"]),
-                max(total["count"]))
+        return (*montecarlo._count_estimates(total["positives"]),
+                montecarlo._ratio_estimate(total["sens"]),
+                max(total["positives"]))
 
-    whole = estimates(montecarlo._merge([tally(values, events, base)]))
+    whole = montecarlo._tally(20_000, [batch(values, events, base)])
     blocks = zip(*(np.split(array, cuts) for array in (values, events, base)))
-    split = estimates(montecarlo._merge(tally(*block) for block in blocks))
+    split = montecarlo._tally(20_000, (batch(*block) for block in blocks))
     assert split == whole
+    assert split["positives"] == Counter(values.tolist())
+    split = estimates(split)
+    assert split == estimates(whole)
     mean, variance, ratio, largest = split
 
     exact_mean, m2, _ = _plug_in_moments(values)
@@ -705,7 +725,7 @@ def test_ratio_sums_from_the_gram_match_the_direct_sums(n, data):
     false_pos = np.array([data.draw(st.integers(0, n - i)) for i in infected.tolist()],
                          dtype=np.int64)
     flagged = infected - missed + false_pos
-    assert montecarlo._ratio_sums(n, infected, flagged, missed) == {
+    assert montecarlo._ratio_sums(n, montecarlo._gram(infected, flagged, missed).tolist()) == {
         "sens": ratio_sums(infected - missed, infected),
         "spec": ratio_sums(n - infected - false_pos, n - infected),
         "type_one": ratio_sums(false_pos, flagged),
@@ -898,6 +918,36 @@ def test_the_pool_stage_without_errors_ors_the_loads(trials):
     bits = _unpacked(yp)
     assert not bits[trials:].any()
     np.testing.assert_array_equal(bits[:trials], pool_loads(_STAGE_DESIGN, x) > 0)
+
+
+@_STAGE_TRIALS
+def test_the_pool_stage_flips_the_kept_candidate_errors(trials):
+    _, _, x = _infected_rows(trials)
+    n, t = _STAGE_DESIGN.n, _STAGE_DESIGN.t
+    error = negative_probabilities(np.arange(17), NOISY)
+    error[0] = NOISY.p_fp
+    # The stage draws from the streams where the infection stage left them.
+    rngs, counts = _streams(trials)
+    xp, _ = montecarlo._infections(rngs, counts, n, 0.1, -(-trials // 64) * 64)
+    yp = montecarlo._pool_results(xp, _STAGE_DESIGN.pool_rows, rngs, counts, error)
+    # Each block's stream anew: its infections, then its candidate errors
+    # among its count * t pool-trials at r*, then one uniform for each,
+    # which keeps it when u * r* falls below its pool's error rate.
+    loads = pool_loads(_STAGE_DESIGN, x)
+    top, flips, start = error.max(), [], 0
+    for rng, count in zip(*_streams(trials)):
+        montecarlo.positions(rng, count * n, 0.1)
+        candidates = montecarlo.positions(rng, count * t, top)
+        u = rng.random(candidates.size)
+        flip = np.zeros(count * t, dtype=bool)
+        flip[candidates] = u * top < error[loads[start : start + count].reshape(-1)[candidates]]
+        flips.append(flip.reshape(count, t))
+        start += count
+    flip = np.concatenate(flips)
+    assert flip.any()
+    bits = _unpacked(yp)
+    assert not bits[trials:].any()
+    np.testing.assert_array_equal(bits[:trials], (loads > 0) ^ flip)
 
 
 @_STAGE_TRIALS
