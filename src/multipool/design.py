@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import json
 import operator
-import sys
+import re
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Collection, Sequence
 
 import numpy as np
@@ -34,6 +35,11 @@ FORMAT_VERSION = 1
 
 # Slope marker for the vertical layer; also its spelling in design files.
 INFINITY = "inf"
+_MAX_ITEMS = 2**31 - 1  # the pad value n must fit in int32
+
+# What the constructor finds wrong with a pool's column, in the order checked.
+_FAULTS = ("contains an item index outside [0, {n})", "lists an item more than once",
+           "does not list its items in increasing order")
 
 
 @dataclass(frozen=True)
@@ -74,74 +80,71 @@ class PoolingMatrix:
 
     Column i of ``pool_rows`` lists the items of pool i in increasing
     order, so row k holds the k-th item of every pool; column j of
-    ``member_rows``, which the constructor derives from ``pool_rows``,
-    lists the pools containing item j, likewise.  Both are C-contiguous
-    int32 arrays and exactly as tall as their longest column; shorter
-    columns, which only ragged external designs have, are padded at the
-    end with one past the largest valid index (n in ``pool_rows``, t in
+    ``member_rows``, which the constructor derives, lists the pools
+    containing item j, likewise.  Both are read-only, C-contiguous int32
+    arrays, exactly as tall as their longest column; shorter columns,
+    which only ragged external designs have, are padded at the end with
+    one past the largest valid index (n in ``pool_rows``, t in
     ``member_rows``), so the gathers read the padding from an appended
-    zero row; simulation takes no padded design.  ``pools`` and
-    ``item_membership`` are the same lists as tuples of tuples, derived
-    on first use.  Instances are immutable after construction and safe
-    to share across threads.
+    zero row; simulation takes no padded design.  The constructor checks
+    the index it is given against this layout and keeps its own copy.
+    ``pools`` and ``item_membership`` are the same lists as tuples,
+    derived on first use.  Instances are immutable; threads share them.
     """
 
-    def __init__(self, n: int, pool_rows: np.ndarray, labels: tuple[PoolLabel, ...] | None):
-        pool_rows.flags.writeable = False
-        self.member_rows = _member_rows(pool_rows, n)
+    def __init__(self, n: int, pool_rows: np.ndarray, labels: Sequence[PoolLabel] | None):
+        n = require_integer("item count", n, 1, _MAX_ITEMS)
+        rows = np.asarray(pool_rows)
+        if rows.ndim != 2 or rows.dtype.kind not in "iu":
+            raise DomainError("pool rows must be a 2-d integer array")
+        if rows.shape[1] < 1:
+            raise DomainError("a design needs at least one pool")
+        if labels is not None and len(labels := tuple(labels)) != rows.shape[1]:
+            raise DomainError("labels must match the number of pools")
+        # Each column lists increasing items in [0, n), then only the pad
+        # n.  Compared in the given dtype, in which no entry has wrapped.
+        above, below = rows[1:], rows[:-1]
+        faults = np.stack([((rows < 0) | (rows > n)).any(axis=0),
+                           ((above == below) & (above < n)).any(axis=0),
+                           (above < below).any(axis=0)])
+        if faults.any():
+            pool = int(faults.any(axis=0).argmax())
+            raise DomainError(f"pool {pool} " + _FAULTS[faults[:, pool].argmax()].format(n=n))
+        self.pool_rows = np.array(rows, dtype=np.int32, order="C")
+        self.pool_rows.flags.writeable = False
+        self.member_rows = _member_rows(self.pool_rows, n)
         self.member_rows.flags.writeable = False
         self.n = n
-        self.t = pool_rows.shape[1]
-        self.pool_rows = pool_rows
+        self.t = rows.shape[1]
         self.labels = labels
 
     @classmethod
-    def from_pools(
-        cls,
-        n: int,
-        pools: Sequence[Collection[int]],
-        labels: Sequence[PoolLabel] | None = None,
-    ) -> "PoolingMatrix":
-        n = require_integer("item count", n, 1)
-        if len(pools) < 1:
-            raise DomainError("a design needs at least one pool")
-        canonical: list[list[int]] = []
-        for i, pool in enumerate(pools):
-            # operator.index takes Python and numpy integers and nothing
-            # else but bools, which it reads as 0 and 1.
-            try:
-                items = sorted(map(operator.index, pool))
-            except TypeError:
-                items = None
-            if items is None or bool in map(type, pool):
-                raise DomainError(f"pool {i} contains a non-integer entry")
-            if items and (items[0] < 0 or items[-1] >= n):
-                raise DomainError(f"pool {i} contains an item index outside [0, {n})")
-            if any(a == b for a, b in zip(items, items[1:])):
-                raise DomainError(f"pool {i} lists an item more than once")
-            canonical.append(items)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != len(canonical):
-                raise DomainError("labels must match the number of pools")
-        sizes = [len(items) for items in canonical]
-        flat = np.fromiter((j for items in canonical for j in items), np.int32, sum(sizes))
-        pool_rows = _padded(np.repeat(np.arange(len(sizes)), sizes), flat, len(sizes), n)
-        return cls(n, pool_rows, labels)
+    def from_pools(cls, n: int, pools: Sequence[Collection[int]],
+                   labels: Sequence[PoolLabel] | None = None) -> "PoolingMatrix":
+        n = require_integer("item count", n, 1, _MAX_ITEMS)
+        sizes = np.fromiter(map(len, pools), np.intp, len(pools))
+        owners = np.repeat(np.arange(len(pools)), sizes)
+        # operator.index takes Python and numpy integers and nothing else
+        # but bools, which it reads as 0 and 1.
+        try:
+            items = np.fromiter(map(operator.index, chain.from_iterable(pools)), np.int64, owners.size)
+        except (TypeError, OverflowError):
+            items = None
+        # An item n would read as padding, so the range comes first.
+        if (items is None or bool in map(type, chain.from_iterable(pools))
+                or ((items < 0) | (items >= n)).any()):
+            raise _entry_error(n, pools)
+        # A stable sort by (pool, item) sorts the items within each pool.
+        items = items[np.argsort(owners * n + items, kind="stable")]
+        return cls(n, _padded(owners, items, len(pools), n), labels)
 
     @classmethod
     def from_dense(cls, array: np.ndarray) -> "PoolingMatrix":
         arr = np.asarray(array)
         if arr.ndim != 2:
             raise DomainError("dense design must be a 2-d array")
-        t, n = arr.shape
-        if n < 1:
-            raise DomainError(f"item count must be positive, got {n}")
-        if t < 1:
-            raise DomainError("a design needs at least one pool")
         require_binary("dense design entries", arr)
-        pool_rows = _padded(*np.nonzero(arr), t, n)
-        return cls(n, pool_rows, None)
+        return cls(arr.shape[1], _padded(*np.nonzero(arr), *arr.shape), None)
 
     @cached_property
     def pool_size(self) -> int | None:
@@ -182,6 +185,20 @@ class PoolingMatrix:
         return f"PoolingMatrix(n={self.n}, t={self.t})"
 
 
+def _entry_error(n: int, pools: Sequence[Collection[int]]) -> DomainError:
+    """The error of the first pool with an entry other than an integer in [0, n)."""
+    for i, pool in enumerate(pools):
+        try:
+            items = list(map(operator.index, pool))
+        except TypeError:
+            items = None
+        if items is None or bool in map(type, pool):
+            return DomainError(f"pool {i} contains a non-integer entry")
+        if not all(0 <= j < n for j in items):
+            return DomainError(f"pool {i} " + _FAULTS[0].format(n=n))
+    raise AssertionError("no pool holds a bad entry")
+
+
 def _member_rows(pool_rows: np.ndarray, n: int) -> np.ndarray:
     """The dual of padded pool rows: column j lists the pools holding
     item j in increasing order, padded with t."""
@@ -210,8 +227,9 @@ def _padded(columns: np.ndarray, values: np.ndarray, count: int, pad: int) -> np
     the values are the index's columns end to end, and one transposing
     copy forms it; otherwise each value is scattered to its place."""
     counts = np.bincount(columns, minlength=count)
-    longest = int(counts.max())
-    if counts.min() == longest:
+    # With no columns or no values, the constructor reports the shape.
+    longest = int(counts.max(initial=0))
+    if counts.min(initial=longest) == longest:
         index = np.empty((longest, count), dtype=np.int32)
         index[...] = values.reshape(count, longest).T
         return index
@@ -259,8 +277,9 @@ def build_multipool(params: MultipoolParams) -> PoolingMatrix:
     if m == q + 1:
         blocks.append(q * x + x[:, None])
         labels += [PoolLabel(INFINITY, intercept) for intercept in range(q)]
-    pool_rows = np.concatenate(blocks, axis=1).astype(np.int32)
-    return PoolingMatrix(params.n, pool_rows, tuple(labels))
+    pool_rows = np.concatenate(blocks, axis=1, dtype=np.int32)
+    del lines, blocks
+    return PoolingMatrix(params.n, pool_rows, labels)
 
 
 def max_pools_bound(q: int, n: int) -> int:
@@ -318,28 +337,16 @@ def validate_multipool(matrix: PoolingMatrix, q: int, m: int) -> ValidationRepor
     q = require_integer("pool size", q, 1)
     m = require_integer("multiplicity", m, 1)
     sizes = (matrix.pool_rows < matrix.n).sum(axis=0)
-    row_sums = tuple(sizes.tolist())
-    col_sums = tuple((matrix.member_rows < matrix.t).sum(axis=0).tolist())
-    violations: list[tuple[str, tuple[int, ...]]] = []
-    for i, size in enumerate(row_sums):
-        if size != q:
-            violations.append(("row_sum", (i,)))
-    for j, count in enumerate(col_sums):
-        if count != m:
-            violations.append(("col_sum", (j,)))
-    codes = _pair_codes(matrix.pool_rows, sizes, matrix.n)
-    if codes.size:
-        unique, counts = np.unique(codes, return_counts=True)
-        max_overlap = int(counts.max())
-        for code in unique[counts > 1]:
-            violations.append(("overlap", (int(code) // matrix.n, int(code) % matrix.n)))
-    else:
-        max_overlap = 0
+    counts = (matrix.member_rows < matrix.t).sum(axis=0)
+    violations = [("row_sum", (i,)) for i in np.flatnonzero(sizes != q).tolist()]
+    violations += [("col_sum", (j,)) for j in np.flatnonzero(counts != m).tolist()]
+    codes, shared = np.unique(_pair_codes(matrix.pool_rows, sizes, matrix.n), return_counts=True)
+    violations += [("overlap", divmod(code, matrix.n)) for code in codes[shared > 1].tolist()]
     return ValidationReport(
         is_multipool=not violations,
-        row_sums=row_sums,
-        col_sums=col_sums,
-        max_pairwise_overlap=max_overlap,
+        row_sums=tuple(sizes.tolist()),
+        col_sums=tuple(counts.tolist()),
+        max_pairwise_overlap=int(shared.max(initial=0)),
         violations=tuple(violations),
     )
 
@@ -395,20 +402,15 @@ def matrix_from_document(doc: object) -> MatrixFile:
     labels: list[PoolLabel] | None = None
     if labels_doc is not None:
         _require(isinstance(labels_doc, list), "field 'labels' must be an array or null")
-        _require(len(labels_doc) == t, f"expected {t} labels, found {len(labels_doc)}")
         labels = []
         for i, entry in enumerate(labels_doc):
             _require(isinstance(entry, dict), f"label {i} must be an object")
             slope = entry.get("slope")
             intercept = entry.get("intercept")
-            _require(
-                slope == INFINITY or (_is_int(slope) and 0 <= slope < q),
-                f"label {i} has invalid slope {slope!r}",
-            )
-            _require(
-                _is_int(intercept) and 0 <= intercept < q,
-                f"label {i} has invalid intercept {intercept!r}",
-            )
+            _require(slope == INFINITY or (_is_int(slope) and 0 <= slope < q),
+                     f"label {i} has invalid slope {slope!r}")
+            _require(_is_int(intercept) and 0 <= intercept < q,
+                     f"label {i} has invalid intercept {intercept!r}")
             labels.append(PoolLabel(slope, intercept))
     try:
         matrix = PoolingMatrix.from_pools(n, pools, labels=labels)
@@ -438,11 +440,9 @@ def dump_matrix_csv(matrix: PoolingMatrix) -> str:
     return text.tobytes().decode("ascii")
 
 
-@cache
-def _blanks() -> dict[int, None]:
-    """Translation table deleting every character ``str.strip()`` strips,
-    except the newline, which separates rows."""
-    return dict.fromkeys(c for c in range(sys.maxunicode + 1) if chr(c).isspace() and c != ord("\n"))
+# Every character that ``str.strip()`` strips, except the newline, which
+# separates rows.
+_BLANKS = re.compile(r"[^\S\n]+")
 
 
 def parse_matrix_csv(text: str) -> PoolingMatrix:
@@ -453,7 +453,7 @@ def parse_matrix_csv(text: str) -> PoolingMatrix:
     comma after every digit but the last, so it is checked by slicing.
     A row failing that check is split into cells to locate the error.
     """
-    rows = text.translate(_blanks()).split("\n")
+    rows = _BLANKS.sub("", text).split("\n")
     # A final newline ends the last row instead of starting an empty one.
     if text.endswith("\n") or not text:
         rows.pop()

@@ -69,11 +69,11 @@ def require_integer(what: str, value, least: int | None = None, most: int | None
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     value = int(value)
-    if most is not None and not least <= value <= most:
-        raise DomainError(f"{what} must lie in [{least}, {most}], got {value}")
     if least is not None and value < least:
         rule = {0: "be non-negative", 1: "be positive"}.get(least, f"be at least {least}")
         raise DomainError(f"{what} must {rule}, got {value}")
+    if most is not None and value > most:
+        raise DomainError(f"{what} must lie in [{least}, {most}], got {value}")
     return value
 
 

@@ -435,6 +435,17 @@ def _packed(rows: int, span: int, bit: np.ndarray) -> np.ndarray:
     return words
 
 
+def _slot_bits(positions: np.ndarray, rows: int, span: int) -> np.ndarray:
+    """Bit (g % rows) * span + g // rows of the packed rows for each
+    trial-major position g among ``rows`` slots per trial: slot g % rows
+    of trial g // rows.  Formed in place, consuming ``positions``."""
+    trial = positions // rows
+    positions *= span
+    trial *= rows * span - 1
+    positions -= trial
+    return positions
+
+
 def _infections(
     rngs: list[np.random.Generator], counts: list[int], n: int, rho: float, span: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -442,17 +453,11 @@ def _infections(
     infected count, from the infections that each block's stream draws
     first: their positions among its count * n item-trials, trial-major.
 
-    A binary search of the trials' bounds gives the counts.  Position g
-    of trial g // n goes in place to bit (g % n) * span + g // n of the
-    rows, which :func:`_packed` sets, consuming the positions."""
+    A binary search of the trials' bounds gives the counts, and
+    :func:`_slot_bits` places the positions that :func:`_packed` sets."""
     bit = _positions(rngs, [count * n for count in counts], rho)[0]
     infected = np.diff(np.searchsorted(bit, np.arange(sum(counts) + 1) * n))
-    trial = bit // n
-    bit *= span
-    trial *= n * span - 1
-    bit -= trial
-    del trial
-    return _packed(n, span, bit), infected
+    return _packed(n, span, _slot_bits(bit, n, span)), infected
 
 
 def _pool_results(
@@ -485,15 +490,10 @@ def _pool_results(
         draws = np.empty(bit.size)
         for rng, lo, hi in zip(rngs, accumulate(kept, initial=0), accumulate(kept)):
             rng.random(out=draws[lo:hi])
-        # Candidate g of trial g // t goes in place to bit
-        # b = (g % t) * span + g // t of the pool rows: bit b & 7 of byte
+        # Each candidate's bit b of the pool rows is bit b & 7 of byte
         # b >> 3 of each gathered slice of rows, read as little-endian
         # bytes.
-        trial = bit // t
-        bit *= span
-        trial *= t * span - 1
-        bit -= trial
-        del trial
+        bit = _slot_bits(bit, t, span)
         byte = bit >> 3
         # The cast keeps the low byte, whose low three bits are b & 7.
         shift = bit.astype(np.uint8)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -217,6 +218,66 @@ def test_design_inputs_of_the_wrong_shape_are_rejected():
         PoolingMatrix.from_dense(np.ones((0, 4), dtype=np.uint8))
 
 
+@pytest.mark.parametrize(
+    "n,pool_rows,message",
+    [
+        # Items 5 and 6 of a 4-item design, with pool size and
+        # multiplicity both reading 2.
+        (4, np.array([[0, 2, 0, 1, 5], [1, 3, 2, 3, 6]]), r"pool 4 contains an item index outside \[0, 4\)"),
+        (4, np.array([[0, -1], [1, 2]]), r"pool 1 contains an item index outside \[0, 4\)"),
+        # An entry past int32 must not wrap into range: 2**32 + 1 reads 1.
+        (4, np.array([[0], [2**32 + 1]], dtype=np.uint64), r"pool 0 contains an item index outside"),
+        (4, np.array([[0, 1], [2, 1]]), "pool 1 lists an item more than once"),
+        (4, np.array([[0, 3], [2, 1]]), "pool 1 does not list its items in increasing order"),
+        # A pad before an item.
+        (4, np.array([[0, 4], [2, 1]]), "pool 1 does not list its items in increasing order"),
+        (4, np.array([[0.0, 1.0]]), "pool rows must be a 2-d integer array"),
+        (4, np.array([[True, False]]), "pool rows must be a 2-d integer array"),
+        (4, np.array([0, 1]), "pool rows must be a 2-d integer array"),
+        (4, np.zeros((2, 0), dtype=np.int32), "a design needs at least one pool"),
+        (2**31, np.array([[0]]), r"item count must lie in \[1, 2147483647\], got 2147483648"),
+        (0, np.array([[0]]), "item count must be positive, got 0"),
+    ],
+)
+def test_the_constructor_rejects_a_bad_padded_index(n, pool_rows, message):
+    with pytest.raises(DomainError, match=message):
+        PoolingMatrix(n, pool_rows, None)
+
+
+def test_the_constructor_keeps_its_own_read_only_copy():
+    given = np.array([[0, 2, 1], [3, 4, 4]], dtype=np.int64)
+    matrix = PoolingMatrix(4, given, [PoolLabel(0, 0), PoolLabel(0, 1), PoolLabel(1, 0)])
+    assert given.flags.writeable
+    given[0, 0] = 1
+    assert matrix.pools == ((0, 3), (2,), (1,))
+    assert matrix.pool_rows.dtype == np.int32 and not matrix.pool_rows.flags.writeable
+    assert isinstance(matrix.labels, tuple)
+    with pytest.raises(DomainError, match="labels must match the number of pools"):
+        PoolingMatrix(4, given, [PoolLabel(0, 0)])
+
+
+@pytest.mark.parametrize(
+    "pools,message",
+    [
+        # Item n would otherwise read as padding.
+        ([(0, 1), (2, 4)], r"pool 1 contains an item index outside \[0, 4\)"),
+        ([(0, 1), (2**70,)], r"pool 1 contains an item index outside \[0, 4\)"),
+        ([(0, 1), (3, 2, 3)], "pool 1 lists an item more than once"),
+        # The first bad pool is named, whatever is wrong with a later one.
+        ([(0, 9), (1.5,)], r"pool 0 contains an item index outside \[0, 4\)"),
+        ([(0, 1.5), (9,)], "pool 0 contains a non-integer entry"),
+    ],
+)
+def test_from_pools_names_the_first_bad_pool(pools, message):
+    with pytest.raises(DomainError, match=message):
+        PoolingMatrix.from_pools(4, pools)
+
+
+def test_from_pools_sorts_each_pool():
+    matrix = PoolingMatrix.from_pools(5, [(4, 0, 2), (), {3, 1}, np.array([2, 1])])
+    assert matrix.pools == ((0, 2, 4), (), (1, 3), (1, 2))
+
+
 def test_validation_summary_lists_the_first_twenty_violations():
     # Checked as pools of 3 with one pool per item, every one of the 8
     # pools and 16 items of the (4, 2) design is a violation.
@@ -366,6 +427,24 @@ def test_csv_reader_matches_the_per_cell_reader(text):
         assert np.array_equal(loaded.pool_rows, expected.pool_rows)
 
 
+def test_every_blank_around_a_csv_cell_is_dropped():
+    # Every code point that str.strip() strips but the newline, which
+    # ends a row.
+    blanks = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace() and chr(c) != "\n"]
+    assert {"\t", "\r", "\x1c", "\u00a0", "\u3000"} <= set(blanks)
+    expected = design.parse_matrix_csv("1,0\n0,1\n")
+    for blank in blanks:
+        text = "1,0\n0,1\n".replace("1", f"{blank}1{blank}").replace("0", f"{blank}0{blank}")
+        assert np.array_equal(design.parse_matrix_csv(text).pool_rows, expected.pool_rows), hex(ord(blank))
+
+
+def test_a_zero_width_space_is_not_a_blank():
+    # U+200B is not whitespace to Python, so the cell is not binary.
+    with pytest.raises(MatrixFormatError, match="non-binary entry") as raised:
+        design.parse_matrix_csv("1,0\n0,\u200b1\n")
+    assert (raised.value.line, raised.value.column) == (2, 2)
+
+
 def test_ragged_csv_round_trip():
     # Pool 1 is empty and item 2 sits in no pool.
     matrix = PoolingMatrix.from_pools(4, [[3, 0], [], [1, 3]])
@@ -390,6 +469,13 @@ def test_json_schema_violations_are_reported():
         assert exc.line == 3
     else:
         pytest.fail("malformed JSON must raise")
+
+
+def test_a_json_label_count_is_checked_by_the_constructor():
+    doc = json.loads(json.dumps(_VALID_DOCUMENT))
+    doc["labels"].append({"slope": 0, "intercept": 0})
+    with pytest.raises(MatrixFormatError, match="labels must match the number of pools"):
+        design.matrix_from_document(doc)
 
 
 def test_csv_parse_errors_carry_location():

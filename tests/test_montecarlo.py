@@ -495,7 +495,9 @@ _BUDGET_CONFIGS = {
     **_GOLDEN_CONFIGS,
     "noisy_64_65": dict(q=64, m=65, nc=1, rho=0.01, noise=NOISY, trials=640),
 }
-_BUDGET_BOUNDS = {"dense": 1.75, "sparse": 1.75, "noisy_64_65": 3.75}
+# Gather runs sized by the byte budget alone, without _GATHER_ROWS,
+# peaked at about 1.38 MiB on the sparse batch, which 1.25 catches.
+_BUDGET_BOUNDS = {"dense": 1.75, "sparse": 1.25, "noisy_64_65": 3.75}
 
 
 @pytest.mark.parametrize("name", sorted(_BUDGET_CONFIGS))
