@@ -141,82 +141,73 @@ def _log_binomial_tail(m: int, counts: range, log_positive: float, log_negative:
     return top + math.log(sum(math.exp(term - top) for term in terms))
 
 
-class _DecodeRates(NamedTuple):
-    """The threshold decoder's four conditional rates, each summed as its
-    own binomial tail: a complement taken by subtraction would round a
-    small rate to 0 once its partner rounds to 1."""
-
-    sensitivity: float  # P(flagged | infected)
-    miss: float  # P(cleared | infected)
-    false_alarm: float  # P(flagged | healthy)
-    specificity: float  # P(cleared | healthy)
-
-
-def _decode_rates(scenario: ScenarioParams, logs: bool = False) -> _DecodeRates:
-    """A pool of an item of status x (1 when infected) tests negative
-    with probability exp(log_neg), log_neg = log_keep + x * log_fn +
-    (q - 1) * log_hides, independently across the item's m pools; the
-    decoder flags the item when at least m - nc of them are positive.
-    The positive rate is -expm1(log_neg), which keeps its digits where
-    the negative rate rounds to 1.  With ``logs`` each rate is its log,
-    its tail summed in log space."""
+def _decode_rates(
+    scenario: ScenarioParams, logs: bool = False
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The threshold decoder's outcome table rates[x][z]: P(decision z |
+    status x), where x is 1 when the item is infected and z is 1 when it
+    is flagged.  A pool of an item of status x tests negative with
+    probability exp(log_neg), log_neg = log_keep + x * log_fn + (q - 1) *
+    log_hides, independently across the item's m pools; the decoder flags
+    the item when at least m - nc of them are positive.  The positive
+    rate is -expm1(log_neg), which keeps its digits where the negative
+    rate rounds to 1.  Each of the four rates is summed as its own
+    binomial tail: a complement taken by subtraction would round a small
+    rate to 0 once its partner rounds to 1.  With ``logs`` each rate is
+    its log, its tail summed in log space."""
     m, nc = scenario.m, scenario.nc
     log_keep, log_fn, log_hides = _pool_logs(scenario)
-    flagged, cleared = range(m - nc, m + 1), range(m - nc)
+    decisions = (range(m - nc), range(m - nc, m + 1))  # cleared, flagged
 
-    def tails(x: int) -> tuple[float, float]:
+    def row(x: int) -> tuple[float, float]:
         log_neg = log_keep + x * log_fn + (scenario.q - 1) * log_hides
         positive, negative = -math.expm1(log_neg), math.exp(log_neg)
         if logs:
             log_pos = _log(positive, negative)
-            return tuple(_log_binomial_tail(m, counts, log_pos, log_neg)
-                         for counts in (flagged, cleared))
-        return tuple(_binomial_tail(m, counts, positive, negative) for counts in (flagged, cleared))
+            return tuple(_log_binomial_tail(m, counts, log_pos, log_neg) for counts in decisions)
+        return tuple(_binomial_tail(m, counts, positive, negative) for counts in decisions)
 
-    sensitivity, miss = tails(1)
-    false_alarm, specificity = tails(0)
-    return _DecodeRates(sensitivity, miss, false_alarm, specificity)
+    return row(0), row(1)
 
 
 def sensitivity(scenario: ScenarioParams) -> float:
     """P(item flagged positive | item infected)."""
-    return _decode_rates(scenario).sensitivity
+    return _decode_rates(scenario)[1][1]
 
 
 def specificity(scenario: ScenarioParams) -> float:
     """P(item flagged negative | item not infected)."""
-    return _decode_rates(scenario).specificity
+    return _decode_rates(scenario)[0][0]
 
 
-def _posterior(scenario: ScenarioParams, wrong: str, right: str, flagged: str) -> float:
-    """P(item in the wrong class | item flagged ``flagged``) by Bayes' rule.
+def _posterior(scenario: ScenarioParams, z: int) -> float:
+    """P(item of the wrong status | decoder's decision z) by Bayes' rule.
 
-    ``wrong`` and ``right`` name the decode rates at which the wrong and
-    the right class are flagged this way: an infected item's
-    (sensitivity, miss) at prior rho, a healthy one's (false_alarm,
-    specificity) at prior 1 - rho.  Interior evaluation uses
+    The wrong status is 1 - z and the right one z; an item of status x
+    is decided z at the rate rates[x][z] of :func:`_decode_rates`, an
+    infected one (x = 1) at prior rho and a healthy one at prior 1 - rho.
+    Interior evaluation uses
         (1 + right_prior / wrong_prior * right_rate / wrong_rate) ** -1.
     Where both masses, prior times rate, underflow a double, the
     posterior comes from their logs, each tail summed in log space.  When
-    no probability mass is ever flagged this way, which shows as a log
-    that holds ``_LOG_ZERO``, the conditional does not exist and an
+    no probability mass is ever decided z, which shows as a log that
+    holds ``_LOG_ZERO``, the conditional does not exist and an
     UndefinedResultError is raised.
     """
     rho = scenario.rho
-    infected, healthy = (rho, 1.0 - rho), (1.0 - rho, rho)
-    priors = {"sensitivity": infected, "miss": infected,
-              "false_alarm": healthy, "specificity": healthy}
+    # Each status's prior and its complement, by status x.
+    priors = ((1.0 - rho, rho), (rho, 1.0 - rho))
+    wrong, right = 1 - z, z
     (wrong_prior, _), (right_prior, _) = priors[wrong], priors[right]
     rates = _decode_rates(scenario)
-    wrong_rate, right_rate = getattr(rates, wrong), getattr(rates, right)
+    wrong_rate, right_rate = rates[wrong][z], rates[right][z]
     wrong_mass = wrong_prior * wrong_rate
     right_mass = right_prior * right_rate
     if wrong_mass == 0.0 and right_mass == 0.0:
         logs = _decode_rates(scenario, logs=True)
-        log_wrong, log_right = (
-            _log(*priors[name]) + getattr(logs, name) for name in (wrong, right)
-        )
+        log_wrong, log_right = (_log(*priors[x]) + logs[x][z] for x in (wrong, right))
         if max(log_wrong, log_right) <= _LOG_ZERO / 2:
+            flagged = ("negative", "positive")[z]
             raise UndefinedResultError(f"nothing is ever flagged {flagged} in this scenario")
         # 1 / (1 + exp(odds)), with no exp of a large positive number.
         odds = log_right - log_wrong
@@ -233,12 +224,12 @@ def _posterior(scenario: ScenarioParams, wrong: str, right: str, flagged: str) -
 
 def type_one(scenario: ScenarioParams) -> float:
     """P(item not infected | item flagged positive)."""
-    return _posterior(scenario, "false_alarm", "sensitivity", "positive")
+    return _posterior(scenario, 1)
 
 
 def type_two(scenario: ScenarioParams) -> float:
     """P(item infected | item flagged negative), the mirror posterior."""
-    return _posterior(scenario, "miss", "specificity", "negative")
+    return _posterior(scenario, 0)
 
 
 class ExpectedCounts(NamedTuple):
@@ -252,9 +243,9 @@ def expected_counts(scenario: ScenarioParams) -> ExpectedCounts:
     n = scenario._require_n()
     rho, rates = scenario.rho, _decode_rates(scenario)
     return ExpectedCounts(
-        positives=n * (rho * rates.sensitivity + (1.0 - rho) * rates.false_alarm),
-        false_positives=n * (1.0 - rho) * rates.false_alarm,
-        false_negatives=n * rho * rates.miss,
+        positives=n * (rho * rates[1][1] + (1.0 - rho) * rates[0][1]),
+        false_positives=n * (1.0 - rho) * rates[0][1],
+        false_negatives=n * rho * rates[1][0],
     )
 
 
@@ -332,8 +323,7 @@ def exact_moments(scenario: ScenarioParams) -> Moments:
 
     # An item's m pools share only the item, so it is flagged (z = 1)
     # at the decoder's rates given its status x.
-    rates = _decode_rates(scenario)
-    flag = np.array([[rates.specificity, rates.false_alarm], [rates.miss, rates.sensitivity]])
+    flag = np.array(_decode_rates(scenario))
 
     def negatives(steps: int) -> np.ndarray:
         """law[x_i, x_j, a, b]: the chance that items i and j, of statuses
@@ -457,9 +447,9 @@ def min_multiplicity(
     # With one pool, the flag rates are the pool's positive rates
     # 1 - p_fn * gamma_1 and 1 - gamma_1.
     one_pool = _decode_rates(ScenarioParams(rho=rho, q=q, m=1, noise=noise))
-    if one_pool.false_alarm == 0.0:
+    if one_pool[0][1] == 0.0:
         raise DomainError("gamma_1 must be below 1 for tuning; the tests carry no signal")
-    ratio = one_pool.sensitivity / one_pool.false_alarm
+    ratio = one_pool[1][1] / one_pool[0][1]
     numerator = math.log(((1.0 - rho) / rho) * (1.0 / epsilon - 1.0))
     raw_bound = numerator / math.log(ratio) if ratio > 1.0 else math.inf
 
@@ -533,11 +523,9 @@ class Ratio(NamedTuple):
 
 
 class Mean(NamedTuple):
-    """The mean of a per-trial count, by its index in (I, T, T_fp, T_fn),
-    whose histogram a simulation tallies under ``histogram``."""
+    """The mean of a per-trial count, by its index in ``COUNTS``."""
 
     count: int
-    histogram: str
 
 
 class Variance(NamedTuple):
@@ -545,44 +533,47 @@ class Variance(NamedTuple):
     ``count`` also indexes the exact covariance matrix."""
 
     count: int
-    histogram: str
 
 
 class Statistic(NamedTuple):
-    """One of the paper's nine statistics and every name it goes by."""
+    """One of the paper's nine statistics and every name it goes by.  It
+    needs the item count n unless it is a ``Ratio``."""
 
     row: str  # its row in a comparison report
     cli: str  # its ``multipool analyze --statistic`` choice
-    needs_n: bool  # whether it needs the item count n
     closed_form: Callable[[ScenarioParams], float]  # raises where it does not exist
     field: str  # its AnalyticReport field
     estimate: str  # its montecarlo.EmpiricalStats field
     kind: Ratio | Mean | Variance
 
 
+# The names of the per-trial counts (I, T, T_fp, T_fn), under which a
+# simulation tallies the histogram of each count that a ``Mean`` reads.
+COUNTS = ("infected", "positives", "false_positives", "false_negatives")
+
 # The nine statistics, in report order: sens = TP / I, spec = TN / (n - I),
 # typeI = T_fp / T and typeII = T_fn / (n - T), with TP = I - T_fn and
 # TN = n - I - T_fp, then the means of T, T_fp and T_fn and the variances
 # of T and T_fp.
 STATISTICS = (
-    Statistic("sens", "sens", False, sensitivity, "sensitivity", "sensitivity",
+    Statistic("sens", "sens", sensitivity, "sensitivity", "sensitivity",
               Ratio("sens", (0, 1, 0, 0, -1), (0, 1, 0, 0, 0))),
-    Statistic("spec", "spec", False, specificity, "specificity", "specificity",
+    Statistic("spec", "spec", specificity, "specificity", "specificity",
               Ratio("spec", (1, -1, 0, -1, 0), (1, -1, 0, 0, 0))),
-    Statistic("typeI", "typeI", False, type_one, "type_one", "type_one",
+    Statistic("typeI", "typeI", type_one, "type_one", "type_one",
               Ratio("type_one", (0, 0, 0, 1, 0), (0, 0, 1, 0, 0))),
-    Statistic("typeII", "typeII", False, type_two, "type_two", "type_two",
+    Statistic("typeII", "typeII", type_two, "type_two", "type_two",
               Ratio("type_two", (0, 0, 0, 0, 1), (1, 0, -1, 0, 0))),
-    Statistic("mean_T", "e_T", True, lambda sc: expected_counts(sc).positives,
-              "expected_positives", "mean_positives", Mean(1, "positives")),
-    Statistic("mean_Tfp", "e_Tfp", True, lambda sc: expected_counts(sc).false_positives,
-              "expected_false_positives", "mean_false_positives", Mean(2, "false_positives")),
-    Statistic("mean_Tfn", "e_Tfn", True, lambda sc: expected_counts(sc).false_negatives,
-              "expected_false_negatives", "mean_false_negatives", Mean(3, "false_negatives")),
-    Statistic("var_T", "var_T_bound", True, lambda sc: variance_bounds(sc).positives,
-              "var_positives_bound", "var_positives", Variance(1, "positives")),
-    Statistic("var_Tfp", "var_Tfp_bound", True, lambda sc: variance_bounds(sc).false_positives,
-              "var_false_positives_bound", "var_false_positives", Variance(2, "false_positives")),
+    Statistic("mean_T", "e_T", lambda sc: expected_counts(sc).positives,
+              "expected_positives", "mean_positives", Mean(1)),
+    Statistic("mean_Tfp", "e_Tfp", lambda sc: expected_counts(sc).false_positives,
+              "expected_false_positives", "mean_false_positives", Mean(2)),
+    Statistic("mean_Tfn", "e_Tfn", lambda sc: expected_counts(sc).false_negatives,
+              "expected_false_negatives", "mean_false_negatives", Mean(3)),
+    Statistic("var_T", "var_T_bound", lambda sc: variance_bounds(sc).positives,
+              "var_positives_bound", "var_positives", Variance(1)),
+    Statistic("var_Tfp", "var_Tfp_bound", lambda sc: variance_bounds(sc).false_positives,
+              "var_false_positives_bound", "var_false_positives", Variance(2)),
 )
 _RATIOS = tuple(statistic for statistic in STATISTICS if isinstance(statistic.kind, Ratio))
 

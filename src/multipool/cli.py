@@ -213,7 +213,7 @@ def cmd_analyze(statistic, sweep, start, stop, step, values, rho, q, m, nc, pfp,
     for name in ("rho", "q", "m"):
         if name != sweep and fixed[name] is None:
             _invalid(f"--{name} is required when sweeping {sweep}")
-    if _STATISTICS[statistic].needs_n and fixed["n"] is None:
+    if not isinstance(_STATISTICS[statistic].kind, analytics.Ratio) and fixed["n"] is None:
         _invalid(f"--n is required for statistic {statistic}")
 
     try:

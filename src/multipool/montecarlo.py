@@ -50,7 +50,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .analytics import STATISTICS, Mean, Ratio, ScenarioParams, Statistic, Variance
+from .analytics import COUNTS, STATISTICS, Mean, Ratio, ScenarioParams, Statistic, Variance
 from .analytics import analytic_report, exact_moments
 from .design import MultipoolParams, PoolingMatrix, build_multipool
 from .errors import DomainError, require_integer
@@ -215,11 +215,11 @@ class Estimate:
 
 
 # The ratios of ``analytics.STATISTICS``, and the histogram that a call
-# tallies for each per-trial count of its means, by the count's index in
-# (I, T, T_fp, T_fn).
+# tallies for each per-trial count of its means, by the count's name and
+# index in ``analytics.COUNTS``.
 _KINDS = [statistic.kind for statistic in STATISTICS]
 _RATIOS = [kind for kind in _KINDS if isinstance(kind, Ratio)]
-_HISTOGRAMS = {kind.histogram: kind.count for kind in _KINDS if isinstance(kind, Mean)}
+_HISTOGRAMS = {COUNTS[kind.count]: kind.count for kind in _KINDS if isinstance(kind, Mean)}
 
 
 def _gram(infected: np.ndarray, flagged: np.ndarray, missed: np.ndarray) -> np.ndarray:
@@ -701,7 +701,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats
     def estimate(kind: Ratio | Mean | Variance) -> Estimate:
         if isinstance(kind, Ratio):
             return _ratio_estimate(tally[kind.tally])
-        mean, variance = counts[kind.histogram]
+        mean, variance = counts[COUNTS[kind.count]]
         return variance if isinstance(kind, Variance) else mean
 
     return EmpiricalStats(

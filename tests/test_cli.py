@@ -7,7 +7,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from multipool import cli, montecarlo
+from multipool import analytics, cli, montecarlo
 from multipool.cli import main
 
 runner = CliRunner()
@@ -151,10 +151,23 @@ def test_analyze_output_is_reproducible(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_analyze_count_statistics_need_n(tmp_path):
+_COUNT_STATISTICS = {"e_T", "e_Tfp", "e_Tfn", "var_T_bound", "var_Tfp_bound"}
+
+
+@pytest.mark.parametrize("statistic", [statistic.cli for statistic in analytics.STATISTICS])
+def test_analyze_count_statistics_need_n(tmp_path, statistic):
+    # The five count statistics refuse to run without --n; the four
+    # ratios need no item count.
+    result = _analyze(tmp_path / "x.csv", statistic, m=4)
+    if statistic in _COUNT_STATISTICS:
+        assert result.exit_code == 2
+        assert result.stderr == f"error: --n is required for statistic {statistic}\n"
+    else:
+        assert result.exit_code == 0, result.output
+
+
+def test_analyze_writes_n_after_the_other_parameters(tmp_path):
     path = tmp_path / "e.csv"
-    missing = _analyze(path, "e_T", m=4)
-    assert missing.exit_code == 2
     with_n = _analyze(path, "e_T", m=4, extra=["--n", "256"])
     assert with_n.exit_code == 0
     rows = _read_csv(path)

@@ -49,9 +49,17 @@ def _decoder_one_past(run_batch):
     return mutant
 
 
+def _prevalence_biased(infections):
+    """Infections drawn at rho * 1.02 against the closed forms' rho."""
+    def mutant(rngs, counts, n, rho, span):
+        return infections(rngs, counts, n, rho * 1.02, span)
+    return mutant
+
+
 @pytest.mark.parametrize("name, mutate", [
     ("negative_probabilities", _load_blind),
     ("_run_batch", _decoder_one_past),
+    ("_infections", _prevalence_biased),
 ])
 def test_the_gate_fails_a_mutant(monkeypatch, name, mutate):
     monkeypatch.setattr(montecarlo, name, mutate(getattr(montecarlo, name)))
