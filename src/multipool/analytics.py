@@ -141,6 +141,7 @@ def _log_binomial_tail(m: int, counts: range, log_positive: float, log_negative:
     return top + math.log(sum(math.exp(term - top) for term in terms))
 
 
+@lru_cache(maxsize=256)
 def _decode_rates(
     scenario: ScenarioParams, logs: bool = False
 ) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -154,7 +155,8 @@ def _decode_rates(
     rate rounds to 1.  Each of the four rates is summed as its own
     binomial tail: a complement taken by subtraction would round a small
     rate to 0 once its partner rounds to 1.  With ``logs`` each rate is
-    its log, its tail summed in log space."""
+    its log, its tail summed in log space.  Cached, like
+    :func:`analytic_report`, which reads the table once per statistic."""
     m, nc = scenario.m, scenario.nc
     log_keep, log_fn, log_hides = _pool_logs(scenario)
     decisions = (range(m - nc), range(m - nc, m + 1))  # cleared, flagged
@@ -510,20 +512,19 @@ def threshold_info(q: int, m: int) -> float:
 
 
 class Ratio(NamedTuple):
-    """A pooled ratio sum(events) / sum(base) over trials, tallied under
-    ``tally``.  Its event and base counts are coefficients on (n, I, T,
-    T_fp, T_fn): the item count and a trial's infected, flagged, falsely
-    flagged and missed counts.  T_fp = T - I + T_fn, but the null errors
-    sum floats over the exact moments of (I, T, T_fp, T_fn), whose last
-    bits depend on which of them are used."""
+    """A pooled ratio sum(events) / sum(base) over trials.  Its event and
+    base counts are coefficients on (n, I, T, T_fp, T_fn): the item count
+    and a trial's infected, flagged, falsely flagged and missed counts.
+    T_fp = T - I + T_fn, but the null errors sum floats over the exact
+    moments of (I, T, T_fp, T_fn), whose last bits depend on which of
+    them are used."""
 
-    tally: str
     events: tuple[int, int, int, int, int]
     base: tuple[int, int, int, int, int]
 
 
 class Mean(NamedTuple):
-    """The mean of a per-trial count, by its index in ``COUNTS``."""
+    """The mean of a per-trial count, by its index in (I, T, T_fp, T_fn)."""
 
     count: int
 
@@ -547,23 +548,19 @@ class Statistic(NamedTuple):
     kind: Ratio | Mean | Variance
 
 
-# The names of the per-trial counts (I, T, T_fp, T_fn), under which a
-# simulation tallies the histogram of each count that a ``Mean`` reads.
-COUNTS = ("infected", "positives", "false_positives", "false_negatives")
-
 # The nine statistics, in report order: sens = TP / I, spec = TN / (n - I),
 # typeI = T_fp / T and typeII = T_fn / (n - T), with TP = I - T_fn and
 # TN = n - I - T_fp, then the means of T, T_fp and T_fn and the variances
 # of T and T_fp.
 STATISTICS = (
     Statistic("sens", "sens", sensitivity, "sensitivity", "sensitivity",
-              Ratio("sens", (0, 1, 0, 0, -1), (0, 1, 0, 0, 0))),
+              Ratio((0, 1, 0, 0, -1), (0, 1, 0, 0, 0))),
     Statistic("spec", "spec", specificity, "specificity", "specificity",
-              Ratio("spec", (1, -1, 0, -1, 0), (1, -1, 0, 0, 0))),
+              Ratio((1, -1, 0, -1, 0), (1, -1, 0, 0, 0))),
     Statistic("typeI", "typeI", type_one, "type_one", "type_one",
-              Ratio("type_one", (0, 0, 0, 1, 0), (0, 0, 1, 0, 0))),
+              Ratio((0, 0, 0, 1, 0), (0, 0, 1, 0, 0))),
     Statistic("typeII", "typeII", type_two, "type_two", "type_two",
-              Ratio("type_two", (0, 0, 0, 0, 1), (1, 0, -1, 0, 0))),
+              Ratio((0, 0, 0, 0, 1), (1, 0, -1, 0, 0))),
     Statistic("mean_T", "e_T", lambda sc: expected_counts(sc).positives,
               "expected_positives", "mean_positives", Mean(1)),
     Statistic("mean_Tfp", "e_Tfp", lambda sc: expected_counts(sc).false_positives,

@@ -13,10 +13,10 @@ uint64 words per item or pool, one bit per trial, into which the
 infection positions are set directly.  Each batch returns exact
 integers: the Gram matrix of its per-trial counts and, for each
 per-trial count (flagged, false positives, false negatives), how many
-trials had each value.  Batches merge by integer addition, and the call
-then forms its tally once: for each pooled ratio the integer sums of
-its per-trial events and bases, their squares and their product, all
-read from the merged Gram matrix, and for each count its histogram.
+trials had each value.  Batches merge by integer addition into the
+call's result (:func:`_tally`): for each pooled ratio the Gram matrix
+gives the integer sums of its events and bases, their squares and their
+product, and each count's bincount gives its mean and variance.
 Every estimate is a function of the merged integers, so results are
 bit-identical no matter how many threads process the batches, in which
 order they finish, or how the blocks group into batches.  The grouping
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, make_dataclass
 from functools import lru_cache
@@ -50,7 +49,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .analytics import COUNTS, STATISTICS, Mean, Ratio, ScenarioParams, Statistic, Variance
+from .analytics import STATISTICS, Mean, Ratio, ScenarioParams, Statistic, Variance
 from .analytics import analytic_report, exact_moments
 from .design import MultipoolParams, PoolingMatrix, build_multipool
 from .errors import DomainError, require_integer
@@ -214,12 +213,10 @@ class Estimate:
         return self.value is not None
 
 
-# The ratios of ``analytics.STATISTICS``, and the histogram that a call
-# tallies for each per-trial count of its means, by the count's name and
-# index in ``analytics.COUNTS``.
-_KINDS = [statistic.kind for statistic in STATISTICS]
-_RATIOS = [kind for kind in _KINDS if isinstance(kind, Ratio)]
-_HISTOGRAMS = {COUNTS[kind.count]: kind.count for kind in _KINDS if isinstance(kind, Mean)}
+# The index in (I, T, T_fp, T_fn) of each per-trial count that a call
+# tallies as a bincount: the counts of the ``Mean`` statistics.
+_HISTOGRAMS = tuple(statistic.kind.count for statistic in STATISTICS
+                    if isinstance(statistic.kind, Mean))
 
 
 def _gram(infected: np.ndarray, flagged: np.ndarray, missed: np.ndarray) -> np.ndarray:
@@ -236,54 +233,47 @@ def _gram(infected: np.ndarray, flagged: np.ndarray, missed: np.ndarray) -> np.n
     return columns @ columns.T
 
 
-def _ratio_sums(n: int, gram: list[list[int]]) -> dict[str, Counter]:
-    """Exact integer sums for each pooled ratio  sum(a_i) / sum(b_i):
+def _ratio_sums(n: int, gram: list[list[int]], kind: Ratio) -> dict[str, int]:
+    """Exact integer sums of the pooled ratio ``kind``  sum(a_i) / sum(b_i):
     sum(a), sum(b), sum(a**2), sum(a b), sum(b**2) and the trial count.
 
-    Every event and base is a fixed combination of (n, I, T, T_fp, T_fn)
-    (``_RATIOS``), and T_fp = T - I + T_fn, so all of them come from the
-    Gram matrix of :func:`_gram`, here as Python ints: quadratic forms,
-    which Python ints keep exact.
+    Its event and base are fixed combinations of (n, I, T, T_fp, T_fn),
+    and T_fp = T - I + T_fn, so every sum comes from the Gram matrix of
+    :func:`_gram`, here as Python ints: quadratic forms, which Python
+    ints keep exact.
     """
 
     def form(u: tuple[int, ...], v: tuple[int, ...]) -> int:
         """u' G v, skipping zero coefficients."""
         return sum(a * b * gram[i][j] for i, a in enumerate(u) if a for j, b in enumerate(v) if b)
 
-    tally, trial = {}, (1, 0, 0, 0)
-    for key, *counts in _RATIOS:
-        # On the Gram's columns: n is n times the trial column, and T_fp
-        # is T - I + T_fn.
-        events, base = ((n * c[0], c[1] - c[3], c[2] + c[3], c[4] + c[3]) for c in counts)
-        tally[key] = Counter(
-            events=form(events, trial),
-            base=form(base, trial),
-            events_sq=form(events, events),
-            cross=form(events, base),
-            base_sq=form(base, base),
-            trials=gram[0][0],
-        )
-    return tally
+    # On the Gram's columns: n is n times the trial column, and T_fp is
+    # T - I + T_fn.
+    events, base = ((n * c[0], c[1] - c[3], c[2] + c[3], c[4] + c[3]) for c in kind)
+    trial = (1, 0, 0, 0)
+    return dict(
+        events=form(events, trial),
+        base=form(base, trial),
+        events_sq=form(events, events),
+        cross=form(events, base),
+        base_sq=form(base, base),
+        trials=gram[0][0],
+    )
 
 
-def _histogram(counts: np.ndarray) -> Counter:
-    """How many trials had each value of one per-trial count, from the
-    count's ``np.bincount``."""
-    keys = np.flatnonzero(counts)
-    return Counter(dict(zip(keys.tolist(), counts[keys].tolist())))
-
-
-def _tally(n: int, batches: Iterable[tuple[np.ndarray, list[np.ndarray]]]) -> dict[str, Counter]:
-    """The tally of a call from what each of its batches returns
-    (:func:`_run_batch`): a Gram matrix (:func:`_gram`) and the bincount
-    of each ``_HISTOGRAMS`` count.
+def _tally(
+    batches: Iterable[tuple[np.ndarray, list[np.ndarray]]]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """A call's result, (gram, histograms), from what each of its batches
+    returns (:func:`_run_batch`): the Gram matrix (:func:`_gram`) and the
+    bincount of each ``_HISTOGRAMS`` count.
 
     The Gram matrices add as Python ints and the bincounts as int64
     arrays, the shorter into the longer in place; a lone batch adds
-    nothing.  The
-    ratio sums and the histograms are then formed once.  Every entry is
-    an exact integer, so the tally does not depend on how the trials
-    group into batches or in which order the batches come."""
+    nothing.  Each entry is an exact integer, so the result does not
+    depend on how the trials group into batches or in which order the
+    batches come.  A bincount's last entry is never 0, and adding keeps
+    it so: its length is one past the count's largest value."""
     batches = iter(batches)
     gram, counts = next(batches)
     gram = gram.tolist()
@@ -295,13 +285,10 @@ def _tally(n: int, batches: Iterable[tuple[np.ndarray, list[np.ndarray]]]) -> di
                 total, more = more, total
             total[: more.size] += more
             counts[index] = total
-    return {
-        **_ratio_sums(n, gram),
-        **{key: _histogram(total) for key, total in zip(_HISTOGRAMS, counts)},
-    }
+    return gram, [total.tolist() for total in counts]
 
 
-def _ratio_estimate(sums: Counter) -> Estimate:
+def _ratio_estimate(sums: Mapping[str, int]) -> Estimate:
     events, base, trials = sums["events"], sums["base"], sums["trials"]
     if base == 0:
         return Estimate(value=None, se=None, observations=0)
@@ -328,9 +315,9 @@ def _ratio_estimate(sums: Counter) -> Estimate:
     )
 
 
-def _count_estimates(histogram: Counter) -> tuple[Estimate, Estimate]:
+def _count_estimates(histogram: list[int]) -> tuple[Estimate, Estimate]:
     """The mean and variance estimates of one per-trial count, from one
-    pass over its histogram.
+    pass over its bincount: ``histogram[v]`` trials had the value v.
 
     From the integer power sums s_k of the values over the n trials, the
     centred values (n v - s1) / n have the integer power sums
@@ -340,7 +327,9 @@ def _count_estimates(histogram: Counter) -> tuple[Estimate, Estimate]:
     rounds correctly, so every float is the exact rational rounded once.
     """
     n = s1 = s2 = s3 = s4 = 0
-    for value, trials in histogram.items():
+    for value, trials in enumerate(histogram):
+        if not trials:  # zero entries add nothing: up to half of a bench bincount
+            continue
         n += trials
         term = trials * value
         s1 += term
@@ -619,7 +608,7 @@ def _run_batch(
     columns = (infected, flagged, false_pos, false_neg)
     return (
         _gram(infected, flagged, false_neg),
-        [np.bincount(columns[index]) for index in _HISTOGRAMS.values()],
+        [np.bincount(columns[index]) for index in _HISTOGRAMS],
     )
 
 
@@ -640,8 +629,9 @@ def _simulate(
     trials: int,
     master_seed: int,
     threads: int,
-) -> dict[str, Counter]:
-    """The merged tally of ``trials`` trials.
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The result of ``trials`` trials: the merged Gram matrix and
+    bincounts of :func:`_tally`.
 
     Block b of :func:`_block_size` trials draws from the stream
     (master_seed, b).  Consecutive blocks are grouped into batches of
@@ -656,7 +646,7 @@ def _simulate(
     idle while helpers ran every batch peaked higher in memory and ran
     fewer trials per second.
     A failure in any stripe reaches the caller; after one in stripe 0
-    the helpers finish their stripes and their tallies are dropped.
+    the helpers finish their stripes and their results are dropped.
     """
     block = _block_size(matrix.n, scenario.m, scenario.q)
     blocks = [
@@ -682,11 +672,12 @@ def _simulate(
 
     stripes = min(threads, len(batches))
     helpers = _HELPERS.map(stripe, range(1, stripes))
-    return _tally(matrix.n, chain(stripe(0), *helpers))
+    return _tally(chain(stripe(0), *helpers))
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats:
-    """Simulate config.trials rounds and pool the tallies.
+    """Simulate config.trials rounds and estimate every statistic from
+    their merged Gram matrix and bincounts.
 
     ``threads`` only deals the batches of blocks out in turn to the
     calling thread and up to threads - 1 helper threads, which persist
@@ -695,19 +686,23 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> EmpiricalStats
     depend on scheduling.
     """
     threads = require_integer("thread count", threads, 1)
-    tally = _simulate(config.matrix(), config.scenario, config.trials, config.master_seed, threads)
-    counts = {key: _count_estimates(tally[key]) for key in _HISTOGRAMS}
+    matrix = config.matrix()
+    gram, histograms = _simulate(matrix, config.scenario, config.trials, config.master_seed,
+                                 threads)
+    histograms = dict(zip(_HISTOGRAMS, histograms))
+    counts = {count: _count_estimates(histogram) for count, histogram in histograms.items()}
 
     def estimate(kind: Ratio | Mean | Variance) -> Estimate:
         if isinstance(kind, Ratio):
-            return _ratio_estimate(tally[kind.tally])
-        mean, variance = counts[COUNTS[kind.count]]
+            return _ratio_estimate(_ratio_sums(matrix.n, gram, kind))
+        mean, variance = counts[kind.count]
         return variance if isinstance(kind, Variance) else mean
 
     return EmpiricalStats(
         **{statistic.estimate: estimate(statistic.kind) for statistic in STATISTICS},
         trials=config.trials,
-        max_false_negatives=max(tally["false_negatives"]),
+        # T_fn is count 3 of (I, T, T_fp, T_fn).
+        max_false_negatives=len(histograms[3]) - 1,
     )
 
 

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from multipool import model, montecarlo
-from multipool.analytics import ScenarioParams
+from multipool.analytics import STATISTICS, Ratio, ScenarioParams
 from multipool.design import PoolingMatrix
 from multipool.errors import DomainError, MatrixFormatError
 from multipool.model import NOISELESS
@@ -580,6 +580,28 @@ def ratio_sums(events: np.ndarray, base: np.ndarray) -> Counter:
         base_sq=int((base * base).sum()),
         trials=int(events.shape[0]),
     )
+
+
+# The names under which the tests compare a call's result: each ratio
+# of ``STATISTICS`` in order, and each ``montecarlo._HISTOGRAMS`` count by
+# its index in (I, T, T_fp, T_fn).
+_RATIO_NAMES = ("sens", "spec", "type_one", "type_two")
+_COUNT_NAMES = {1: "positives", 2: "false_positives", 3: "false_negatives"}
+
+
+def named_tally(n: int, result: tuple[list[list[int]], list[list[int]]]) -> dict[str, Counter]:
+    """A call's (gram, histograms) of n items as :func:`block_tally` names
+    it: each ratio's six sums, which ``montecarlo._ratio_sums`` reads from
+    the Gram matrix, and how many trials had each value of each count."""
+    gram, histograms = result
+    ratios = [statistic.kind for statistic in STATISTICS if isinstance(statistic.kind, Ratio)]
+    return {
+        **{name: Counter(montecarlo._ratio_sums(n, gram, kind))
+           for name, kind in zip(_RATIO_NAMES, ratios)},
+        **{_COUNT_NAMES[count]: Counter({value: trials for value, trials in enumerate(histogram)
+                                        if trials})
+           for count, histogram in zip(montecarlo._HISTOGRAMS, histograms)},
+    }
 
 
 def block_tally(

@@ -508,6 +508,17 @@ def test_analytic_report_none_semantics():
     assert steep.rho_info is None
 
 
+def test_a_report_forms_the_outcome_table_once():
+    # Sensitivity, specificity, both posteriors and the three expected
+    # counts each read the table; on an interior scenario no posterior
+    # needs the table of logs.
+    scenario = ScenarioParams(rho=0.0731, q=16, m=4, nc=1, noise=NOISY, n=256)
+    before = analytics._decode_rates.cache_info()
+    analytic_report.__wrapped__(scenario)
+    after = analytics._decode_rates.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 6)
+
+
 def test_each_closed_form_matches_its_report_field():
     # analyze evaluates each statistic's closed form; the report holds it
     # as a field.  They must agree bit for bit, and the closed form must

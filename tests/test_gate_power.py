@@ -2,11 +2,13 @@
 right one.
 
 Each mutant is patched in through a name in ``multipool.montecarlo`` and
-run on the sim-dense-small configuration, (16, 4) at rho = 0.1 with
-p_fp = p_fn = 0.02 and nc = 1 over 6552 trials, at master seeds 1 to 20.
-The seeds and the expected failure shares were fixed before any of
-these runs was made: each mutant must fail in at least 18 of the 20, and
-the unpatched simulator in at most 2.
+run at master seeds 1 to 20 on a benchmark configuration: sim-dense-small,
+(16, 4) at rho = 0.1 with p_fp = p_fn = 0.02 and nc = 1 over 6552
+trials, or sim-sparse-large, (64, 8) at rho = 0.01, noiseless, nc = 0
+over 448 trials.  The seeds and the expected failure shares were fixed
+before any of these runs was made: each mutant must fail in at least 18
+of the 20, and the unpatched simulator in at most 2 on either
+configuration.
 """
 
 import dataclasses
@@ -19,14 +21,21 @@ from multipool.design import MultipoolParams
 from multipool.model import NoiseModel
 
 _SEEDS = range(1, 21)
-_SCENARIO = ScenarioParams(rho=0.1, q=16, m=4, nc=1, noise=NoiseModel(0.02, 0.02), n=256)
+# Each benchmark configuration's scenario and trial count.
+_CONFIGS = {
+    "sim-dense-small":
+        (ScenarioParams(rho=0.1, q=16, m=4, nc=1, noise=NoiseModel(0.02, 0.02), n=256), 6552),
+    "sim-sparse-large": (ScenarioParams(rho=0.01, q=64, m=8, n=4096), 448),
+}
 
 
-def _failures() -> int:
-    """How many of the seeds' comparisons fail."""
+def _failures(config: str = "sim-dense-small") -> int:
+    """How many of the seeds' comparisons on ``config`` fail."""
+    scenario, trials = _CONFIGS[config]
     return sum(
         not montecarlo.compare(montecarlo.ExperimentConfig(
-            scenario=_SCENARIO, design=MultipoolParams(16, 4), trials=6552, master_seed=seed,
+            scenario=scenario, design=MultipoolParams(scenario.q, scenario.m), trials=trials,
+            master_seed=seed,
         )).passed
         for seed in _SEEDS
     )
@@ -49,10 +58,10 @@ def _decoder_one_past(run_batch):
     return mutant
 
 
-def _prevalence_biased(infections):
-    """Infections drawn at rho * 1.02 against the closed forms' rho."""
+def _prevalence_biased(infections, factor=1.02):
+    """Infections drawn at rho * ``factor`` against the closed forms' rho."""
     def mutant(rngs, counts, n, rho, span):
-        return infections(rngs, counts, n, rho * 1.02, span)
+        return infections(rngs, counts, n, rho * factor, span)
     return mutant
 
 
@@ -66,5 +75,15 @@ def test_the_gate_fails_a_mutant(monkeypatch, name, mutate):
     assert _failures() >= 18
 
 
+def test_the_sparse_gate_fails_a_prevalence_mutant(monkeypatch):
+    # rho * 1.10 moves mean_T by about 13 null standard errors at 448 trials.
+    monkeypatch.setattr(montecarlo, "_infections", _prevalence_biased(montecarlo._infections, 1.10))
+    assert _failures("sim-sparse-large") >= 18
+
+
 def test_the_gate_passes_the_unpatched_simulator():
     assert _failures() <= 2
+
+
+def test_the_sparse_gate_passes_the_unpatched_simulator():
+    assert _failures("sim-sparse-large") <= 2

@@ -25,7 +25,8 @@ from multipool.model import (
 from multipool.montecarlo import ComparisonReport, ExperimentConfig, compare, run_experiment
 
 from helpers import (
-    blockwise_tally, exact_noiseless_stats, fano_matrix, ncomp_flags, ratio_sums, traced_peak,
+    blockwise_tally, exact_noiseless_stats, fano_matrix, named_tally, ncomp_flags, ratio_sums,
+    traced_peak,
 )
 
 NOISY = NoiseModel(0.02, 0.02)
@@ -597,9 +598,10 @@ _TALLY_PINS = {
 
 
 def _tally_sha256(config: ExperimentConfig, threads: int) -> str:
-    tally = montecarlo._simulate(
-        config.matrix(), config.scenario, config.trials, config.master_seed, threads
-    )
+    matrix = config.matrix()
+    tally = named_tally(matrix.n, montecarlo._simulate(
+        matrix, config.scenario, config.trials, config.master_seed, threads
+    ))
     merged = {name: sorted(counter.items()) for name, counter in sorted(tally.items())}
     return hashlib.sha256(json.dumps(merged).encode()).hexdigest()
 
@@ -617,6 +619,15 @@ def test_merged_tallies_match_their_pins(name, seed, threads):
     else:
         config = _config(**_GOLDEN_CONFIGS[name], seed=seed)
     assert _tally_sha256(config, threads) == _TALLY_PINS[(name, seed)]
+
+
+def test_the_most_misses_of_a_noisy_run_match_the_per_block_pipeline():
+    # Under noise and nc = 1 trials miss infections, so the largest value
+    # of the T_fn bincount is not 0.
+    config = _config(**_GOLDEN_CONFIGS["dense"], seed=1)
+    expected = blockwise_tally(config.matrix(), config.scenario, config.trials, 1)
+    stats = run_experiment(config)
+    assert stats.max_false_negatives == max(expected["false_negatives"]) > 0
 
 
 def test_ragged_design_kernels_match_the_dense_gather_pipeline():
@@ -687,16 +698,18 @@ def test_tallies_merge_to_the_same_estimates_however_trials_split(rows, data):
         gram = montecarlo._gram(base, values, base - events)
         return gram, [np.bincount(values) for _ in montecarlo._HISTOGRAMS]
 
-    def estimates(total):
-        return (*montecarlo._count_estimates(total["positives"]),
-                montecarlo._ratio_estimate(total["sens"]),
-                max(total["positives"]))
+    def estimates(result):
+        gram, histograms = result
+        return (*montecarlo._count_estimates(histograms[0]),
+                montecarlo._ratio_estimate(
+                    montecarlo._ratio_sums(20_000, gram, _STATISTICS["sens"].kind)),
+                len(histograms[0]) - 1)
 
-    whole = montecarlo._tally(20_000, [batch(values, events, base)])
+    whole = montecarlo._tally([batch(values, events, base)])
     blocks = zip(*(np.split(array, cuts) for array in (values, events, base)))
-    split = montecarlo._tally(20_000, (batch(*block) for block in blocks))
+    split = montecarlo._tally(batch(*block) for block in blocks)
     assert split == whole
-    assert split["positives"] == Counter(values.tolist())
+    assert named_tally(20_000, split)["positives"] == Counter(values.tolist())
     split = estimates(split)
     assert split == estimates(whole)
     mean, variance, ratio, largest = split
@@ -727,12 +740,15 @@ def test_ratio_sums_from_the_gram_match_the_direct_sums(n, data):
     false_pos = np.array([data.draw(st.integers(0, n - i)) for i in infected.tolist()],
                          dtype=np.int64)
     flagged = infected - missed + false_pos
-    assert montecarlo._ratio_sums(n, montecarlo._gram(infected, flagged, missed).tolist()) == {
+    gram = montecarlo._gram(infected, flagged, missed).tolist()
+    direct = {
         "sens": ratio_sums(infected - missed, infected),
         "spec": ratio_sums(n - infected - false_pos, n - infected),
-        "type_one": ratio_sums(false_pos, flagged),
-        "type_two": ratio_sums(missed, n - flagged),
+        "typeI": ratio_sums(false_pos, flagged),
+        "typeII": ratio_sums(missed, n - flagged),
     }
+    for row, sums in direct.items():
+        assert montecarlo._ratio_sums(n, gram, _STATISTICS[row].kind) == sums, row
 
 
 @st.composite
@@ -772,7 +788,7 @@ def test_batches_tally_exactly_like_the_per_block_pipeline(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(montecarlo, "_BLOCK_TARGET_ELEMENTS", target)
         patch.setattr(montecarlo, "_BATCH_BYTES", batch)
-        tally = montecarlo._simulate(matrix, scenario, trials, seed, threads)
+        tally = named_tally(matrix.n, montecarlo._simulate(matrix, scenario, trials, seed, threads))
         expected = blockwise_tally(matrix, scenario, trials, seed)
     assert tally == expected
 
@@ -797,7 +813,7 @@ def test_wide_ragged_designs_tally_like_the_per_block_pipeline(pools, n, gather_
     matrix = PoolingMatrix.from_pools(n, pools)
     q, m = matrix.pool_size, matrix.multiplicity
     scenario = ScenarioParams(rho=0.5, q=q, m=m, nc=min(1, m - 1), noise=NOISY, n=n)
-    tally = montecarlo._simulate(matrix, scenario, 70, 3, 2)
+    tally = named_tally(n, montecarlo._simulate(matrix, scenario, 70, 3, 2))
     assert tally == blockwise_tally(matrix, scenario, 70, 3)
 
 
@@ -810,7 +826,7 @@ def test_candidate_loads_past_255_are_counted_exactly(gather_rows, monkeypatch):
     # kept error clears all 300 items of the one pool.
     matrix = PoolingMatrix.from_pools(300, [range(300)])
     scenario = ScenarioParams(rho=1.0, q=300, m=1, nc=0, noise=NoiseModel(0.01, 0.99), n=300)
-    tally = montecarlo._simulate(matrix, scenario, 200, 11, 1)
+    tally = named_tally(300, montecarlo._simulate(matrix, scenario, 200, 11, 1))
     assert tally == blockwise_tally(matrix, scenario, 200, 11)
 
 
@@ -822,7 +838,7 @@ def test_flag_counts_fold_exactly_at_their_edges(n, trials):
     # double-counted row, or a padded one, moves the count.
     matrix = PoolingMatrix.from_pools(n, [range(n)])
     scenario = ScenarioParams(rho=0.3, q=n, m=1, nc=1, noise=NOISY, n=n)
-    tally = montecarlo._simulate(matrix, scenario, trials, 13, 1)
+    tally = named_tally(n, montecarlo._simulate(matrix, scenario, trials, 13, 1))
     assert tally["positives"] == {n: trials}
     assert tally == blockwise_tally(matrix, scenario, trials, 13)
 
@@ -850,13 +866,13 @@ def test_no_bit_past_the_last_trial_and_no_pad_row_is_counted(design, trials):
         return
     # nc = m flags every item in every trial.
     flag_all = ScenarioParams(rho=0.3, q=3, m=2, nc=2, noise=NOISY, n=n)
-    tally = montecarlo._simulate(matrix, flag_all, trials, 7, 1)
+    tally = named_tally(n, montecarlo._simulate(matrix, flag_all, trials, 7, 1))
     assert tally["positives"] == {n: trials}
     assert tally == blockwise_tally(matrix, flag_all, trials, 7)
     # Every item infected, nc = 0: an item is flagged when both of its
     # pools are positive, which they all are.
     all_infected = ScenarioParams(rho=1.0, q=3, m=2, nc=0, noise=NOISELESS, n=n)
-    tally = montecarlo._simulate(matrix, all_infected, trials, 7, 1)
+    tally = named_tally(n, montecarlo._simulate(matrix, all_infected, trials, 7, 1))
     assert tally["positives"] == {n: trials}
     assert tally == blockwise_tally(matrix, all_infected, trials, 7)
 
@@ -981,7 +997,7 @@ def test_counts_past_uint16_are_tallied_exactly():
     n = 1 << 16
     pairs = PoolingMatrix.from_pools(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
     scenario = ScenarioParams(rho=1.0, q=2, m=1, nc=0, noise=NOISELESS, n=n)
-    tally = montecarlo._simulate(pairs, scenario, 3, 5, 1)
+    tally = named_tally(n, montecarlo._simulate(pairs, scenario, 3, 5, 1))
     assert tally["positives"] == {n: 3}
     assert tally == blockwise_tally(pairs, scenario, 3, 5)
 
@@ -990,7 +1006,7 @@ def test_variance_standard_error_is_exact_near_a_large_mean():
     # Raw power sums of values near 15000 are about 5e16 per trial, so a
     # float expansion of the fourth central moment (0.5 here) kept no
     # digit of it and gave se = 0.0.
-    histogram = Counter({15000: 50, 15001: 100, 15002: 50})
+    histogram = [0] * 15000 + [50, 100, 50]
     n = 200
     sample_var = Fraction(100, 199)
     se_sq = (Fraction(1, 2) - sample_var * sample_var * (n - 3) / (n - 1)) / n
@@ -1087,7 +1103,7 @@ _SEED_102_OP_377 = {
                     base_sq=4445121, trials=6552),
     "type_two": Counter(events=5, base=294396, events_sq=5, cross=388, base_sq=18884412,
                         trials=6552),
-    "false_negatives": Counter({0: 6547, 1: 5}),
+    "false_negatives": [6547, 5],
 }
 
 
